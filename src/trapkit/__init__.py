@@ -20,20 +20,16 @@ from .ingest import (
     parse_deployments,
     parse_images,
     unify,
-    validate,
 )
 from .report import Issue, IssueKind, Severity, ValidationReport
 from .scoring import (
     MetricsReport,
     PredictionRecord,
     RangeBox,
-    blank_metrics,
     evaluate,
     geofilter,
-    parse_predictions,
-    per_class_metrics,
+    iter_predictions,
     sequence_aggregate,
-    topk_accuracy,
 )
 from .stats import (
     ClassHistogram,

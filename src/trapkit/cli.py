@@ -12,9 +12,7 @@ error-severity validation issues, 2 on usage errors.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from .errors import TrapkitError
@@ -32,7 +30,6 @@ from .scoring import (
     evaluate,
     geofilter,
     iter_predictions,
-    parse_predictions,
     parse_range_map,
     sequence_aggregate,
     summarize_metrics,
@@ -41,7 +38,6 @@ from .scoring import (
 )
 from .stats import (
     blank_rate,
-    blank_rates_by_source,
     class_distribution,
     class_weights,
     group_bursts,
@@ -52,13 +48,6 @@ from .stats import (
     write_weights,
 )
 from .taxonomy import Level, parse_taxonomy
-
-
-def _default_jobs() -> int:
-    try:
-        return max(1, int(os.environ.get("TRAPKIT_JOBS", "1")))
-    except ValueError:
-        return 1
 
 
 def _add_dataset_arguments(sub: argparse.ArgumentParser) -> None:
@@ -77,8 +66,8 @@ def _add_common_arguments(sub: argparse.ArgumentParser) -> None:
                      help="allow replacing existing output files")
     sub.add_argument("--strict", action="store_true",
                      help="exit 1 when any error-severity validation issue is found")
-    sub.add_argument("--jobs", type=int, default=_default_jobs(), metavar="N",
-                     help="worker parallelism for parsing and scoring (default $TRAPKIT_JOBS or 1)")
+    sub.add_argument("--jobs", type=int, default=1, metavar="N",
+                     help="accepted for compatibility and ignored: every command runs in one thread")
     sub.add_argument("--format", choices=["csv", "summary"], default="summary",
                      help="what to print on stdout: human summary or the primary csv artifact")
     sub.add_argument("-v", "--verbose", action="store_true",
@@ -186,25 +175,15 @@ def _load_dataset(args):
     with open(args.taxonomy, encoding="utf-8") as handle:
         taxonomy, taxonomy_report = parse_taxonomy(handle)
 
-    def load_source(index: int) -> tuple[Source, list[Issue]]:
-        with open(args.deployments[index], encoding="utf-8") as handle:
-            deployments, dep_issues = parse_deployments(handle)
-        with open(args.images[index], encoding="utf-8") as handle:
-            images, image_issues = parse_images(handle)
-        return Source(names[index], deployments, images), dep_issues + image_issues
-
-    indexes = range(len(args.images))
-    if args.jobs > 1 and len(args.images) > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            loaded = list(pool.map(load_source, indexes))
-    else:
-        loaded = [load_source(index) for index in indexes]
-
     issues = list(taxonomy_report.issues)
     sources = []
-    for source, source_issues in loaded:
-        sources.append(source)
-        issues.extend(source_issues)
+    for name, deployments_path, images_path in zip(names, args.deployments, args.images):
+        with open(deployments_path, encoding="utf-8") as handle:
+            deployments, dep_issues = parse_deployments(handle)
+        with open(images_path, encoding="utf-8") as handle:
+            images, image_issues = parse_images(handle)
+        sources.append(Source(name, deployments, images))
+        issues.extend(dep_issues + image_issues)
 
     dataset, unify_issues = unify(sources, taxonomy)
     issues.extend(unify_issues)
@@ -292,8 +271,7 @@ def _cmd_stats(args) -> int:
     with open(skew_path, "w", encoding="utf-8", newline="") as handle:
         write_skew(skew, handle)
 
-    rate = blank_rate(dataset)
-    per_source = blank_rates_by_source(dataset)
+    rate, per_source = blank_rate(dataset)
     effort = labeling_effort(len(dataset.images), args.images_per_hour)
     lines = [
         f"images                  {len(dataset.images)}",
@@ -360,7 +338,6 @@ def _cmd_eval(args) -> int:
             dataset.taxonomy,
             ks=ks,
             level=args.level,
-            jobs=args.jobs,
         )
     report = ValidationReport.from_issues(list(report.issues) + prediction_issues)
 
@@ -374,30 +351,30 @@ def _cmd_eval(args) -> int:
 
 def _cmd_geofilter(args) -> int:
     dataset, report = _load_dataset(args)
-    with open(args.predictions, encoding="utf-8") as handle:
-        records, prediction_issues = parse_predictions(handle)
     with open(args.range_map, encoding="utf-8") as handle:
         range_map, range_issues = parse_range_map(handle)
-    report = ValidationReport.from_issues(
-        list(report.issues) + prediction_issues + range_issues
-    )
 
     unknown_id = dataset.taxonomy.unknown_label_id or "unknown"
+    prediction_issues: list[Issue] = []
     filtered = []
     passthrough = 0
     changed = 0
-    for record in records:
-        image = dataset.images.get(record.image_id)
-        if image is None:
-            passthrough += 1
-            filtered.append(record)
-            continue
-        deployment = dataset.deployments[image.deployment_id]
-        result = geofilter(
-            record, deployment.latitude, deployment.longitude, range_map, unknown_id
-        )
-        changed += result.entries != record.entries
-        filtered.append(result)
+    with open(args.predictions, encoding="utf-8") as handle:
+        for record in iter_predictions(handle, prediction_issues):
+            image = dataset.images.get(record.image_id)
+            if image is None:
+                passthrough += 1
+                filtered.append(record)
+                continue
+            deployment = dataset.deployments[image.deployment_id]
+            result = geofilter(
+                record, deployment.latitude, deployment.longitude, range_map, unknown_id
+            )
+            changed += result.entries != record.entries
+            filtered.append(result)
+    report = ValidationReport.from_issues(
+        list(report.issues) + prediction_issues + range_issues
+    )
 
     outdir = _prepare_output(args, ["predictions_filtered.txt"])
     out_path = outdir / "predictions_filtered.txt"
@@ -443,10 +420,12 @@ def _cmd_sequences(args) -> int:
 
     lines = [f"sequences               {len(groups)} from {len(dataset.images)} images"]
     if args.predictions:
+        prediction_issues: list[Issue] = []
         with open(args.predictions, encoding="utf-8") as handle:
-            records, prediction_issues = parse_predictions(handle)
+            aggregated, skipped = sequence_aggregate(
+                iter_predictions(handle, prediction_issues), groups
+            )
         report = ValidationReport.from_issues(list(report.issues) + prediction_issues)
-        aggregated, skipped = sequence_aggregate(records, groups)
         with open(outdir / "sequence_predictions.txt", "w", encoding="utf-8") as handle:
             write_predictions(aggregated, handle)
         lines.append(f"aggregated predictions  {len(aggregated)} "

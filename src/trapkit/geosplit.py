@@ -175,17 +175,16 @@ def leakage_check(
     a populated region has images without a fold.
     """
     if isinstance(assignment, SplitAssignment):
-        cell = assignment.config.cell_size_m
+        # A region missing from the assignment leaves its images without a
+        # fold, so the per-image check below reports it as "unassigned".
+        cell_size_m = assignment.config.cell_size_m
         folds = image_folds(dataset, assignment)
-        region_folds = assignment.folds
+    elif cell_size_m is None:
+        raise ValueError("cell_size_m is required when checking a per-image fold mapping")
     else:
-        if cell_size_m is None:
-            raise ValueError("cell_size_m is required when checking a per-image fold mapping")
-        cell = cell_size_m
         folds = assignment
-        region_folds = None
 
-    counts, dep_region = _region_counts(dataset, cell)
+    _, dep_region = _region_counts(dataset, cell_size_m)
     per_region: dict[RegionId, dict[str, int]] = {}
     for image_id, image in dataset.images.items():
         region = dep_region[image.deployment_id]
@@ -195,13 +194,8 @@ def leakage_check(
         bucket[key] = bucket.get(key, 0) + 1
 
     violations: list[SplitViolation] = []
-    for region in sorted(counts):
-        buckets = per_region.get(region, {})
-        if region_folds is not None and region not in region_folds:
-            violations.append(SplitViolation(
-                "unassigned", region, tuple(sorted(buckets.items()))
-            ))
-            continue
+    for region in sorted(per_region):
+        buckets = per_region[region]
         if "unassigned" in buckets:
             violations.append(SplitViolation(
                 "unassigned", region, tuple(sorted(buckets.items()))
@@ -221,13 +215,13 @@ def export_split(
     Refuses to export when the leakage check finds any violation. Manifests
     are sorted by image id so repeated exports are byte-identical.
     """
-    violations = leakage_check(dataset, assignment)
+    folds = image_folds(dataset, assignment)
+    violations = leakage_check(dataset, folds, assignment.config.cell_size_m)
     if violations:
         raise SplitError(
             f"refusing to export a leaking split: {len(violations)} violation(s), "
             f"first in region {violations[0].region}"
         )
-    folds = image_folds(dataset, assignment)
     train_ids = sorted(iid for iid, fold in folds.items() if fold == TRAIN)
     eval_ids = sorted(iid for iid, fold in folds.items() if fold == EVAL)
     return train_ids, eval_ids

@@ -9,8 +9,9 @@ through. Only a wrong header kills a file.
 
 `unify` merges any number of parsed sources into a single immutable
 dataset with exact-key deduplication (first occurrence wins) and enforced
-referential integrity. After unification the dataset is safe to share
-across worker threads.
+referential integrity. Every validation rule lives in exactly one place:
+row-level checks in `parse_deployments`/`parse_images`, cross-record and
+cross-source checks in `unify`.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from sys import intern
 from typing import IO, Iterable, Sequence
 
 from ._util import format_timestamp, parse_timestamp, require_header
-from .report import Issue, IssueKind, Severity, ValidationReport
+from .report import Issue, IssueKind, Severity
 from .taxonomy import TaxonomyTable
 
 DEPLOYMENT_COLUMNS = [
@@ -93,15 +94,13 @@ def _coordinate_ok(latitude: float, longitude: float) -> bool:
     return -90.0 <= latitude <= 90.0 and -180.0 <= longitude <= 180.0
 
 
-def parse_deployments(stream: IO[str], fmt: str = "csv") -> tuple[list[Deployment], list[Issue]]:
+def parse_deployments(stream: IO[str]) -> tuple[list[Deployment], list[Issue]]:
     """Parse deployment rows, collecting per-row issues instead of failing.
 
     A row with a bad required field (id, coordinates) is dropped and
     reported. A bad optional timestamp is cleared, reported, and the row
     is kept. Duplicate deployment ids keep the first occurrence.
     """
-    if fmt != "csv":
-        raise ValueError(f"unsupported format: {fmt!r}")
     reader = csv.reader(stream)
     require_header(reader, DEPLOYMENT_COLUMNS, "deployments")
 
@@ -199,15 +198,13 @@ def _optional_timestamp(text, key, row_number, field_name, issues):
     return value
 
 
-def parse_images(stream: IO[str], fmt: str = "csv") -> tuple[list[ImageRecord], list[Issue]]:
+def parse_images(stream: IO[str]) -> tuple[list[ImageRecord], list[Issue]]:
     """Parse image rows; timestamps become aware UTC datetimes.
 
     Rows missing a required field or with an unparseable timestamp are
     dropped and reported. A malformed burst_index is cleared (the record
     survives). Duplicate image ids keep the first occurrence.
     """
-    if fmt != "csv":
-        raise ValueError(f"unsupported format: {fmt!r}")
     reader = csv.reader(stream)
     require_header(reader, IMAGE_COLUMNS, "images")
 
@@ -312,61 +309,6 @@ def write_images(records: Iterable[ImageRecord], stream: IO[str]) -> None:
             "" if record.burst_index is None else str(record.burst_index),
             record.source_id,
         ])
-
-
-def validate(
-    deployments: Sequence[Deployment],
-    images: Sequence[ImageRecord],
-    taxonomy: TaxonomyTable,
-) -> ValidationReport:
-    """Cross-check parsed records; problems are data, not failures.
-
-    Finds orphan images, unknown labels, out-of-range coordinates,
-    inverted time ranges, and duplicate keys. The report is ordered by
-    (issue kind, record key) so repeated runs emit identical bytes.
-    """
-    issues: list[Issue] = []
-
-    dep_ids: set[str] = set()
-    for dep in deployments:
-        if dep.deployment_id in dep_ids:
-            issues.append(Issue(
-                IssueKind.DUPLICATE_ID, dep.deployment_id, "duplicate deployment_id"
-            ))
-        dep_ids.add(dep.deployment_id)
-        if not _coordinate_ok(dep.latitude, dep.longitude):
-            issues.append(Issue(
-                IssueKind.BAD_COORDINATE,
-                dep.deployment_id,
-                f"coordinates ({dep.latitude}, {dep.longitude}) out of range",
-            ))
-        if dep.start_time is not None and dep.end_time is not None:
-            if dep.start_time > dep.end_time:
-                issues.append(Issue(
-                    IssueKind.BAD_TIMESTAMP, dep.deployment_id, "start_time after end_time"
-                ))
-
-    image_ids: set[str] = set()
-    for image in images:
-        if image.image_id in image_ids:
-            issues.append(Issue(
-                IssueKind.DUPLICATE_ID, image.image_id, "duplicate image_id"
-            ))
-        image_ids.add(image.image_id)
-        if image.deployment_id not in dep_ids:
-            issues.append(Issue(
-                IssueKind.ORPHAN_IMAGE,
-                image.image_id,
-                f"references missing deployment {image.deployment_id!r}",
-            ))
-        if image.label_id not in taxonomy:
-            issues.append(Issue(
-                IssueKind.UNKNOWN_LABEL,
-                image.image_id,
-                f"label {image.label_id!r} not in taxonomy",
-            ))
-
-    return ValidationReport.from_issues(issues)
 
 
 def unify(

@@ -17,7 +17,7 @@ coerced to zero.
 from __future__ import annotations
 
 import csv
-from concurrent.futures import ThreadPoolExecutor
+import math
 from dataclasses import dataclass
 from typing import IO, Iterable, Mapping, Sequence, Union
 
@@ -30,8 +30,6 @@ from .taxonomy import BLANK, Level, RolledLabel, TaxonomyTable, rollup
 RANGE_MAP_COLUMNS = ["label_id", "lat_min", "lat_max", "lon_min", "lon_max"]
 
 METRICS_COLUMNS = ["metric", "label_id_or_overall", "value"]
-
-_CHUNK_SIZE = 20000
 
 
 @dataclass(frozen=True, slots=True)
@@ -79,25 +77,15 @@ class RangeBox:
         )
 
 
-def parse_predictions(stream: IO[str]) -> tuple[list[PredictionRecord], list[Issue]]:
-    """Parse `image_id label:score ...` lines.
-
-    Malformed lines are reported with their line number and dropped.
-    Records whose scores are not nonincreasing are re-sorted (stable) and
-    flagged; duplicate labels within a record keep the highest-ranked
-    occurrence and are flagged.
-    """
-    records: list[PredictionRecord] = []
-    issues: list[Issue] = []
-    for line_number, line in enumerate(stream, start=1):
-        parsed = _parse_prediction_line(line, line_number, issues)
-        if parsed is not None:
-            records.append(parsed)
-    return records, issues
-
-
 def iter_predictions(stream: IO[str], issues: list[Issue]) -> Iterable[PredictionRecord]:
-    """Streaming variant of parse_predictions for very large files."""
+    """Stream `image_id label:score ...` lines as prediction records.
+
+    Malformed lines, including any score that is not a finite number, are
+    appended to ``issues`` with their line number and dropped. Records
+    whose scores are not nonincreasing are re-sorted (stable) and flagged;
+    duplicate labels within a record keep the highest-ranked occurrence
+    and are flagged.
+    """
     for line_number, line in enumerate(stream, start=1):
         parsed = _parse_prediction_line(line, line_number, issues)
         if parsed is not None:
@@ -131,6 +119,8 @@ def _parse_prediction_line(line: str, line_number: int, issues: list[Issue]):
         try:
             score = float(score_text)
         except ValueError:
+            score = math.nan
+        if not math.isfinite(score):
             issues.append(Issue(
                 IssueKind.MALFORMED_PREDICTION,
                 image_id,
@@ -187,75 +177,21 @@ def _rolled_ranking(
     return ranking, unresolved
 
 
-@dataclass
-class _Tally:
-    hits: dict[int, int]
-    nonblank_hits: dict[int, int]
-    true_positives: dict[str, int]
-    predicted: dict[str, int]
-    unresolved: int = 0
-
-    @classmethod
-    def zero(cls, ks) -> "_Tally":
-        return cls({k: 0 for k in ks}, {k: 0 for k in ks}, {}, {})
-
-    def merge(self, other: "_Tally") -> None:
-        for k, count in other.hits.items():
-            self.hits[k] += count
-        for k, count in other.nonblank_hits.items():
-            self.nonblank_hits[k] += count
-        for key, count in other.true_positives.items():
-            self.true_positives[key] = self.true_positives.get(key, 0) + count
-        for key, count in other.predicted.items():
-            self.predicted[key] = self.predicted.get(key, 0) + count
-        self.unresolved += other.unresolved
-
-
-def _score_chunk(chunk, truth_rolled, cache, ks) -> _Tally:
-    tally = _Tally.zero(ks)
-    for image_id, entries in chunk:
-        truth = truth_rolled[image_id]
-        ranking, unresolved = _rolled_ranking(entries, cache)
-        tally.unresolved += unresolved
-
-        rank = None
-        for index, rolled in enumerate(ranking):
-            if rolled == truth:
-                rank = index
-                break
-        if rank is not None:
-            for k in ks:
-                if rank < k:
-                    tally.hits[k] += 1
-                    if truth.special != BLANK:
-                        tally.nonblank_hits[k] += 1
-
-        assigned = cache.get(entries[0][0])
-        if assigned is not None:
-            tally.predicted[assigned.name] = tally.predicted.get(assigned.name, 0) + 1
-            if assigned == truth:
-                tally.true_positives[truth.name] = (
-                    tally.true_positives.get(truth.name, 0) + 1
-                )
-    return tally
-
-
 def evaluate(
     predictions: Iterable[PredictionRecord],
     truth: Mapping[str, str],
     table: TaxonomyTable,
     ks: Sequence[int] = (1, 3),
     level: Level = Level.SPECIES,
-    jobs: int = 1,
 ) -> MetricsReport:
     """Single pass over predictions producing the full metrics report.
 
     ``truth`` maps image id to ground-truth label id and defines the
     evaluation scope: predictions for other images are counted as
     unmatched and ignored, truth images with no prediction are counted
-    as misses and reported as skipped. Scoring shards cleanly because
-    every accumulator is an integer count, so any ``jobs`` value gives
-    the same report.
+    as misses and reported as skipped. Top-k accuracy for every ``k``,
+    per-class precision/recall from the top-1 confusion and the blank
+    metrics all come from this one pass.
     """
     ks = tuple(sorted(set(int(k) for k in ks)))
     if not ks or ks[0] < 1:
@@ -277,46 +213,53 @@ def evaluate(
         if rolled.special != BLANK:
             nonblank_total += 1
 
-    tally = _Tally.zero(ks)
+    hits = {k: 0 for k in ks}
+    nonblank_hits = {k: 0 for k in ks}
+    true_positives: dict[str, int] = {}
+    predicted: dict[str, int] = {}
+    unresolved = 0
     seen: set[str] = set()
     duplicates = 0
     unmatched = 0
+    for record in predictions:
+        image_id = record.image_id
+        entries = record.entries
+        if not entries:
+            continue  # an empty ranking is no prediction at all
+        truth_label = truth_rolled.get(image_id)
+        if truth_label is None:
+            unmatched += 1
+            continue
+        if image_id in seen:
+            duplicates += 1
+            continue
+        seen.add(image_id)
 
-    def scope(records):
-        nonlocal duplicates, unmatched
-        for record in records:
-            image_id = record.image_id
-            if not record.entries:
-                continue  # an empty ranking is no prediction at all
-            if image_id not in truth_rolled:
-                unmatched += 1
-            elif image_id in seen:
-                duplicates += 1
-            else:
-                seen.add(image_id)
-                yield image_id, record.entries
+        ranking, missing = _rolled_ranking(entries, cache)
+        unresolved += missing
+        rank = None
+        for index, rolled in enumerate(ranking):
+            if rolled == truth_label:
+                rank = index
+                break
+        if rank is not None:
+            for k in ks:
+                if rank < k:
+                    hits[k] += 1
+                    if truth_label.special != BLANK:
+                        nonblank_hits[k] += 1
 
-    if jobs <= 1:
-        tally.merge(_score_chunk(scope(predictions), truth_rolled, cache, ks))
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            futures = []
-            chunk: list = []
-            for item in scope(predictions):
-                chunk.append(item)
-                if len(chunk) >= _CHUNK_SIZE:
-                    futures.append(pool.submit(_score_chunk, chunk, truth_rolled, cache, ks))
-                    chunk = []
-            if chunk:
-                futures.append(pool.submit(_score_chunk, chunk, truth_rolled, cache, ks))
-            for future in futures:
-                tally.merge(future.result())
+        assigned = cache.get(entries[0][0])
+        if assigned is not None:
+            predicted[assigned.name] = predicted.get(assigned.name, 0) + 1
+            if assigned == truth_label:
+                true_positives[truth_label.name] = true_positives.get(truth_label.name, 0) + 1
 
     evaluated = len(truth_rolled)
     per_class: dict[str, ClassMetrics] = {}
-    for name in sorted(set(support) | set(tally.predicted)):
-        tp = tally.true_positives.get(name, 0)
-        n_predicted = tally.predicted.get(name, 0)
+    for name in sorted(set(support) | set(predicted)):
+        tp = true_positives.get(name, 0)
+        n_predicted = predicted.get(name, 0)
         n_actual = support.get(name, 0)
         per_class[name] = ClassMetrics(
             precision=tp / n_predicted if n_predicted else None,
@@ -329,9 +272,9 @@ def evaluate(
 
     return MetricsReport(
         level=level,
-        topk={k: tally.hits[k] / evaluated for k in ks},
+        topk={k: hits[k] / evaluated for k in ks},
         topk_nonblank={
-            k: (tally.nonblank_hits[k] / nonblank_total if nonblank_total else None)
+            k: (nonblank_hits[k] / nonblank_total if nonblank_total else None)
             for k in ks
         },
         per_class=per_class,
@@ -339,43 +282,10 @@ def evaluate(
         blank_recall=blank.recall if blank else None,
         evaluated=evaluated,
         skipped=evaluated - len(seen),
-        unresolved_predictions=tally.unresolved,
+        unresolved_predictions=unresolved,
         duplicate_predictions=duplicates,
         unmatched_predictions=unmatched,
     )
-
-
-def topk_accuracy(
-    predictions: Iterable[PredictionRecord],
-    truth: Mapping[str, str],
-    k: int,
-    table: TaxonomyTable,
-    level: Level = Level.SPECIES,
-) -> float:
-    """Fraction of truth images whose rolled label is in the rolled top-k."""
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    return evaluate(predictions, truth, table, ks=(k,), level=level).topk[k]
-
-
-def per_class_metrics(
-    predictions: Iterable[PredictionRecord],
-    truth: Mapping[str, str],
-    table: TaxonomyTable,
-    level: Level = Level.SPECIES,
-) -> dict[str, ClassMetrics]:
-    """Precision/recall/support per label from the top-1 confusion."""
-    return evaluate(predictions, truth, table, ks=(1,), level=level).per_class
-
-
-def blank_metrics(
-    predictions: Iterable[PredictionRecord],
-    truth: Mapping[str, str],
-    table: TaxonomyTable,
-) -> tuple[float | None, float | None]:
-    """Precision and recall of the blank class; None where undefined."""
-    report = evaluate(predictions, truth, table, ks=(1,))
-    return report.blank_precision, report.blank_recall
 
 
 def geofilter(
@@ -421,14 +331,17 @@ def parse_range_map(stream: IO[str]) -> tuple[dict[str, list[RangeBox]], list[Is
             continue
         label = row[0].strip()
         try:
-            lat_min, lat_max, lon_min, lon_max = (float(cell) for cell in row[1:])
+            bounds = [float(cell) for cell in row[1:]]
         except ValueError:
+            bounds = [math.nan]
+        if not all(math.isfinite(bound) for bound in bounds):
             issues.append(Issue(
                 IssueKind.BAD_COORDINATE,
                 label or f"row {row_number}",
-                f"row {row_number}: unparseable box bounds",
+                f"row {row_number}: box bounds are not all finite numbers",
             ))
             continue
+        lat_min, lat_max, lon_min, lon_max = bounds
         if lat_min > lat_max or lon_min > lon_max:
             issues.append(Issue(
                 IssueKind.BAD_COORDINATE,

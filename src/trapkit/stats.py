@@ -127,19 +127,15 @@ def skew_report(histogram: ClassHistogram, n_top: int) -> SkewReport:
     return SkewReport(n_top, coverage, tuple(curve))
 
 
-def blank_rate(dataset: UnifiedDataset) -> float:
+def blank_rate(dataset: UnifiedDataset) -> tuple[float, dict[str, float]]:
+    """Blank fraction overall and per contributing source_id, in one pass.
+
+    Field-observed blank rates vary widely between partners, so the
+    per-source fractions (keyed by source_id, in sorted order) come with
+    the overall one.
+    """
     if not dataset.images:
         raise ValueError("cannot compute blank rate of an empty dataset")
-    table = dataset.taxonomy
-    blanks = sum(
-        1 for image in dataset.images.values()
-        if table.resolve(image.label_id).special_kind == BLANK
-    )
-    return blanks / len(dataset.images)
-
-
-def blank_rates_by_source(dataset: UnifiedDataset) -> dict[str, float]:
-    """Blank fraction per contributing source_id (field-observed rates vary widely)."""
     table = dataset.taxonomy
     totals: dict[str, int] = {}
     blanks: dict[str, int] = {}
@@ -147,10 +143,11 @@ def blank_rates_by_source(dataset: UnifiedDataset) -> dict[str, float]:
         totals[image.source_id] = totals.get(image.source_id, 0) + 1
         if table.resolve(image.label_id).special_kind == BLANK:
             blanks[image.source_id] = blanks.get(image.source_id, 0) + 1
-    return {
+    per_source = {
         source: blanks.get(source, 0) / total
         for source, total in sorted(totals.items())
     }
+    return sum(blanks.values()) / len(dataset.images), per_source
 
 
 def labeling_effort(n_images: int, rate_images_per_hour: float) -> float:

@@ -13,7 +13,7 @@ from datetime import datetime, timezone
 
 from trapkit.geosplit import SplitConfig, assign_regions, export_split, leakage_check, region_id
 from trapkit.ingest import Deployment, ImageRecord, Source, UnifiedDataset, parse_deployments, parse_images, unify
-from trapkit.scoring import blank_metrics, evaluate, iter_predictions, per_class_metrics, topk_accuracy
+from trapkit.scoring import evaluate, iter_predictions
 from trapkit.stats import blank_rate, class_distribution, skew_report
 from trapkit.taxonomy import Level, distinct_counts, parse_taxonomy, rollup
 
@@ -87,13 +87,14 @@ def test_criterion_2_metric_oracle_equivalence():
         by_image = {record.image_id: record for record in predictions}
         level = rng.choice(list(Level))
 
+        report = evaluate(predictions, truth, table, ks=(1, 2, 3), level=level)
         for k in (1, 2, 3):
-            got = topk_accuracy(predictions, truth, k, table, level)
+            got = report.topk[k]
             want = topk_hits(by_image, truth, table, k, int(level)) / len(truth)
             if got != want:
                 failures.append(f"instance {index}: top-{k} {got} != {want}")
 
-        metrics = per_class_metrics(predictions, truth, table, level)
+        metrics = report.per_class
         expected = per_class_counts(by_image, truth, table, int(level))
         if set(metrics) != set(expected):
             failures.append(f"instance {index}: class key sets differ")
@@ -107,7 +108,8 @@ def test_criterion_2_metric_oracle_equivalence():
                 ):
                     failures.append(f"instance {index}: class {name} differs")
 
-        got_blank = blank_metrics(predictions, truth, table)
+        species = evaluate(predictions, truth, table, ks=(1,))
+        got_blank = (species.blank_precision, species.blank_recall)
         species_counts = per_class_counts(by_image, truth, table, int(Level.SPECIES))
         blank_row = species_counts.get(table.blank_label_id)
         if blank_row is None:
@@ -384,7 +386,7 @@ def test_criterion_8_paper_shape_sanity():
 
     histogram = class_distribution(dataset, include_blank=False, include_unknown=False)
     skew = skew_report(histogram, n_top)
-    rate = blank_rate(dataset)
+    rate, _ = blank_rate(dataset)
 
     coverage_error = abs(skew.coverage_fraction - target_coverage)
     blank_error = abs(rate - target_blank)

@@ -68,7 +68,7 @@ def test_multi_source_ingest_reports_cross_source_duplicates(tmp_path, fixture_d
     assert "unified 4 deployments and 40 images from 2 source(s)" in stdout
 
 
-def test_jobs_default_comes_from_environment(tmp_path, fixture_dir, monkeypatch, capsys):
+def test_jobs_environment_variable_is_accepted(tmp_path, fixture_dir, monkeypatch, capsys):
     monkeypatch.setenv("TRAPKIT_JOBS", "3")
     out = tmp_path / "out"
     assert main(["ingest", *_dataset_flags(fixture_dir, out)]) == 0

@@ -1,9 +1,11 @@
+import csv
 import io
 from datetime import datetime, timezone
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from trapkit.cli import main
 from trapkit.errors import HeaderError
 from trapkit.ingest import (
     DEPLOYMENT_COLUMNS,
@@ -14,7 +16,6 @@ from trapkit.ingest import (
     parse_deployments,
     parse_images,
     unify,
-    validate,
     write_deployments,
     write_images,
 )
@@ -226,67 +227,78 @@ def test_image_round_trip(records):
 # ------------------------------------------------------------------- validate
 
 
-def _tiny_records():
-    deployments = [Deployment("d1", "p1", 0.0, 0.0), Deployment("d2", "p1", 1.0, 1.0)]
-    ts = datetime(2015, 6, 1, tzinfo=UTC)
+TINY_DEPLOYMENTS = ["d1,p1,0.0,0.0,,,,", "d2,p1,1.0,1.0,,,,"]
+TINY_IMAGES = [
+    "i1,d1,2015-06-01T00:00:00Z,sp_panthera_onca,,s",
+    "i2,d2,2015-06-01T00:00:00Z,blank,,s",
+]
+
+
+def _validate_issues(tmp_path, fixture_dir, deployment_rows, image_rows):
+    """Run the validate subcommand on one source; (kind, key) per issues.csv row."""
+    deployments = tmp_path / "deployments.csv"
+    images = tmp_path / "images.csv"
+    deployments.write_text("\n".join([DEP_HEADER, *deployment_rows]) + "\n", encoding="utf-8")
+    images.write_text("\n".join([IMG_HEADER, *image_rows]) + "\n", encoding="utf-8")
+    out = tmp_path / "out"
+    status = main([
+        "validate",
+        "--deployments", str(deployments),
+        "--images", str(images),
+        "--taxonomy", str(fixture_dir / "taxonomy.csv"),
+        "-o", str(out),
+    ])
+    assert status == 0
+    with open(out / "issues.csv", encoding="utf-8", newline="") as handle:
+        return [(kind, key) for kind, key, _ in csv.reader(handle)]
+
+
+def test_validate_consistent_fixture_is_empty(tmp_path, fixture_dir):
+    assert _validate_issues(tmp_path, fixture_dir, TINY_DEPLOYMENTS, TINY_IMAGES) == []
+
+
+def test_validate_orphan_image(tmp_path, fixture_dir):
+    images = [*TINY_IMAGES, "i3,dX,2015-06-01T00:00:00Z,blank,,s"]
+    issues = _validate_issues(tmp_path, fixture_dir, TINY_DEPLOYMENTS, images)
+    assert issues == [("orphan_image", "i3")]
+
+
+def test_validate_counts_for_three_known_defects(tmp_path, fixture_dir):
     images = [
-        ImageRecord("i1", "d1", ts, "sp_panthera_onca", None, "s"),
-        ImageRecord("i2", "d2", ts, "blank", None, "s"),
+        *TINY_IMAGES,
+        "i3,dX,2015-06-01T00:00:00Z,blank,,s",       # orphan
+        "i4,d1,2015-06-01T00:00:00Z,sp_bogus,,s",    # unknown label
+        "i1,d1,2015-06-01T00:00:00Z,blank,,s",       # duplicate id
     ]
-    return deployments, images
+    issues = _validate_issues(tmp_path, fixture_dir, TINY_DEPLOYMENTS, images)
+    assert issues == [
+        ("orphan_image", "i3"),
+        ("unknown_label", "i4"),
+        ("duplicate_id", "i1"),
+    ]
 
 
-def test_validate_consistent_fixture_is_empty(taxonomy_table):
-    deployments, images = _tiny_records()
-    assert validate(deployments, images, taxonomy_table).is_empty
-
-
-def test_validate_orphan_image(taxonomy_table):
-    deployments, images = _tiny_records()
-    ts = datetime(2015, 6, 1, tzinfo=UTC)
-    images.append(ImageRecord("i3", "dX", ts, "blank", None, "s"))
-    report = validate(deployments, images, taxonomy_table)
-    assert [issue.kind for issue in report.issues] == [IssueKind.ORPHAN_IMAGE]
-    assert report.issues[0].key == "i3"
-
-
-def test_validate_counts_for_three_known_defects(taxonomy_table):
-    deployments, images = _tiny_records()
-    ts = datetime(2015, 6, 1, tzinfo=UTC)
-    images.append(ImageRecord("i3", "dX", ts, "blank", None, "s"))        # orphan
-    images.append(ImageRecord("i4", "d1", ts, "sp_bogus", None, "s"))     # unknown label
-    images.append(ImageRecord("i1", "d1", ts, "blank", None, "s"))        # duplicate id
-    report = validate(deployments, images, taxonomy_table)
-    counts = report.counts()
-    expected = {
-        IssueKind.ORPHAN_IMAGE: 1,
-        IssueKind.BAD_COORDINATE: 0,
-        IssueKind.BAD_TIMESTAMP: 0,
-        IssueKind.UNKNOWN_LABEL: 1,
-        IssueKind.DUPLICATE_ID: 1,
-        IssueKind.MISSING_FIELD: 0,
-    }
-    for kind, count in expected.items():
-        assert counts[kind] == count
-    assert report.total == 3
-
-
-def test_validation_completeness_k_defects_k_issues(taxonomy_table):
-    # five defects planted record by record, five issues out
-    ts = datetime(2015, 6, 1, tzinfo=UTC)
+def test_validation_completeness_k_defects_k_issues(tmp_path, fixture_dir):
+    # five defects planted row by row, exactly one issue row for each
     deployments = [
-        Deployment("d1", "p1", 0.0, 0.0),
-        Deployment("d2", "p1", 95.0, 0.0),                      # bad coordinate
-        Deployment("d3", "p1", 1.0, 1.0, None, ts, ts.replace(year=2014)),  # inverted range
+        "d1,p1,0.0,0.0,,,,",
+        "d2,p1,95.0,0.0,,,,",                                           # bad coordinate
+        "d3,p1,1.0,1.0,,2015-06-01T00:00:00Z,2014-06-01T00:00:00Z,",   # inverted range
     ]
     images = [
-        ImageRecord("i1", "d1", ts, "blank", None, "s"),
-        ImageRecord("i2", "dX", ts, "blank", None, "s"),        # orphan
-        ImageRecord("i3", "d1", ts, "nope", None, "s"),         # unknown label
-        ImageRecord("i3", "d1", ts, "blank", None, "s"),        # duplicate id
+        "i1,d1,2015-06-01T00:00:00Z,blank,,s",
+        "i2,dX,2015-06-01T00:00:00Z,blank,,s",      # orphan
+        "i3,d1,2015-06-01T00:00:00Z,nope,,s",       # unknown label
+        "i3,d1,2015-06-01T00:00:00Z,blank,,s",      # duplicate id
     ]
-    report = validate(deployments, images, taxonomy_table)
-    assert report.total == 5
+    issues = _validate_issues(tmp_path, fixture_dir, deployments, images)
+    assert issues == [
+        ("orphan_image", "i2"),
+        ("bad_coordinate", "d2"),
+        ("bad_timestamp", "d3"),
+        ("unknown_label", "i3"),
+        ("duplicate_id", "i3"),
+    ]
 
 
 # ---------------------------------------------------------------------- unify

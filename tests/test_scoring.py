@@ -9,14 +9,11 @@ from trapkit.report import IssueKind, Severity
 from trapkit.scoring import (
     PredictionRecord,
     RangeBox,
-    blank_metrics,
     evaluate,
     geofilter,
-    parse_predictions,
+    iter_predictions,
     parse_range_map,
-    per_class_metrics,
     sequence_aggregate,
-    topk_accuracy,
     write_metrics,
     write_predictions,
 )
@@ -51,14 +48,20 @@ def _record(image_id, *labels, start=0.9, step=0.1):
 # -------------------------------------------------------------------- parsing
 
 
+def _parse_all(stream):
+    issues = []
+    records = list(iter_predictions(stream, issues))
+    return records, issues
+
+
 def test_parse_two_entry_line():
-    records, issues = parse_predictions(io.StringIO("i1 sp_a:0.9 sp_b:0.1\n"))
+    records, issues = _parse_all(io.StringIO("i1 sp_a:0.9 sp_b:0.1\n"))
     assert issues == []
     assert records == [PredictionRecord("i1", (("sp_a", 0.9), ("sp_b", 0.1)))]
 
 
 def test_unsorted_scores_flagged_and_resorted():
-    records, issues = parse_predictions(io.StringIO("i1 sp_a:0.1 sp_b:0.9\n"))
+    records, issues = _parse_all(io.StringIO("i1 sp_a:0.1 sp_b:0.9\n"))
     assert [issue.kind for issue in issues] == [IssueKind.UNSORTED_SCORES]
     assert issues[0].severity is Severity.WARNING
     assert records[0].entries == (("sp_b", 0.9), ("sp_a", 0.1))
@@ -66,7 +69,7 @@ def test_unsorted_scores_flagged_and_resorted():
 
 def test_malformed_lines_reported_with_line_numbers():
     text = "i1 sp_a:0.9\ni2\ni3 sp_a:nope\ni4 :0.5\n"
-    records, issues = parse_predictions(io.StringIO(text))
+    records, issues = _parse_all(io.StringIO(text))
     assert [record.image_id for record in records] == ["i1"]
     assert [issue.kind for issue in issues] == [IssueKind.MALFORMED_PREDICTION] * 3
     assert "line 2" in issues[0].detail
@@ -74,8 +77,21 @@ def test_malformed_lines_reported_with_line_numbers():
     assert "line 4" in issues[2].detail
 
 
+@pytest.mark.parametrize("line", [
+    "i1 a:0.2 b:nan c:0.9",
+    "i2 a:inf b:0.1",
+    "i3 a:0.9 b:-inf",
+    "i4 a:NaN",
+])
+def test_non_finite_score_drops_the_line(line):
+    records, issues = _parse_all(io.StringIO(line + "\n"))
+    assert records == []
+    assert [issue.kind for issue in issues] == [IssueKind.MALFORMED_PREDICTION]
+    assert issues[0].key == line.split()[0]
+
+
 def test_duplicate_labels_keep_highest_rank():
-    records, issues = parse_predictions(io.StringIO("i1 sp_a:0.9 sp_a:0.5 sp_b:0.3\n"))
+    records, issues = _parse_all(io.StringIO("i1 sp_a:0.9 sp_a:0.5 sp_b:0.3\n"))
     assert records[0].entries == (("sp_a", 0.9), ("sp_b", 0.3))
     assert [issue.kind for issue in issues] == [IssueKind.DUPLICATE_ID]
 
@@ -88,7 +104,7 @@ def test_thousand_record_round_trip():
     buffer = io.StringIO()
     write_predictions(records, buffer)
     buffer.seek(0)
-    parsed, issues = parse_predictions(buffer)
+    parsed, issues = _parse_all(buffer)
     assert issues == []
     assert parsed == records
 
@@ -104,7 +120,7 @@ def test_perfect_predictor_scores_one_at_every_k(taxonomy_table):
         _record("i3", "blank", "sp_lemur_catta"),
     ]
     for k in (1, 2, 3, 5):
-        assert topk_accuracy(predictions, truth, k, taxonomy_table) == 1.0
+        assert evaluate(predictions, truth, taxonomy_table, ks=(k,)).topk[k] == 1.0
 
 
 def test_hand_enumerated_ranks_one_two_four_one():
@@ -116,14 +132,15 @@ def test_hand_enumerated_ranks_one_two_four_one():
         _record("i3", "sp_a", "sp_b", "sp_d", "sp_c"),   # truth at rank 4
         _record("i4", "sp_d", "sp_a", "sp_b", "sp_c"),   # truth at rank 1
     ]
-    assert topk_accuracy(predictions, truth, 1, table) == 0.5
-    assert topk_accuracy(predictions, truth, 3, table) == 0.75
+    report = evaluate(predictions, truth, table, ks=(1, 3))
+    assert report.topk[1] == 0.5
+    assert report.topk[3] == 0.75
 
 
 def test_k_below_one_rejected():
     table = _table()
     with pytest.raises(ValueError):
-        topk_accuracy([], {"i1": "sp_a"}, 0, table)
+        evaluate([], {"i1": "sp_a"}, table, ks=(0,))
 
 
 def test_missing_predictions_count_as_misses_and_are_reported():
@@ -153,8 +170,8 @@ def test_rollup_merges_wrong_species_right_genus():
     table = _table()
     truth = {"i1": "sp_a"}
     predictions = [_record("i1", "sp_b", "sp_c")]  # sibling species predicted first
-    assert topk_accuracy(predictions, truth, 1, table, Level.SPECIES) == 0.0
-    assert topk_accuracy(predictions, truth, 1, table, Level.GENUS) == 1.0
+    assert evaluate(predictions, truth, table, ks=(1,), level=Level.SPECIES).topk[1] == 0.0
+    assert evaluate(predictions, truth, table, ks=(1,), level=Level.GENUS).topk[1] == 1.0
 
 
 def test_rollup_dedup_preserves_rank_order():
@@ -163,8 +180,8 @@ def test_rollup_dedup_preserves_rank_order():
     # sp_a and sp_b share a genus: after genus rollup they collapse to one
     # entry, promoting sp_c into the top 2
     predictions = [_record("i1", "sp_a", "sp_b", "sp_c")]
-    assert topk_accuracy(predictions, truth, 2, table, Level.SPECIES) == 0.0
-    assert topk_accuracy(predictions, truth, 2, table, Level.GENUS) == 1.0
+    assert evaluate(predictions, truth, table, ks=(2,), level=Level.SPECIES).topk[2] == 0.0
+    assert evaluate(predictions, truth, table, ks=(2,), level=Level.GENUS).topk[2] == 1.0
 
 
 def test_duplicate_and_unmatched_prediction_records_reported():
@@ -188,7 +205,7 @@ def test_perfect_predictor_perfect_per_class():
     table = _table()
     truth = {"i1": "sp_a", "i2": "sp_b", "i3": "blank"}
     predictions = [_record(iid, label) for iid, label in truth.items()]
-    metrics = per_class_metrics(predictions, truth, table)
+    metrics = evaluate(predictions, truth, table).per_class
     for name in ("A", "B", "blank"):
         assert metrics[name].precision == 1.0
         assert metrics[name].recall == 1.0
@@ -206,16 +223,16 @@ def test_blank_confusion_hand_count():
         + [_record("s0", "blank")]                           # false blank
         + [_record(f"s{n}", "sp_a") for n in range(1, 5)]    # correct species
     )
-    precision, recall = blank_metrics(predictions, truth, table)
-    assert precision == 0.8
-    assert recall == 0.8
+    report = evaluate(predictions, truth, table)
+    assert report.blank_precision == 0.8
+    assert report.blank_recall == 0.8
 
 
 def test_zero_over_zero_is_undefined_not_zero():
     table = _table()
     truth = {"i1": "sp_a", "i2": "sp_a"}
     predictions = [_record("i1", "sp_b"), _record("i2", "sp_b")]
-    metrics = per_class_metrics(predictions, truth, table)
+    metrics = evaluate(predictions, truth, table).per_class
     assert metrics["A"].precision is None      # never predicted
     assert metrics["A"].recall == 0.0
     assert metrics["B"].precision == 0.0
@@ -225,16 +242,17 @@ def test_zero_over_zero_is_undefined_not_zero():
 def test_blank_recall_undefined_without_blank_truth():
     table = _table()
     truth = {"i1": "sp_a"}
-    precision, recall = blank_metrics([_record("i1", "blank")], truth, table)
-    assert precision == 0.0
-    assert recall is None
+    report = evaluate([_record("i1", "blank")], truth, table)
+    assert report.blank_precision == 0.0
+    assert report.blank_recall is None
 
 
 def test_all_blank_truth_and_predictions():
     table = _table()
     truth = {"i1": "blank", "i2": "blank"}
     predictions = [_record("i1", "blank"), _record("i2", "blank")]
-    assert blank_metrics(predictions, truth, table) == (1.0, 1.0)
+    report = evaluate(predictions, truth, table)
+    assert (report.blank_precision, report.blank_recall) == (1.0, 1.0)
 
 
 def test_random_instances_match_confusion_oracle():
@@ -247,7 +265,7 @@ def test_random_instances_match_confusion_oracle():
         by_image = {record.image_id: record for record in predictions}
         level = rng.choice(list(Level))
 
-        metrics = per_class_metrics(predictions, truth, table, level)
+        metrics = evaluate(predictions, truth, table, level=level).per_class
         expected = per_class_counts(by_image, truth, table, int(level))
         assert set(metrics) == set(expected)
         for name, (tp, n_predicted, n_actual) in expected.items():
@@ -266,8 +284,9 @@ def test_random_instances_match_topk_oracle():
         predictions = random_predictions(rng, truth, table)
         by_image = {record.image_id: record for record in predictions}
         level = rng.choice(list(Level))
+        report = evaluate(predictions, truth, table, ks=(1, 2, 3), level=level)
         for k in (1, 2, 3):
-            got = topk_accuracy(predictions, truth, k, table, level)
+            got = report.topk[k]
             want = topk_hits(by_image, truth, table, k, int(level)) / len(truth)
             assert got == want
 
@@ -293,23 +312,15 @@ def test_monotone_in_k_and_level():
         table = random_taxonomy(rng, n_species=10, coarse_only_fraction=0.1)
         truth = random_truth(rng, table, 60)
         predictions = random_predictions(rng, truth, table)
-        accs = [topk_accuracy(predictions, truth, k, table) for k in (1, 2, 3)]
+        topk = evaluate(predictions, truth, table, ks=(1, 2, 3)).topk
+        accs = [topk[k] for k in (1, 2, 3)]
         assert accs == sorted(accs)
         by_level = [
-            topk_accuracy(predictions, truth, 1, table, level) for level in Level
+            evaluate(predictions, truth, table, ks=(1,), level=level).topk[1]
+            for level in Level
         ]
         # Level iterates coarse to fine, so accuracy must be nonincreasing
         assert by_level == sorted(by_level, reverse=True)
-
-
-def test_jobs_parameter_does_not_change_the_report():
-    rng = random.Random(9)
-    table = random_taxonomy(rng, n_species=12)
-    truth = random_truth(rng, table, 300)
-    predictions = random_predictions(rng, truth, table)
-    sequential = evaluate(predictions, truth, table, ks=(1, 3), jobs=1)
-    threaded = evaluate(predictions, truth, table, ks=(1, 3), jobs=4)
-    assert sequential == threaded
 
 
 def test_metrics_csv_shape():
@@ -389,11 +400,15 @@ def test_parse_range_map_reports_bad_rows():
         "sp_b,20.0,10.0,0.0,10.0\n"
         "sp_c,a,b,c,d\n"
         "sp_a,-5.0,5.0,-5.0,5.0\n"
+        "sp_d,nan,10.0,0.0,10.0\n"
+        "sp_e,0.0,inf,0.0,10.0\n"
+        "sp_f,-inf,10.0,0.0,10.0\n"
     )
     boxes, issues = parse_range_map(io.StringIO(text))
     assert len(boxes["sp_a"]) == 2
-    assert "sp_b" not in boxes
-    assert [issue.kind for issue in issues] == [IssueKind.BAD_COORDINATE] * 2
+    assert set(boxes) == {"sp_a"}
+    assert [issue.kind for issue in issues] == [IssueKind.BAD_COORDINATE] * 5
+    assert [issue.key for issue in issues] == ["sp_b", "sp_c", "sp_d", "sp_e", "sp_f"]
 
 
 # ----------------------------------------------------------------- sequences

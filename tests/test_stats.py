@@ -9,7 +9,6 @@ from trapkit.ingest import Deployment, ImageRecord, UnifiedDataset
 from trapkit.stats import (
     ClassHistogram,
     blank_rate,
-    blank_rates_by_source,
     class_distribution,
     class_weights,
     group_bursts,
@@ -131,8 +130,8 @@ def test_skew_curve_matches_sort_and_prefix_sum_oracle(seed):
 
 
 def test_blank_rate_examples():
-    assert blank_rate(_dataset(["blank"] * 3 + ["a"] * 7)) == 0.3
-    assert blank_rate(_dataset(["blank"] * 5)) == 1.0
+    assert blank_rate(_dataset(["blank"] * 3 + ["a"] * 7))[0] == 0.3
+    assert blank_rate(_dataset(["blank"] * 5))[0] == 1.0
     with pytest.raises(ValueError):
         blank_rate(_dataset([]))
 
@@ -140,8 +139,9 @@ def test_blank_rate_examples():
 def test_blank_rates_per_source_match_hand_counts():
     labels = ["blank", "a", "blank", "b", "blank", "a"]
     sources = ["s1", "s1", "s1", "s2", "s2", "s2"]
-    rates = blank_rates_by_source(_dataset(labels, sources=sources))
+    overall, rates = blank_rate(_dataset(labels, sources=sources))
     assert rates == {"s1": 2 / 3, "s2": 1 / 3}
+    assert overall == 0.5
 
 
 # --------------------------------------------------------------------- effort
