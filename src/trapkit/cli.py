@@ -5,13 +5,20 @@ identical invocations produce byte-identical artifacts. Nothing is cached
 between runs and all intermediates are explicit files, so pipelines can
 be rebuilt or diffed at any stage.
 
-Exit status: 0 on success, 1 on runtime errors or (with --strict) on
-error-severity validation issues, 2 on usage errors.
+Each ``_cmd_*`` function only computes; ``_run`` does all the I/O around
+it. Every artifact is streamed into a hidden ``.NAME.partial`` file and
+renamed into place when complete, so it is either whole or absent.
+
+Exit status: 0 on success; 1 on runtime errors, including input that is
+not UTF-8, or (with --strict) on error-severity validation issues; 2 on
+usage errors, including a numeric flag that is not a finite number > 0.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
+import os
 import sys
 from pathlib import Path
 
@@ -25,7 +32,7 @@ from .geosplit import (
     write_manifest,
 )
 from .ingest import Source, parse_deployments, parse_images, unify, write_deployments, write_images
-from .report import Issue, ValidationReport
+from .report import ValidationReport
 from .scoring import (
     evaluate,
     geofilter,
@@ -48,6 +55,17 @@ from .stats import (
     write_weights,
 )
 from .taxonomy import Level, parse_taxonomy
+
+
+def _positive(kind):
+    """An argparse type for a flag that must be a finite number > 0."""
+    def convert(text: str):
+        value = kind(text)
+        if not (math.isfinite(value) and value > 0):
+            raise argparse.ArgumentTypeError(f"must be a finite number > 0, got {text!r}")
+        return value
+    convert.__name__ = kind.__name__  # argparse names it in "invalid float value"
+    return convert
 
 
 def _add_dataset_arguments(sub: argparse.ArgumentParser) -> None:
@@ -94,11 +112,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = commands.add_parser("stats", help="class skew, blank rate, and labeling-effort diagnostics")
     _add_dataset_arguments(sub)
     _add_common_arguments(sub)
-    sub.add_argument("--top-n", type=int, default=20, metavar="N",
+    sub.add_argument("--top-n", type=_positive(int), default=20, metavar="N",
                      help="rank cutoff for the skew coverage figure (default 20)")
     sub.add_argument("--level", type=Level.from_name, default=None, metavar="LEVEL",
                      help="roll labels up to this level first (class/order/family/genus/species)")
-    sub.add_argument("--images-per-hour", type=float, default=450.0, metavar="RATE",
+    sub.add_argument("--images-per-hour", type=_positive(float), default=450.0, metavar="RATE",
                      help="expert labeling rate for the effort estimate (default 450)")
     sub.add_argument("--include-blank", action="store_true",
                      help="keep blank/unknown labels in the skew table")
@@ -108,7 +126,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_dataset_arguments(sub)
     _add_common_arguments(sub)
     sub.add_argument("--train-fraction", type=float, default=0.9, metavar="F")
-    sub.add_argument("--cell-size-m", type=float, default=10.0, metavar="METERS")
+    sub.add_argument("--cell-size-m", type=_positive(float), default=10.0, metavar="METERS")
     sub.add_argument("--seed", type=int, default=0, metavar="SEED")
     sub.set_defaults(func=_cmd_split)
 
@@ -133,14 +151,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub = commands.add_parser("weights", help="export inverse-frequency class weights")
     _add_dataset_arguments(sub)
     _add_common_arguments(sub)
-    sub.add_argument("--cap", type=float, default=100.0, metavar="CAP")
+    sub.add_argument("--cap", type=_positive(float), default=100.0, metavar="CAP")
     sub.add_argument("--level", type=Level.from_name, default=None, metavar="LEVEL")
     sub.set_defaults(func=_cmd_weights)
 
     sub = commands.add_parser("sequences", help="group images into burst sequences")
     _add_dataset_arguments(sub)
     _add_common_arguments(sub)
-    sub.add_argument("--max-gap-seconds", type=float, default=60.0, metavar="SECONDS")
+    sub.add_argument("--max-gap-seconds", type=_positive(float), default=60.0, metavar="SECONDS")
     sub.add_argument("--predictions", default=None, metavar="FILE",
                      help="also fuse these per-image predictions into one record per sequence")
     sub.set_defaults(func=_cmd_sequences)
@@ -160,6 +178,15 @@ def _require_inputs(args):
         raise TrapkitError(f"input file(s) not found: {', '.join(missing)}")
 
 
+def _read(path, parse):
+    """Return ``parse(handle)`` on one input; bytes that are not UTF-8 are fatal."""
+    with open(path, encoding="utf-8") as handle:
+        try:
+            return parse(handle)
+        except UnicodeDecodeError as exc:
+            raise TrapkitError(f"{path} is not UTF-8 text ({exc.reason})") from None
+
+
 def _load_dataset(args):
     """Parse taxonomy and all sources, unify, and collect every issue."""
     if len(args.deployments) != len(args.images):
@@ -172,94 +199,88 @@ def _load_dataset(args):
         raise TrapkitError("--source-name must be given once per source")
     _require_inputs(args)
 
-    with open(args.taxonomy, encoding="utf-8") as handle:
-        taxonomy, taxonomy_report = parse_taxonomy(handle)
-
+    taxonomy, taxonomy_report = _read(args.taxonomy, parse_taxonomy)
     issues = list(taxonomy_report.issues)
     sources = []
     for name, deployments_path, images_path in zip(names, args.deployments, args.images):
-        with open(deployments_path, encoding="utf-8") as handle:
-            deployments, dep_issues = parse_deployments(handle)
-        with open(images_path, encoding="utf-8") as handle:
-            images, image_issues = parse_images(handle)
+        deployments, dep_issues = _read(deployments_path, parse_deployments)
+        images, image_issues = _read(images_path, parse_images)
         sources.append(Source(name, deployments, images))
         issues.extend(dep_issues + image_issues)
 
     dataset, unify_issues = unify(sources, taxonomy)
     issues.extend(unify_issues)
-    return dataset, ValidationReport.from_issues(issues)
+    return dataset, issues
 
 
-def _prepare_output(args, filenames: list[str]) -> Path:
-    outdir = Path(args.output_dir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    if not args.overwrite:
-        existing = [name for name in filenames if (outdir / name).exists()]
+def _write_artifacts(outdir: Path, artifacts: dict, overwrite: bool) -> None:
+    """Refuse to clobber before writing anything; then write each artifact atomically."""
+    if not overwrite:
+        existing = [name for name in artifacts if (outdir / name).exists()]
         if existing:
             raise TrapkitError(
                 f"refusing to overwrite {', '.join(existing)} in {outdir} (pass --overwrite)"
             )
-    return outdir
+    outdir.mkdir(parents=True, exist_ok=True)
+    for name, write in artifacts.items():
+        partial = outdir / f".{name}.partial"
+        try:
+            with open(partial, "w", encoding="utf-8", newline="") as handle:
+                write(handle)
+            os.replace(partial, outdir / name)
+        except BaseException:
+            partial.unlink(missing_ok=True)
+            raise
 
 
-def _finish(args, report: ValidationReport, summary: str, primary_path: Path) -> int:
+def _run(args) -> int:
+    """Load the inputs, run one command, then write and print its results.
+
+    A command appends its own issues and returns its artifacts as file name ->
+    ``write(handle)``, primary first, plus its summary lines. A ``None`` writer
+    stands for the validation report, which exists only once those issues are in.
+    """
+    dataset, issues = _load_dataset(args)
+    artifacts, lines = args.func(args, dataset, issues)
+    report = ValidationReport.from_issues(issues)
+    artifacts = {name: write or report.write_csv for name, write in artifacts.items()}
+    outdir = Path(args.output_dir)
+    _write_artifacts(outdir, artifacts, args.overwrite)
+
     if args.verbose:
         for issue in report.issues:
             print(f"{issue.severity.value}: {issue.kind.value}: {issue.key}: {issue.detail}",
                   file=sys.stderr)
     if args.format == "csv":
-        print(primary_path.read_text(encoding="utf-8"), end="")
+        print((outdir / next(iter(artifacts))).read_text(encoding="utf-8"), end="")
     else:
-        print(summary)
+        print("\n".join([*lines, report.summary()]))
     if args.strict and report.has_errors:
         print("strict mode: error-severity issues present", file=sys.stderr)
         return 1
     return 0
 
 
-def _write_issues(report: ValidationReport, outdir: Path) -> Path:
-    path = outdir / "issues.csv"
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        report.write_csv(handle)
-    return path
-
-
-def _cmd_ingest(args) -> int:
-    dataset, report = _load_dataset(args)
-    outdir = _prepare_output(args, ["deployments.csv", "images.csv", "provenance.txt", "issues.csv"])
-    with open(outdir / "deployments.csv", "w", encoding="utf-8", newline="") as handle:
-        write_deployments(dataset.deployments.values(), handle)
-    with open(outdir / "images.csv", "w", encoding="utf-8", newline="") as handle:
-        write_images(dataset.images.values(), handle)
-    with open(outdir / "provenance.txt", "w", encoding="utf-8") as handle:
-        for name in dataset.provenance:
-            handle.write(name + "\n")
-    issues_path = _write_issues(report, outdir)
-    summary = "\n".join([
+def _cmd_ingest(args, dataset, issues):
+    artifacts = {
+        "issues.csv": None,
+        "deployments.csv": lambda handle: write_deployments(dataset.deployments.values(), handle),
+        "images.csv": lambda handle: write_images(dataset.images.values(), handle),
+        "provenance.txt": lambda handle: handle.writelines(f"{name}\n" for name in dataset.provenance),
+    }
+    return artifacts, [
         f"unified {len(dataset.deployments)} deployments and {len(dataset.images)} images "
         f"from {len(dataset.provenance)} source(s)",
-        report.summary(),
-    ])
-    return _finish(args, report, summary, issues_path)
+    ]
 
 
-def _cmd_validate(args) -> int:
-    dataset, report = _load_dataset(args)
-    outdir = _prepare_output(args, ["issues.csv"])
-    issues_path = _write_issues(report, outdir)
-    summary = "\n".join([
+def _cmd_validate(args, dataset, issues):
+    return {"issues.csv": None}, [
         f"checked {len(dataset.deployments)} deployments and {len(dataset.images)} images",
-        report.summary(),
-    ])
-    return _finish(args, report, summary, issues_path)
+    ]
 
 
-def _cmd_stats(args) -> int:
-    dataset, report = _load_dataset(args)
-    if args.top_n < 1:
-        raise TrapkitError(f"--top-n must be >= 1, got {args.top_n}")
-    outdir = _prepare_output(args, ["skew.csv"])
-
+def _cmd_stats(args, dataset, issues):
     histogram = class_distribution(
         dataset,
         level=args.level,
@@ -267,10 +288,6 @@ def _cmd_stats(args) -> int:
         include_unknown=args.include_blank,
     )
     skew = skew_report(histogram, args.top_n)
-    skew_path = outdir / "skew.csv"
-    with open(skew_path, "w", encoding="utf-8", newline="") as handle:
-        write_skew(skew, handle)
-
     rate, per_source = blank_rate(dataset)
     effort = labeling_effort(len(dataset.images), args.images_per_hour)
     lines = [
@@ -283,27 +300,20 @@ def _cmd_stats(args) -> int:
     ]
     for source, source_rate in per_source.items():
         lines.append(f"  blank rate [{source}]  {source_rate:.4f}")
-    lines.append(report.summary())
-    return _finish(args, report, "\n".join(lines), skew_path)
+    return {"skew.csv": lambda handle: write_skew(skew, handle)}, lines
 
 
-def _cmd_split(args) -> int:
-    dataset, report = _load_dataset(args)
+def _cmd_split(args, dataset, issues):
     config = SplitConfig(args.train_fraction, args.cell_size_m, args.seed)
     assignment = assign_regions(dataset, config)
     train_ids, eval_ids = export_split(dataset, assignment)
-
-    outdir = _prepare_output(args, ["train.txt", "eval.txt", "assignment.csv"])
-    with open(outdir / "train.txt", "w", encoding="utf-8") as handle:
-        write_manifest(train_ids, handle)
-    with open(outdir / "eval.txt", "w", encoding="utf-8") as handle:
-        write_manifest(eval_ids, handle)
-    assignment_path = outdir / "assignment.csv"
-    with open(assignment_path, "w", encoding="utf-8", newline="") as handle:
-        write_assignment(assignment, handle)
-
+    artifacts = {
+        "assignment.csv": lambda handle: write_assignment(assignment, handle),
+        "train.txt": lambda handle: write_manifest(train_ids, handle),
+        "eval.txt": lambda handle: write_manifest(eval_ids, handle),
+    }
     folds = assignment.folds
-    summary = "\n".join([
+    return artifacts, [
         f"regions                 {len(folds)} "
         f"(train {sum(1 for f in folds.values() if f == 'train')}, "
         f"eval {sum(1 for f in folds.values() if f == 'eval')})",
@@ -311,127 +321,76 @@ def _cmd_split(args) -> int:
         f"eval images             {assignment.eval_images}",
         f"realized train fraction {assignment.realized_train_fraction:.4f} "
         f"(target {config.train_fraction:g})",
-        report.summary(),
-    ])
-    return _finish(args, report, summary, assignment_path)
+    ]
 
 
-def _cmd_eval(args) -> int:
-    dataset, report = _load_dataset(args)
-    ks = args.k or [1, 3]
-
+def _cmd_eval(args, dataset, issues):
     truth = {image_id: image.label_id for image_id, image in dataset.images.items()}
     if args.split:
-        with open(args.split, encoding="utf-8") as handle:
-            wanted = read_manifest(handle)
+        wanted = _read(args.split, read_manifest)
         missing = [image_id for image_id in wanted if image_id not in truth]
         if missing:
             print(f"warning: {len(missing)} manifest id(s) not in dataset, ignored",
                   file=sys.stderr)
         truth = {image_id: truth[image_id] for image_id in wanted if image_id in truth}
 
-    prediction_issues: list[Issue] = []
-    with open(args.predictions, encoding="utf-8") as handle:
-        metrics = evaluate(
-            iter_predictions(handle, prediction_issues),
-            truth,
-            dataset.taxonomy,
-            ks=ks,
-            level=args.level,
-        )
-    report = ValidationReport.from_issues(list(report.issues) + prediction_issues)
-
-    outdir = _prepare_output(args, ["metrics.csv"])
-    metrics_path = outdir / "metrics.csv"
-    with open(metrics_path, "w", encoding="utf-8", newline="") as handle:
-        write_metrics(metrics, handle)
-    summary = "\n".join([summarize_metrics(metrics), report.summary()])
-    return _finish(args, report, summary, metrics_path)
+    metrics = _read(args.predictions, lambda handle: evaluate(
+        iter_predictions(handle, issues), truth, dataset.taxonomy, ks=args.k or [1, 3],
+        level=args.level,
+    ))
+    artifacts = {"metrics.csv": lambda handle: write_metrics(metrics, handle)}
+    return artifacts, [summarize_metrics(metrics)]
 
 
-def _cmd_geofilter(args) -> int:
-    dataset, report = _load_dataset(args)
-    with open(args.range_map, encoding="utf-8") as handle:
-        range_map, range_issues = parse_range_map(handle)
-
+def _cmd_geofilter(args, dataset, issues):
+    range_map, range_issues = _read(args.range_map, parse_range_map)
     unknown_id = dataset.taxonomy.unknown_label_id or "unknown"
-    prediction_issues: list[Issue] = []
     filtered = []
-    passthrough = 0
-    changed = 0
-    with open(args.predictions, encoding="utf-8") as handle:
-        for record in iter_predictions(handle, prediction_issues):
+    passthrough = changed = 0
+
+    def filter_records(handle):
+        nonlocal passthrough, changed
+        for record in iter_predictions(handle, issues):
             image = dataset.images.get(record.image_id)
             if image is None:
                 passthrough += 1
                 filtered.append(record)
                 continue
             deployment = dataset.deployments[image.deployment_id]
-            result = geofilter(
-                record, deployment.latitude, deployment.longitude, range_map, unknown_id
-            )
+            result = geofilter(record, deployment.latitude, deployment.longitude,
+                               range_map, unknown_id)
             changed += result.entries != record.entries
             filtered.append(result)
-    report = ValidationReport.from_issues(
-        list(report.issues) + prediction_issues + range_issues
-    )
 
-    outdir = _prepare_output(args, ["predictions_filtered.txt"])
-    out_path = outdir / "predictions_filtered.txt"
-    with open(out_path, "w", encoding="utf-8") as handle:
-        write_predictions(filtered, handle)
-    summary = "\n".join([
+    _read(args.predictions, filter_records)
+    issues.extend(range_issues)
+    return {"predictions_filtered.txt": lambda handle: write_predictions(filtered, handle)}, [
         f"records                 {len(filtered)}",
         f"records changed         {changed}",
         f"unknown image ids       {passthrough} (passed through unfiltered)",
-        report.summary(),
-    ])
-    return _finish(args, report, summary, out_path)
+    ]
 
 
-def _cmd_weights(args) -> int:
-    dataset, report = _load_dataset(args)
+def _cmd_weights(args, dataset, issues):
     histogram = class_distribution(dataset, level=args.level)
     weights = class_weights(histogram, args.cap)
-    outdir = _prepare_output(args, ["weights.csv"])
-    weights_path = outdir / "weights.csv"
-    with open(weights_path, "w", encoding="utf-8", newline="") as handle:
-        write_weights(weights, handle)
-    summary = "\n".join([
+    return {"weights.csv": lambda handle: write_weights(weights, handle)}, [
         f"labels weighted         {len(weights.weights)} (cap {weights.cap:g})",
-        report.summary(),
-    ])
-    return _finish(args, report, summary, weights_path)
+    ]
 
 
-def _cmd_sequences(args) -> int:
-    dataset, report = _load_dataset(args)
-    if args.max_gap_seconds <= 0:
-        raise TrapkitError(f"--max-gap-seconds must be positive, got {args.max_gap_seconds}")
+def _cmd_sequences(args, dataset, issues):
     groups = group_bursts(dataset, args.max_gap_seconds)
-
-    outputs = ["sequences.csv"]
-    if args.predictions:
-        outputs.append("sequence_predictions.txt")
-    outdir = _prepare_output(args, outputs)
-    sequences_path = outdir / "sequences.csv"
-    with open(sequences_path, "w", encoding="utf-8", newline="") as handle:
-        write_sequences(groups, handle)
-
+    artifacts = {"sequences.csv": lambda handle: write_sequences(groups, handle)}
     lines = [f"sequences               {len(groups)} from {len(dataset.images)} images"]
     if args.predictions:
-        prediction_issues: list[Issue] = []
-        with open(args.predictions, encoding="utf-8") as handle:
-            aggregated, skipped = sequence_aggregate(
-                iter_predictions(handle, prediction_issues), groups
-            )
-        report = ValidationReport.from_issues(list(report.issues) + prediction_issues)
-        with open(outdir / "sequence_predictions.txt", "w", encoding="utf-8") as handle:
-            write_predictions(aggregated, handle)
+        aggregated, skipped = _read(args.predictions, lambda handle: sequence_aggregate(
+            iter_predictions(handle, issues), groups
+        ))
+        artifacts["sequence_predictions.txt"] = lambda handle: write_predictions(aggregated, handle)
         lines.append(f"aggregated predictions  {len(aggregated)} "
                      f"({len(skipped)} sequence(s) had no predicted member)")
-    lines.append(report.summary())
-    return _finish(args, report, "\n".join(lines), sequences_path)
+    return artifacts, lines
 
 
 def main(argv=None) -> int:
@@ -441,7 +400,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        return args.func(args)
+        return _run(args)
     except (TrapkitError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -56,8 +56,8 @@ class SplitConfig:
     def __post_init__(self):
         if not 0.0 < self.train_fraction < 1.0:
             raise ValueError(f"train_fraction must be in (0, 1), got {self.train_fraction}")
-        if self.cell_size_m <= 0:
-            raise ValueError(f"cell_size_m must be positive, got {self.cell_size_m}")
+        if not (math.isfinite(self.cell_size_m) and self.cell_size_m > 0):
+            raise ValueError(f"cell_size_m must be a finite number > 0, got {self.cell_size_m}")
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,7 @@ export class weights that counteract the imbalance.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from datetime import datetime
 from typing import IO
@@ -152,8 +153,8 @@ def blank_rate(dataset: UnifiedDataset) -> tuple[float, dict[str, float]]:
 
 def labeling_effort(n_images: int, rate_images_per_hour: float) -> float:
     """Hours of expert time to hand-label ``n_images`` at the given rate."""
-    if rate_images_per_hour <= 0:
-        raise ValueError(f"rate must be positive, got {rate_images_per_hour}")
+    if not (math.isfinite(rate_images_per_hour) and rate_images_per_hour > 0):
+        raise ValueError(f"rate must be a finite number > 0, got {rate_images_per_hour}")
     if n_images < 0:
         raise ValueError(f"n_images must be nonnegative, got {n_images}")
     return n_images / rate_images_per_hour
@@ -166,6 +167,8 @@ def group_bursts(dataset: UnifiedDataset, max_gap_seconds: float = 60.0) -> list
     ``max_gap_seconds``. Ties in timestamp are broken by image id, and
     images from different deployments never share a group.
     """
+    if not (math.isfinite(max_gap_seconds) and max_gap_seconds > 0):
+        raise ValueError(f"max_gap_seconds must be a finite number > 0, got {max_gap_seconds}")
     by_deployment: dict[str, list] = {}
     for image in dataset.images.values():
         by_deployment.setdefault(image.deployment_id, []).append(image)
@@ -198,8 +201,8 @@ def class_weights(histogram: ClassHistogram, cap: float) -> ClassWeights:
     weight(c) = min(cap, N / (K * n_c)) with N total images and K distinct
     labels; a perfectly uniform histogram therefore weighs every class 1.0.
     """
-    if cap <= 0:
-        raise ValueError(f"cap must be positive, got {cap}")
+    if not (math.isfinite(cap) and cap > 0):
+        raise ValueError(f"cap must be a finite number > 0, got {cap}")
     if histogram.total == 0:
         raise ValueError("cannot weight an empty histogram")
     n_labels = len(histogram.counts)

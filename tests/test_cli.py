@@ -100,12 +100,74 @@ def test_refuses_overwrite_without_flag(tmp_path, fixture_dir, capsys):
     assert main(["ingest", *_dataset_flags(fixture_dir, out, ["--overwrite"])]) == 0
 
 
-def test_format_csv_echoes_primary_artifact(tmp_path, fixture_dir, capsys):
+PRIMARY_ARTIFACTS = [
+    ("ingest", "issues.csv", []),
+    ("validate", "issues.csv", []),
+    ("stats", "skew.csv", []),
+    ("split", "assignment.csv", []),
+    ("eval", "metrics.csv", ["--predictions", "predictions.txt"]),
+    ("geofilter", "predictions_filtered.txt",
+     ["--predictions", "predictions.txt", "--range-map", "range_map.csv"]),
+    ("weights", "weights.csv", []),
+    ("sequences", "sequences.csv", ["--predictions", "predictions.txt"]),
+]
+
+
+@pytest.mark.parametrize("command, primary, inputs", PRIMARY_ARTIFACTS,
+                         ids=[command for command, _, _ in PRIMARY_ARTIFACTS])
+def test_format_csv_echoes_primary_artifact(tmp_path, fixture_dir, capsys,
+                                            command, primary, inputs):
     out = tmp_path / "out"
-    status = main(["validate", *_dataset_flags(fixture_dir, out, ["--format", "csv"])])
+    inputs = [arg if arg.startswith("--") else str(fixture_dir / arg) for arg in inputs]
+    status = main([command, *_dataset_flags(fixture_dir, out, [*inputs, "--format", "csv"])])
     assert status == 0
     stdout = capsys.readouterr().out
-    assert stdout == (out / "issues.csv").read_text()
+    assert stdout == (out / primary).read_text()
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("stats", "--top-n"),
+    ("stats", "--images-per-hour"),
+    ("split", "--cell-size-m"),
+    ("weights", "--cap"),
+    ("sequences", "--max-gap-seconds"),
+])
+@pytest.mark.parametrize("value", ["nan", "inf", "0"])
+def test_numeric_flag_must_be_finite_and_positive(tmp_path, fixture_dir, capsys,
+                                                  command, flag, value):
+    out = tmp_path / "out"
+    assert main([command, *_dataset_flags(fixture_dir, out, [flag, value])]) == 2
+    assert flag in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_non_utf8_input_is_a_named_fatal_error(tmp_path, fixture_dir, capsys):
+    images = tmp_path / "images.csv"
+    images.write_bytes((fixture_dir / "images.csv").read_bytes()
+                       + b"i_bad_\xff,d_amaz_01,2015-06-01T12:00:00Z,blank,0,teamA\n")
+    out = tmp_path / "out"
+    argv = ["validate", *_dataset_flags(fixture_dir, out)]
+    argv[argv.index("--images") + 1] = str(images)
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert f"error: {images} is not UTF-8 text" in err
+    assert not out.exists()
+
+
+def test_failed_write_keeps_the_previous_artifact(tmp_path, fixture_dir, monkeypatch, capsys):
+    out = tmp_path / "out"
+    assert main(["ingest", *_dataset_flags(fixture_dir, out)]) == 0
+    before = (out / "images.csv").read_bytes()
+
+    def write_header_then_fail(images, handle):
+        handle.write("image_id,deployment_id,timestamp,label_id,burst_index,source_id\n")
+        raise OSError("disk full")
+
+    monkeypatch.setattr("trapkit.cli.write_images", write_header_then_fail)
+    assert main(["ingest", *_dataset_flags(fixture_dir, out, ["--overwrite"])]) == 1
+    assert "disk full" in capsys.readouterr().err
+    assert (out / "images.csv").read_bytes() == before
+    assert not list(out.glob("*.partial"))  # pathlib globs match dot files
 
 
 def test_split_manifests_partition_the_images(tmp_path, fixture_dir, capsys):

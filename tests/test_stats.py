@@ -151,8 +151,9 @@ def test_labeling_effort_examples():
     assert labeling_effort(270_000, 450.0) == 600.0
     assert labeling_effort(0, 450.0) == 0.0
     assert labeling_effort(300, 300.0) == 1.0
-    with pytest.raises(ValueError):
-        labeling_effort(10, 0.0)
+    for rate in (0.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            labeling_effort(10, rate)
     with pytest.raises(ValueError):
         labeling_effort(-1, 10.0)
 
@@ -177,6 +178,12 @@ def test_burst_cut_at_the_single_large_gap():
     assert groups[0].sequence_id == "d1:2016-01-01T00:00:00Z"
     assert groups[0].start_time == T0
     assert groups[0].end_time == T0 + timedelta(seconds=2)
+
+
+@pytest.mark.parametrize("gap", [0.0, -1.0, float("nan"), float("inf")])
+def test_burst_gap_must_be_finite_and_positive(gap):
+    with pytest.raises(ValueError):
+        group_bursts(_dataset(["a"]), max_gap_seconds=gap)
 
 
 def test_images_from_two_deployments_never_share_a_group():
@@ -242,8 +249,9 @@ def test_cap_clips_rare_class_weight():
 
 
 def test_weights_reject_bad_inputs():
-    with pytest.raises(ValueError):
-        class_weights(ClassHistogram({"a": 1}, 1), cap=0.0)
+    for cap in (0.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            class_weights(ClassHistogram({"a": 1}, 1), cap=cap)
     with pytest.raises(ValueError):
         class_weights(ClassHistogram({}, 0), cap=1.0)
 
