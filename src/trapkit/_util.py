@@ -2,24 +2,53 @@
 
 from __future__ import annotations
 
+import csv
 from datetime import datetime, timezone
+from typing import IO
 
 from .errors import HeaderError
+from .report import Issue, IssueKind
 
 UTC = timezone.utc
 
 
-def require_header(reader, expected: list[str], what: str) -> None:
-    """Consume and check a header row; a wrong header is a hard error."""
+def read_rows(stream: IO[str], columns: list[str], what: str, issues: list[Issue]):
+    """Yield ``(row_number, stripped_cells)`` for each well-formed data row.
+
+    The header must be exactly ``columns`` (HeaderError otherwise) and is row 1;
+    every later record csv returns counts, blank ones included. Blank rows are
+    skipped. A row with the wrong column count, or one csv cannot read (such as
+    a field over csv's size limit), is a ``missing_field`` issue keyed ``row N``.
+    """
+    reader = csv.reader(stream)
+    expected = ",".join(columns)
     try:
-        header = next(reader)
+        header = [cell.strip().lstrip("\ufeff") for cell in next(reader)]
     except StopIteration:
-        raise HeaderError(f"{what} file is empty, expected header {','.join(expected)}")
-    cleaned = [cell.strip().lstrip("﻿") for cell in header]
-    if cleaned != expected:
-        raise HeaderError(
-            f"malformed {what} header: expected {','.join(expected)}, got {','.join(cleaned)}"
-        )
+        raise HeaderError(f"{what} file is empty, expected header {expected}") from None
+    except csv.Error as exc:
+        raise HeaderError(f"unreadable {what} header: {exc}") from None
+    if header != columns:
+        raise HeaderError(f"malformed {what} header: expected {expected}, got {','.join(header)}")
+    row_number = 1
+    while True:
+        row_number += 1
+        try:
+            row = next(reader)
+        except StopIteration:
+            return
+        except csv.Error as exc:
+            detail = str(exc)
+        else:
+            if not row:
+                continue
+            if len(row) == len(columns):
+                yield row_number, [cell.strip() for cell in row]
+                continue
+            detail = f"expected {len(columns)} columns, got {len(row)}"
+        issues.append(Issue(
+            IssueKind.MISSING_FIELD, f"row {row_number}", f"row {row_number}: {detail}"
+        ))
 
 
 def parse_timestamp(text: str) -> tuple[datetime, bool]:
@@ -34,7 +63,10 @@ def parse_timestamp(text: str) -> tuple[datetime, bool]:
     value = datetime.fromisoformat(cleaned)
     if value.tzinfo is None:
         return value.replace(tzinfo=UTC), True
-    return value.astimezone(UTC), False
+    try:
+        return value.astimezone(UTC), False
+    except OverflowError:  # e.g. 0001-01-01T00:00:00+05:00 is before year 1 in UTC
+        raise ValueError(f"{text!r} is out of range in UTC") from None
 
 
 def format_timestamp(value: datetime) -> str:

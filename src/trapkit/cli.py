@@ -199,8 +199,7 @@ def _load_dataset(args):
         raise TrapkitError("--source-name must be given once per source")
     _require_inputs(args)
 
-    taxonomy, taxonomy_report = _read(args.taxonomy, parse_taxonomy)
-    issues = list(taxonomy_report.issues)
+    taxonomy, issues = _read(args.taxonomy, parse_taxonomy)
     sources = []
     for name, deployments_path, images_path in zip(names, args.deployments, args.images):
         deployments, dep_issues = _read(deployments_path, parse_deployments)

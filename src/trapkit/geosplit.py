@@ -28,7 +28,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import IO, Mapping, Union
 
-from ._util import require_header
 from .errors import SplitError
 from .ingest import UnifiedDataset
 
@@ -94,17 +93,11 @@ def region_id(latitude: float, longitude: float, cell_size_m: float) -> RegionId
     return RegionId(cell_x, cell_y, cell_size_m)
 
 
-def _region_counts(dataset: UnifiedDataset, cell_size_m: float):
-    """Image count per region; deployments share their region with their images."""
-    dep_region = {
+def _deployment_regions(dataset: UnifiedDataset, cell_size_m: float) -> dict[str, RegionId]:
+    return {
         dep_id: region_id(dep.latitude, dep.longitude, cell_size_m)
         for dep_id, dep in dataset.deployments.items()
     }
-    counts: dict[RegionId, int] = {}
-    for image in dataset.images.values():
-        region = dep_region[image.deployment_id]
-        counts[region] = counts.get(region, 0) + 1
-    return counts, dep_region
 
 
 def assign_regions(dataset: UnifiedDataset, config: SplitConfig) -> SplitAssignment:
@@ -119,7 +112,11 @@ def assign_regions(dataset: UnifiedDataset, config: SplitConfig) -> SplitAssignm
     first region of the permutation is forced to train so both folds are
     always populated.
     """
-    counts, _ = _region_counts(dataset, config.cell_size_m)
+    dep_region = _deployment_regions(dataset, config.cell_size_m)
+    counts: dict[RegionId, int] = {}
+    for image in dataset.images.values():
+        region = dep_region[image.deployment_id]
+        counts[region] = counts.get(region, 0) + 1
     if len(counts) < 2:
         raise SplitError(f"need at least 2 populated regions to split, found {len(counts)}")
 
@@ -153,7 +150,11 @@ def assign_regions(dataset: UnifiedDataset, config: SplitConfig) -> SplitAssignm
 
 def image_folds(dataset: UnifiedDataset, assignment: SplitAssignment) -> dict[str, str]:
     """Expand a region assignment to a per-image fold mapping."""
-    _, dep_region = _region_counts(dataset, assignment.config.cell_size_m)
+    dep_region = _deployment_regions(dataset, assignment.config.cell_size_m)
+    return _image_folds(dataset, assignment, dep_region)
+
+
+def _image_folds(dataset, assignment, dep_region) -> dict[str, str]:
     return {
         image_id: assignment.folds[dep_region[image.deployment_id]]
         for image_id, image in dataset.images.items()
@@ -177,14 +178,17 @@ def leakage_check(
     if isinstance(assignment, SplitAssignment):
         # A region missing from the assignment leaves its images without a
         # fold, so the per-image check below reports it as "unassigned".
-        cell_size_m = assignment.config.cell_size_m
-        folds = image_folds(dataset, assignment)
+        dep_region = _deployment_regions(dataset, assignment.config.cell_size_m)
+        folds = _image_folds(dataset, assignment, dep_region)
     elif cell_size_m is None:
         raise ValueError("cell_size_m is required when checking a per-image fold mapping")
     else:
+        dep_region = _deployment_regions(dataset, cell_size_m)
         folds = assignment
+    return _violations(dataset, folds, dep_region)
 
-    _, dep_region = _region_counts(dataset, cell_size_m)
+
+def _violations(dataset, folds, dep_region) -> list[SplitViolation]:
     per_region: dict[RegionId, dict[str, int]] = {}
     for image_id, image in dataset.images.items():
         region = dep_region[image.deployment_id]
@@ -215,8 +219,9 @@ def export_split(
     Refuses to export when the leakage check finds any violation. Manifests
     are sorted by image id so repeated exports are byte-identical.
     """
-    folds = image_folds(dataset, assignment)
-    violations = leakage_check(dataset, folds, assignment.config.cell_size_m)
+    dep_region = _deployment_regions(dataset, assignment.config.cell_size_m)
+    folds = _image_folds(dataset, assignment, dep_region)
+    violations = _violations(dataset, folds, dep_region)
     if violations:
         raise SplitError(
             f"refusing to export a leaking split: {len(violations)} violation(s), "
@@ -247,25 +252,3 @@ def write_assignment(assignment: SplitAssignment, stream: IO[str]) -> None:
             assignment.folds[region],
             assignment.region_image_counts.get(region, 0),
         ])
-
-
-def read_assignment(stream: IO[str], config: SplitConfig) -> SplitAssignment:
-    reader = csv.reader(stream)
-    require_header(reader, ASSIGNMENT_COLUMNS, "assignment")
-    folds: dict[RegionId, str] = {}
-    counts: dict[RegionId, int] = {}
-    train_images = 0
-    eval_images = 0
-    for row in reader:
-        if not row:
-            continue
-        region = RegionId(int(row[0]), int(row[1]), float(row[2]))
-        fold = row[3]
-        count = int(row[4])
-        folds[region] = fold
-        counts[region] = count
-        if fold == TRAIN:
-            train_images += count
-        else:
-            eval_images += count
-    return SplitAssignment(folds, counts, train_images, eval_images, config)

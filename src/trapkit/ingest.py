@@ -11,7 +11,9 @@ through. Only a wrong header kills a file.
 dataset with exact-key deduplication (first occurrence wins) and enforced
 referential integrity. Every validation rule lives in exactly one place:
 row-level checks in `parse_deployments`/`parse_images`, cross-record and
-cross-source checks in `unify`.
+cross-source checks in `unify`. The row-shape rules every input file
+shares (header, blank rows, column count, unreadable rows) live in
+`_util.read_rows`.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from datetime import datetime
 from sys import intern
 from typing import IO, Iterable, Sequence
 
-from ._util import format_timestamp, parse_timestamp, require_header
+from ._util import format_timestamp, parse_timestamp, read_rows
 from .report import Issue, IssueKind, Severity
 from .taxonomy import TaxonomyTable
 
@@ -101,25 +103,11 @@ def parse_deployments(stream: IO[str]) -> tuple[list[Deployment], list[Issue]]:
     reported. A bad optional timestamp is cleared, reported, and the row
     is kept. Duplicate deployment ids keep the first occurrence.
     """
-    reader = csv.reader(stream)
-    require_header(reader, DEPLOYMENT_COLUMNS, "deployments")
-
     records: list[Deployment] = []
     seen: set[str] = set()
     issues: list[Issue] = []
-    for row_number, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        if len(row) != len(DEPLOYMENT_COLUMNS):
-            issues.append(Issue(
-                IssueKind.MISSING_FIELD,
-                f"row {row_number}",
-                f"row {row_number}: expected {len(DEPLOYMENT_COLUMNS)} columns, got {len(row)}",
-            ))
-            continue
-        dep_id, project_id, lat_text, lon_text, camera, start_text, end_text, notes = (
-            cell.strip() for cell in row
-        )
+    for row_number, row in read_rows(stream, DEPLOYMENT_COLUMNS, "deployments", issues):
+        dep_id, project_id, lat_text, lon_text, camera, start_text, end_text, notes = row
         if not dep_id or not project_id:
             issues.append(Issue(
                 IssueKind.MISSING_FIELD,
@@ -205,25 +193,11 @@ def parse_images(stream: IO[str]) -> tuple[list[ImageRecord], list[Issue]]:
     dropped and reported. A malformed burst_index is cleared (the record
     survives). Duplicate image ids keep the first occurrence.
     """
-    reader = csv.reader(stream)
-    require_header(reader, IMAGE_COLUMNS, "images")
-
     records: list[ImageRecord] = []
     seen: set[str] = set()
     issues: list[Issue] = []
-    for row_number, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        if len(row) != len(IMAGE_COLUMNS):
-            issues.append(Issue(
-                IssueKind.MISSING_FIELD,
-                f"row {row_number}",
-                f"row {row_number}: expected {len(IMAGE_COLUMNS)} columns, got {len(row)}",
-            ))
-            continue
-        image_id, dep_id, ts_text, label_id, burst_text, source_id = (
-            cell.strip() for cell in row
-        )
+    for row_number, row in read_rows(stream, IMAGE_COLUMNS, "images", issues):
+        image_id, dep_id, ts_text, label_id, burst_text, source_id = row
         if not image_id or not dep_id or not label_id or not source_id:
             issues.append(Issue(
                 IssueKind.MISSING_FIELD,

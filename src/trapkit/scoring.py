@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 from typing import IO, Iterable, Mapping, Sequence, Union
 
-from ._util import require_header
+from ._util import read_rows
 from .errors import LabelNotFoundError
 from .report import Issue, IssueKind, Severity
 from .stats import SequenceGroup
@@ -315,23 +315,11 @@ def geofilter(
 
 def parse_range_map(stream: IO[str]) -> tuple[dict[str, list[RangeBox]], list[Issue]]:
     """Read `label_id,lat_min,lat_max,lon_min,lon_max` rows (repeatable per label)."""
-    reader = csv.reader(stream)
-    require_header(reader, RANGE_MAP_COLUMNS, "range map")
     boxes: dict[str, list[RangeBox]] = {}
     issues: list[Issue] = []
-    for row_number, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        if len(row) != len(RANGE_MAP_COLUMNS):
-            issues.append(Issue(
-                IssueKind.MISSING_FIELD,
-                f"row {row_number}",
-                f"row {row_number}: expected {len(RANGE_MAP_COLUMNS)} columns, got {len(row)}",
-            ))
-            continue
-        label = row[0].strip()
+    for row_number, (label, *texts) in read_rows(stream, RANGE_MAP_COLUMNS, "range map", issues):
         try:
-            bounds = [float(cell) for cell in row[1:]]
+            bounds = [float(text) for text in texts]
         except ValueError:
             bounds = [math.nan]
         if not all(math.isfinite(bound) for bound in bounds):

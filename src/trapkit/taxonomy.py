@@ -14,14 +14,13 @@ finest populated name and is marked inexact.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from enum import IntEnum
 from typing import IO, Iterable, Union
 
-from ._util import require_header
+from ._util import read_rows
 from .errors import LabelNotFoundError
-from .report import Issue, IssueKind, Severity, ValidationReport
+from .report import Issue, IssueKind, Severity
 
 BLANK = "blank"
 UNKNOWN = "unknown"
@@ -126,7 +125,7 @@ class TaxonomyTable:
             raise LabelNotFoundError(f"label id {label_id!r} not in taxonomy") from None
 
 
-def parse_taxonomy(stream: IO[str]) -> tuple[TaxonomyTable, ValidationReport]:
+def parse_taxonomy(stream: IO[str]) -> tuple[TaxonomyTable, list[Issue]]:
     """Read `taxonomy.csv` rows into a table, reporting structural defects.
 
     Duplicate label ids keep the first occurrence. A missing blank label is
@@ -134,25 +133,13 @@ def parse_taxonomy(stream: IO[str]) -> tuple[TaxonomyTable, ValidationReport]:
     labels carrying taxonomic names, and cross-record ancestry conflicts are
     reported as warnings and do not abort the parse.
     """
-    reader = csv.reader(stream)
-    require_header(reader, TAXONOMY_COLUMNS, "taxonomy")
-
     records: dict[str, TaxonRecord] = {}
     issues: list[Issue] = []
     blank_id: str | None = None
     unknown_id: str | None = None
 
-    for row_number, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        if len(row) != len(TAXONOMY_COLUMNS):
-            issues.append(Issue(
-                IssueKind.MISSING_FIELD,
-                f"row {row_number}",
-                f"row {row_number}: expected {len(TAXONOMY_COLUMNS)} columns, got {len(row)}",
-            ))
-            continue
-        label_id, *names, special = (cell.strip() for cell in row)
+    for row_number, row in read_rows(stream, TAXONOMY_COLUMNS, "taxonomy", issues):
+        label_id, *names, special = row
         if not label_id:
             issues.append(Issue(
                 IssueKind.MISSING_FIELD,
@@ -220,7 +207,7 @@ def parse_taxonomy(stream: IO[str]) -> tuple[TaxonomyTable, ValidationReport]:
 
     issues.extend(_tree_consistency_issues(records.values()))
     table = TaxonomyTable(records, blank_id, unknown_id)
-    return table, ValidationReport.from_issues(issues)
+    return table, issues
 
 
 def _has_lineage_gap(fields: list[str | None]) -> bool:

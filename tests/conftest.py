@@ -26,8 +26,8 @@ def golden_dir():
 def taxonomy_table():
     """The bundled 10-species table: 4 genera, 3 families, 2 orders, 1 class."""
     with open(FIXTURE_DIR / "taxonomy.csv", encoding="utf-8") as handle:
-        table, report = parse_taxonomy(handle)
-    assert report.is_empty
+        table, issues = parse_taxonomy(handle)
+    assert issues == []
     return table
 
 

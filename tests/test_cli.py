@@ -154,6 +154,20 @@ def test_non_utf8_input_is_a_named_fatal_error(tmp_path, fixture_dir, capsys):
     assert not out.exists()
 
 
+def test_unreadable_row_is_an_issue_naming_its_row(tmp_path, fixture_dir, capsys):
+    images = tmp_path / "images.csv"
+    wide_row = "i_wide,d_amaz_01,2015-06-01T12:00:00Z,blank,0," + "x" * 200_000 + "\n"
+    images.write_text((fixture_dir / "images.csv").read_text(encoding="utf-8") + wide_row,
+                      encoding="utf-8")
+    out = tmp_path / "out"
+    argv = ["validate", *_dataset_flags(fixture_dir, out)]
+    argv[argv.index("--images") + 1] = str(images)
+    assert main(argv) == 0
+    capsys.readouterr()
+    rows = (out / "issues.csv").read_text(encoding="utf-8").splitlines()
+    assert "missing_field,row 45,row 45: field larger than field limit (131072)" in rows
+
+
 def test_failed_write_keeps_the_previous_artifact(tmp_path, fixture_dir, monkeypatch, capsys):
     out = tmp_path / "out"
     assert main(["ingest", *_dataset_flags(fixture_dir, out)]) == 0

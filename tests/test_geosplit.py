@@ -16,7 +16,6 @@ from trapkit.geosplit import (
     export_split,
     image_folds,
     leakage_check,
-    read_assignment,
     region_id,
     write_assignment,
     write_manifest,
@@ -298,16 +297,3 @@ def test_manifest_and_assignment_bytes_are_deterministic():
         write_assignment(assignment, assign_buf)
         outputs.append((train_buf.getvalue(), eval_buf.getvalue(), assign_buf.getvalue()))
     assert outputs[0] == outputs[1]
-
-
-def test_assignment_file_round_trip():
-    dataset = _dataset_with_regions({"A": 9, "B": 3, "C": 8})
-    config = SplitConfig(0.7, 10.0, seed=3)
-    assignment = assign_regions(dataset, config)
-    buffer = io.StringIO()
-    write_assignment(assignment, buffer)
-    buffer.seek(0)
-    parsed = read_assignment(buffer, config)
-    assert parsed.folds == assignment.folds
-    assert parsed.train_images == assignment.train_images
-    assert parsed.eval_images == assignment.eval_images

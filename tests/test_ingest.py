@@ -1,5 +1,6 @@
 import csv
 import io
+import re
 from datetime import datetime, timezone
 
 import pytest
@@ -20,6 +21,8 @@ from trapkit.ingest import (
     write_images,
 )
 from trapkit.report import IssueKind, Severity
+from trapkit.scoring import RANGE_MAP_COLUMNS, parse_range_map
+from trapkit.taxonomy import TAXONOMY_COLUMNS, parse_taxonomy
 
 from oracles import duplicate_count
 
@@ -94,6 +97,8 @@ def test_inverted_time_range_cleared():
 def test_malformed_deployment_header_is_fatal():
     with pytest.raises(HeaderError):
         parse_dep("id,lat,lon\nd1,0,0\n")
+    with pytest.raises(HeaderError, match="unreadable deployments header"):
+        parse_dep("x" * 200_000 + "\nd1,0,0\n")
 
 
 def test_short_row_reported_with_row_number():
@@ -119,6 +124,15 @@ def test_bad_image_timestamp_drops_row():
     records, issues = parse_img(f"{IMG_HEADER}\ni1,d1,not-a-date,sp_x,,teamA\n")
     assert records == []
     assert [issue.kind for issue in issues] == [IssueKind.BAD_TIMESTAMP]
+
+
+def test_timestamp_out_of_range_in_utc_is_a_bad_timestamp():
+    records, issues = parse_img(f"{IMG_HEADER}\ni1,d1,0001-01-01T00:00:00+05:00,sp_x,,teamA\n")
+    assert records == []
+    assert [(issue.kind, issue.key) for issue in issues] == [(IssueKind.BAD_TIMESTAMP, "i1")]
+    records, issues = parse_dep(f"{DEP_HEADER}\nd1,p1,0.0,0.0,,,9999-12-31T23:59:59-05:00,\n")
+    assert records[0].end_time is None
+    assert [(issue.kind, issue.key) for issue in issues] == [(IssueKind.BAD_TIMESTAMP, "d1")]
 
 
 def test_ten_rows_two_invalid_gives_eight_records():
@@ -384,3 +398,73 @@ def test_unify_excludes_orphans_and_unknown_labels(taxonomy_table):
     assert set(dataset.images) == {"ok"}
     kinds = sorted(issue.kind for issue in issues)
     assert kinds == [IssueKind.ORPHAN_IMAGE, IssueKind.UNKNOWN_LABEL]
+
+
+# ---------------------------------------------------------------- hostile rows
+
+
+@pytest.mark.parametrize("parse, columns, good_row, ids_of, kept_id", [
+    (parse_deployments, DEPLOYMENT_COLUMNS, "d1,p1,0.0,0.0,,,,",
+     lambda records: [record.deployment_id for record in records], "d1"),
+    (parse_images, IMAGE_COLUMNS, "i1,d1,2015-06-01T12:00:00Z,sp_x,,teamA",
+     lambda records: [record.image_id for record in records], "i1"),
+    (parse_taxonomy, TAXONOMY_COLUMNS, "sp_x,Mammalia,,,,,", lambda table: list(table.records), "sp_x"),
+    (parse_range_map, RANGE_MAP_COLUMNS, "sp_x,-10,10,-20,20", lambda boxes: list(boxes), "sp_x"),
+], ids=["deployments", "images", "taxonomy", "range_map"])
+def test_unreadable_row_is_reported_and_reading_goes_on(parse, columns, good_row, ids_of, kept_id):
+    wide_row = "x" * 200_000 + "," * (len(columns) - 1)  # over csv's 131072-character field limit
+    text = "\n".join([",".join(columns), wide_row, good_row]) + "\n"
+    result, issues = parse(io.StringIO(text))
+    row_issues = [issue for issue in issues if issue.key == "row 2"]
+    assert [issue.kind for issue in row_issues] == [IssueKind.MISSING_FIELD]
+    assert row_issues[0].detail == "row 2: field larger than field limit (131072)"
+    assert kept_id in ids_of(result)
+
+
+def _csv_records(text):
+    """How many records csv returns for ``text``, counting the ones it cannot read."""
+    reader = csv.reader(io.StringIO(text))
+    count = 0
+    while True:
+        try:
+            next(reader)
+        except StopIteration:
+            return count
+        except csv.Error:
+            pass
+        count += 1
+
+
+_CELLS = st.one_of(
+    st.text(max_size=12),
+    st.sampled_from([
+        "", " ", '"', '""', "\r", "\x00", "nan", "-inf", "1e400", "91", "-5", "x" * 140_000,
+        "2015-06-01T12:00:00Z", "2015-06-01T12:00:00", "0001-01-01T00:00:00+05:00",
+        "9999-12-31T23:59:59-05:00", "d1", "i1", "sp_x",
+    ]),
+)
+_BODIES = st.one_of(
+    st.text(alphabet=st.one_of(st.sampled_from(',"\r\n\x00 '), st.characters()), max_size=200),
+    st.builds(
+        lambda rows, newline: newline.join(rows),
+        st.lists(st.lists(_CELLS, max_size=9).map(",".join), max_size=8),
+        st.sampled_from(["\n", "\r\n", "\r"]),
+    ),
+)
+
+
+@pytest.mark.parametrize("parse, columns", [
+    (parse_deployments, DEPLOYMENT_COLUMNS),
+    (parse_images, IMAGE_COLUMNS),
+    (parse_range_map, RANGE_MAP_COLUMNS),
+], ids=["deployments", "images", "range_map"])
+@given(body=_BODIES)
+@settings(max_examples=150, deadline=None)
+def test_any_text_after_a_good_header_parses_and_names_its_rows(parse, columns, body):
+    text = ",".join(columns) + "\n" + body
+    _, issues = parse(io.StringIO(text))
+    last_row = _csv_records(text)  # the header is row 1
+    for issue in issues:
+        match = re.match(r"row (\d+): ", issue.detail)
+        assert match, issue.detail
+        assert 2 <= int(match[1]) <= last_row

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from trapkit.errors import HeaderError, LabelNotFoundError
-from trapkit.report import IssueKind, Severity
+from trapkit.report import IssueKind, Severity, ValidationReport
 from trapkit.taxonomy import (
     Level,
     TaxonRecord,
@@ -22,7 +22,8 @@ HEADER = "label_id,class_name,order_name,family_name,genus_name,species_name,spe
 
 
 def parse(text):
-    return parse_taxonomy(io.StringIO(text))
+    table, issues = parse_taxonomy(io.StringIO(text))
+    return table, ValidationReport.from_issues(issues)
 
 
 def test_level_is_totally_ordered_coarse_to_fine():
