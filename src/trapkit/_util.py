@@ -7,9 +7,19 @@ from datetime import datetime, timezone
 from typing import IO
 
 from .errors import HeaderError
-from .report import Issue, IssueKind
+from .report import Issue, IssueKind, Severity
 
 UTC = timezone.utc
+
+
+def record_issue(kind: IssueKind, key: str, number: int, text: str,
+                 severity: Severity = Severity.ERROR, unit: str = "row") -> Issue:
+    """The issue naming record ``number`` of a file, its ``row N`` (or ``line N``).
+
+    It is keyed ``key``, or ``row N`` when that is empty; its detail starts ``row N: ``.
+    """
+    where = f"{unit} {number}"
+    return Issue(kind, key or where, f"{where}: {text}", severity)
 
 
 def read_rows(stream: IO[str], columns: list[str], what: str, issues: list[Issue]):
@@ -46,9 +56,7 @@ def read_rows(stream: IO[str], columns: list[str], what: str, issues: list[Issue
                 yield row_number, [cell.strip() for cell in row]
                 continue
             detail = f"expected {len(columns)} columns, got {len(row)}"
-        issues.append(Issue(
-            IssueKind.MISSING_FIELD, f"row {row_number}", f"row {row_number}: {detail}"
-        ))
+        issues.append(record_issue(IssueKind.MISSING_FIELD, "", row_number, detail))
 
 
 def parse_timestamp(text: str) -> tuple[datetime, bool]:

@@ -57,12 +57,13 @@ from .stats import (
 from .taxonomy import Level, parse_taxonomy
 
 
-def _positive(kind):
-    """An argparse type for a flag that must be a finite number > 0."""
+def _positive(kind, below=math.inf):
+    """An argparse type for a flag that must be a finite number > 0 and < ``below``."""
+    limit = "" if below == math.inf else f" and < {below:g}"
     def convert(text: str):
         value = kind(text)
-        if not (math.isfinite(value) and value > 0):
-            raise argparse.ArgumentTypeError(f"must be a finite number > 0, got {text!r}")
+        if not (math.isfinite(value) and 0 < value < below):
+            raise argparse.ArgumentTypeError(f"must be a finite number > 0{limit}, got {text!r}")
         return value
     convert.__name__ = kind.__name__  # argparse names it in "invalid float value"
     return convert
@@ -125,7 +126,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = commands.add_parser("split", help="leakage-free geographic train/eval split")
     _add_dataset_arguments(sub)
     _add_common_arguments(sub)
-    sub.add_argument("--train-fraction", type=float, default=0.9, metavar="F")
+    sub.add_argument("--train-fraction", type=_positive(float, below=1.0), default=0.9, metavar="F")
     sub.add_argument("--cell-size-m", type=_positive(float), default=10.0, metavar="METERS")
     sub.add_argument("--seed", type=int, default=0, metavar="SEED")
     sub.set_defaults(func=_cmd_split)
@@ -134,7 +135,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_dataset_arguments(sub)
     _add_common_arguments(sub)
     sub.add_argument("--predictions", required=True, metavar="FILE")
-    sub.add_argument("--k", action="append", type=int, default=None, metavar="K",
+    sub.add_argument("--k", action="append", type=_positive(int), default=None, metavar="K",
                      help="top-k cutoffs, repeatable (default 1 and 3)")
     sub.add_argument("--level", type=Level.from_name, default=Level.SPECIES, metavar="LEVEL")
     sub.add_argument("--split", default=None, metavar="MANIFEST",

@@ -86,8 +86,8 @@ class SplitViolation:
 def region_id(latitude: float, longitude: float, cell_size_m: float) -> RegionId:
     if not (-90.0 <= latitude <= 90.0 and -180.0 <= longitude <= 180.0):
         raise ValueError(f"invalid coordinates ({latitude}, {longitude})")
-    if cell_size_m <= 0:
-        raise ValueError(f"cell_size_m must be positive, got {cell_size_m}")
+    if not (math.isfinite(cell_size_m) and cell_size_m > 0):
+        raise ValueError(f"cell_size_m must be a finite number > 0, got {cell_size_m}")
     cell_y = math.floor(latitude * METERS_PER_DEGREE / cell_size_m)
     cell_x = math.floor(longitude * METERS_PER_DEGREE / cell_size_m)
     return RegionId(cell_x, cell_y, cell_size_m)

@@ -13,7 +13,9 @@ referential integrity. Every validation rule lives in exactly one place:
 row-level checks in `parse_deployments`/`parse_images`, cross-record and
 cross-source checks in `unify`. The row-shape rules every input file
 shares (header, blank rows, column count, unreadable rows) live in
-`_util.read_rows`.
+`_util.read_rows`, and the rule that names a rejected record (its id, or
+`row N` when the id is empty, and a detail starting `row N: `) lives in
+`_util.record_issue`.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from datetime import datetime
 from sys import intern
 from typing import IO, Iterable, Sequence
 
-from ._util import format_timestamp, parse_timestamp, read_rows
+from ._util import format_timestamp, parse_timestamp, read_rows, record_issue
 from .report import Issue, IssueKind, Severity
 from .taxonomy import TaxonomyTable
 
@@ -109,45 +111,30 @@ def parse_deployments(stream: IO[str]) -> tuple[list[Deployment], list[Issue]]:
     for row_number, row in read_rows(stream, DEPLOYMENT_COLUMNS, "deployments", issues):
         dep_id, project_id, lat_text, lon_text, camera, start_text, end_text, notes = row
         if not dep_id or not project_id:
-            issues.append(Issue(
-                IssueKind.MISSING_FIELD,
-                dep_id or f"row {row_number}",
-                f"row {row_number}: deployment_id and project_id are required",
-            ))
+            issues.append(record_issue(IssueKind.MISSING_FIELD, dep_id, row_number,
+                                       "deployment_id and project_id are required"))
             continue
         if dep_id in seen:
-            issues.append(Issue(
-                IssueKind.DUPLICATE_ID,
-                dep_id,
-                f"row {row_number}: duplicate deployment_id, first occurrence kept",
-            ))
+            issues.append(record_issue(IssueKind.DUPLICATE_ID, dep_id, row_number,
+                                       "duplicate deployment_id, first occurrence kept"))
             continue
         try:
             latitude = float(lat_text)
             longitude = float(lon_text)
         except ValueError:
-            issues.append(Issue(
-                IssueKind.BAD_COORDINATE,
-                dep_id,
-                f"row {row_number}: unparseable coordinates {lat_text!r},{lon_text!r}",
-            ))
+            issues.append(record_issue(IssueKind.BAD_COORDINATE, dep_id, row_number,
+                                       f"unparseable coordinates {lat_text!r},{lon_text!r}"))
             continue
         if not _coordinate_ok(latitude, longitude):
-            issues.append(Issue(
-                IssueKind.BAD_COORDINATE,
-                dep_id,
-                f"row {row_number}: coordinates ({latitude}, {longitude}) out of range",
-            ))
+            issues.append(record_issue(IssueKind.BAD_COORDINATE, dep_id, row_number,
+                                       f"coordinates ({latitude}, {longitude}) out of range"))
             continue
 
-        start = _optional_timestamp(start_text, dep_id, row_number, "start_time", issues)
-        end = _optional_timestamp(end_text, dep_id, row_number, "end_time", issues)
+        start = _timestamp(start_text, "start_time", dep_id, row_number, issues)
+        end = _timestamp(end_text, "end_time", dep_id, row_number, issues)
         if start is not None and end is not None and start > end:
-            issues.append(Issue(
-                IssueKind.BAD_TIMESTAMP,
-                dep_id,
-                f"row {row_number}: start_time after end_time, both cleared",
-            ))
+            issues.append(record_issue(IssueKind.BAD_TIMESTAMP, dep_id, row_number,
+                                       "start_time after end_time, both cleared"))
             start = end = None
 
         seen.add(dep_id)
@@ -164,25 +151,25 @@ def parse_deployments(stream: IO[str]) -> tuple[list[Deployment], list[Issue]]:
     return records, issues
 
 
-def _optional_timestamp(text, key, row_number, field_name, issues):
-    if not text:
+def _timestamp(text, field_name, key, row_number, issues, optional=True):
+    """Parse a row's timestamp field; a naive value is assumed UTC, with a warning.
+
+    None, with an issue, if the text is unparseable; None, without one, if it is
+    empty and the field optional.
+    """
+    if optional and not text:
         return None
     try:
         value, naive = parse_timestamp(text)
     except ValueError:
-        issues.append(Issue(
-            IssueKind.BAD_TIMESTAMP,
-            key,
-            f"row {row_number}: unparseable {field_name} {text!r}, cleared",
-        ))
+        cleared = ", cleared" if optional else ""
+        issues.append(record_issue(IssueKind.BAD_TIMESTAMP, key, row_number,
+                                   f"unparseable {field_name} {text!r}{cleared}"))
         return None
     if naive:
-        issues.append(Issue(
-            IssueKind.BAD_TIMESTAMP,
-            key,
-            f"row {row_number}: {field_name} has no timezone, assumed UTC",
-            Severity.WARNING,
-        ))
+        issues.append(record_issue(IssueKind.BAD_TIMESTAMP, key, row_number,
+                                   f"{field_name} has no timezone, assumed UTC",
+                                   Severity.WARNING))
     return value
 
 
@@ -199,35 +186,18 @@ def parse_images(stream: IO[str]) -> tuple[list[ImageRecord], list[Issue]]:
     for row_number, row in read_rows(stream, IMAGE_COLUMNS, "images", issues):
         image_id, dep_id, ts_text, label_id, burst_text, source_id = row
         if not image_id or not dep_id or not label_id or not source_id:
-            issues.append(Issue(
-                IssueKind.MISSING_FIELD,
-                image_id or f"row {row_number}",
-                f"row {row_number}: image_id, deployment_id, label_id and source_id are required",
+            issues.append(record_issue(
+                IssueKind.MISSING_FIELD, image_id, row_number,
+                "image_id, deployment_id, label_id and source_id are required",
             ))
             continue
         if image_id in seen:
-            issues.append(Issue(
-                IssueKind.DUPLICATE_ID,
-                image_id,
-                f"row {row_number}: duplicate image_id, first occurrence kept",
-            ))
+            issues.append(record_issue(IssueKind.DUPLICATE_ID, image_id, row_number,
+                                       "duplicate image_id, first occurrence kept"))
             continue
-        try:
-            timestamp, naive = parse_timestamp(ts_text)
-        except ValueError:
-            issues.append(Issue(
-                IssueKind.BAD_TIMESTAMP,
-                image_id,
-                f"row {row_number}: unparseable timestamp {ts_text!r}",
-            ))
+        timestamp = _timestamp(ts_text, "timestamp", image_id, row_number, issues, optional=False)
+        if timestamp is None:
             continue
-        if naive:
-            issues.append(Issue(
-                IssueKind.BAD_TIMESTAMP,
-                image_id,
-                f"row {row_number}: timestamp has no timezone, assumed UTC",
-                Severity.WARNING,
-            ))
 
         burst_index: int | None = None
         if burst_text:
@@ -236,10 +206,9 @@ def parse_images(stream: IO[str]) -> tuple[list[ImageRecord], list[Issue]]:
             except ValueError:
                 burst_index = None
             if burst_index is None or burst_index < 0:
-                issues.append(Issue(
-                    IssueKind.MISSING_FIELD,
-                    image_id,
-                    f"row {row_number}: burst_index {burst_text!r} is not a nonnegative integer, cleared",
+                issues.append(record_issue(
+                    IssueKind.MISSING_FIELD, image_id, row_number,
+                    f"burst_index {burst_text!r} is not a nonnegative integer, cleared",
                 ))
                 burst_index = None
 

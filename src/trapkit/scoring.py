@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 from typing import IO, Iterable, Mapping, Sequence, Union
 
-from ._util import read_rows
+from ._util import read_rows, record_issue
 from .errors import LabelNotFoundError
 from .report import Issue, IssueKind, Severity
 from .stats import SequenceGroup
@@ -98,11 +98,8 @@ def _parse_prediction_line(line: str, line_number: int, issues: list[Issue]):
         return None
     image_id = parts[0]
     if len(parts) < 2:
-        issues.append(Issue(
-            IssueKind.MALFORMED_PREDICTION,
-            image_id,
-            f"line {line_number}: no ranked entries",
-        ))
+        issues.append(record_issue(IssueKind.MALFORMED_PREDICTION, image_id, line_number,
+                                   "no ranked entries", unit="line"))
         return None
     entries: list[tuple[str, float]] = []
     labels_seen: set[str] = set()
@@ -110,22 +107,16 @@ def _parse_prediction_line(line: str, line_number: int, issues: list[Issue]):
     for token in parts[1:]:
         label, sep, score_text = token.rpartition(":")
         if not sep or not label:
-            issues.append(Issue(
-                IssueKind.MALFORMED_PREDICTION,
-                image_id,
-                f"line {line_number}: bad entry {token!r}",
-            ))
+            issues.append(record_issue(IssueKind.MALFORMED_PREDICTION, image_id, line_number,
+                                       f"bad entry {token!r}", unit="line"))
             return None
         try:
             score = float(score_text)
         except ValueError:
             score = math.nan
         if not math.isfinite(score):
-            issues.append(Issue(
-                IssueKind.MALFORMED_PREDICTION,
-                image_id,
-                f"line {line_number}: bad score in {token!r}",
-            ))
+            issues.append(record_issue(IssueKind.MALFORMED_PREDICTION, image_id, line_number,
+                                       f"bad score in {token!r}", unit="line"))
             return None
         if label in labels_seen:
             duplicate = True
@@ -133,20 +124,14 @@ def _parse_prediction_line(line: str, line_number: int, issues: list[Issue]):
         labels_seen.add(label)
         entries.append((label, score))
     if duplicate:
-        issues.append(Issue(
-            IssueKind.DUPLICATE_ID,
-            image_id,
-            f"line {line_number}: duplicate labels in record, highest rank kept",
-            Severity.WARNING,
-        ))
+        issues.append(record_issue(IssueKind.DUPLICATE_ID, image_id, line_number,
+                                   "duplicate labels in record, highest rank kept",
+                                   Severity.WARNING, unit="line"))
     scores = [score for _, score in entries]
     if any(scores[i] < scores[i + 1] for i in range(len(scores) - 1)):
-        issues.append(Issue(
-            IssueKind.UNSORTED_SCORES,
-            image_id,
-            f"line {line_number}: scores not nonincreasing, re-sorted",
-            Severity.WARNING,
-        ))
+        issues.append(record_issue(IssueKind.UNSORTED_SCORES, image_id, line_number,
+                                   "scores not nonincreasing, re-sorted",
+                                   Severity.WARNING, unit="line"))
         entries.sort(key=lambda entry: -entry[1])
     return PredictionRecord(image_id, tuple(entries))
 
@@ -314,7 +299,10 @@ def geofilter(
 
 
 def parse_range_map(stream: IO[str]) -> tuple[dict[str, list[RangeBox]], list[Issue]]:
-    """Read `label_id,lat_min,lat_max,lon_min,lon_max` rows (repeatable per label)."""
+    """Read `label_id,lat_min,lat_max,lon_min,lon_max` rows (repeatable per label).
+
+    Rows with non-finite or unordered bounds, or an empty label, are reported and dropped.
+    """
     boxes: dict[str, list[RangeBox]] = {}
     issues: list[Issue] = []
     for row_number, (label, *texts) in read_rows(stream, RANGE_MAP_COLUMNS, "range map", issues):
@@ -323,19 +311,17 @@ def parse_range_map(stream: IO[str]) -> tuple[dict[str, list[RangeBox]], list[Is
         except ValueError:
             bounds = [math.nan]
         if not all(math.isfinite(bound) for bound in bounds):
-            issues.append(Issue(
-                IssueKind.BAD_COORDINATE,
-                label or f"row {row_number}",
-                f"row {row_number}: box bounds are not all finite numbers",
-            ))
+            issues.append(record_issue(IssueKind.BAD_COORDINATE, label, row_number,
+                                       "box bounds are not all finite numbers"))
             continue
         lat_min, lat_max, lon_min, lon_max = bounds
         if lat_min > lat_max or lon_min > lon_max:
-            issues.append(Issue(
-                IssueKind.BAD_COORDINATE,
-                label,
-                f"row {row_number}: box minimum exceeds maximum",
-            ))
+            issues.append(record_issue(IssueKind.BAD_COORDINATE, label, row_number,
+                                       "box minimum exceeds maximum"))
+            continue
+        if not label:
+            issues.append(record_issue(IssueKind.MISSING_FIELD, label, row_number,
+                                       "empty label_id"))
             continue
         boxes.setdefault(label, []).append(RangeBox(lat_min, lat_max, lon_min, lon_max))
     return boxes, issues
@@ -428,6 +414,8 @@ def summarize_metrics(report: MetricsReport) -> str:
     lines.append(f"  skipped (no prediction)  {report.skipped}")
     if report.unmatched_predictions:
         lines.append(f"  unmatched predictions    {report.unmatched_predictions}")
+    if report.duplicate_predictions:
+        lines.append(f"  duplicate predictions    {report.duplicate_predictions}")
     if report.unresolved_predictions:
         lines.append(f"  unresolved pred labels   {report.unresolved_predictions}")
     return "\n".join(lines)

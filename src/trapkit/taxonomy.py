@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from enum import IntEnum
 from typing import IO, Iterable, Union
 
-from ._util import read_rows
+from ._util import read_rows, record_issue
 from .errors import LabelNotFoundError
 from .report import Issue, IssueKind, Severity
 
@@ -141,35 +141,24 @@ def parse_taxonomy(stream: IO[str]) -> tuple[TaxonomyTable, list[Issue]]:
     for row_number, row in read_rows(stream, TAXONOMY_COLUMNS, "taxonomy", issues):
         label_id, *names, special = row
         if not label_id:
-            issues.append(Issue(
-                IssueKind.MISSING_FIELD,
-                f"row {row_number}",
-                f"row {row_number}: empty label_id",
-            ))
+            issues.append(record_issue(IssueKind.MISSING_FIELD, label_id, row_number,
+                                       "empty label_id"))
             continue
         if label_id in records:
-            issues.append(Issue(
-                IssueKind.DUPLICATE_ID,
-                label_id,
-                f"row {row_number}: duplicate label_id, first occurrence kept",
-            ))
+            issues.append(record_issue(IssueKind.DUPLICATE_ID, label_id, row_number,
+                                       "duplicate label_id, first occurrence kept"))
             continue
 
         if special and special not in (BLANK, UNKNOWN):
-            issues.append(Issue(
-                IssueKind.MISSING_FIELD,
-                label_id,
-                f"row {row_number}: unrecognized special_kind {special!r}",
-            ))
+            issues.append(record_issue(IssueKind.MISSING_FIELD, label_id, row_number,
+                                       f"unrecognized special_kind {special!r}"))
             continue
 
         if special:
             if any(names):
-                issues.append(Issue(
-                    IssueKind.TREE_INCONSISTENCY,
-                    label_id,
-                    f"row {row_number}: special label carries taxonomic names, ignored",
-                    Severity.WARNING,
+                issues.append(record_issue(
+                    IssueKind.TREE_INCONSISTENCY, label_id, row_number,
+                    "special label carries taxonomic names, ignored", Severity.WARNING,
                 ))
             record = TaxonRecord(label_id, special_kind=special)
             if special == BLANK and blank_id is None:
@@ -179,19 +168,14 @@ def parse_taxonomy(stream: IO[str]) -> tuple[TaxonomyTable, list[Issue]]:
         else:
             fields = [name or None for name in names]
             if fields[0] is None:
-                issues.append(Issue(
-                    IssueKind.MISSING_FIELD,
-                    label_id,
-                    f"row {row_number}: non-special label without class_name",
-                ))
+                issues.append(record_issue(IssueKind.MISSING_FIELD, label_id, row_number,
+                                           "non-special label without class_name"))
                 continue
             record = TaxonRecord(label_id, *fields)
             if _has_lineage_gap(fields):
-                issues.append(Issue(
-                    IssueKind.TREE_INCONSISTENCY,
-                    label_id,
-                    f"row {row_number}: names do not populate contiguously from class",
-                    Severity.WARNING,
+                issues.append(record_issue(
+                    IssueKind.TREE_INCONSISTENCY, label_id, row_number,
+                    "names do not populate contiguously from class", Severity.WARNING,
                 ))
         records[label_id] = record
 

@@ -141,6 +141,25 @@ def test_numeric_flag_must_be_finite_and_positive(tmp_path, fixture_dir, capsys,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, flag, value", [
+    ("eval", "--k", "0"),
+    ("eval", "--k", "-2"),
+    ("eval", "--k", "nan"),
+    ("split", "--train-fraction", "0"),
+    ("split", "--train-fraction", "1"),
+    ("split", "--train-fraction", "1.5"),
+    ("split", "--train-fraction", "nan"),
+    ("split", "--train-fraction", "inf"),
+])
+def test_k_and_train_fraction_out_of_range_are_usage_errors(tmp_path, fixture_dir, capsys,
+                                                            command, flag, value):
+    out = tmp_path / "out"
+    extra = ["--predictions", str(fixture_dir / "predictions.txt")] if command == "eval" else []
+    assert main([command, *_dataset_flags(fixture_dir, out, [*extra, flag, value])]) == 2
+    assert flag in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_non_utf8_input_is_a_named_fatal_error(tmp_path, fixture_dir, capsys):
     images = tmp_path / "images.csv"
     images.write_bytes((fixture_dir / "images.csv").read_bytes()

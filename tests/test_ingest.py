@@ -468,3 +468,4 @@ def test_any_text_after_a_good_header_parses_and_names_its_rows(parse, columns, 
         match = re.match(r"row (\d+): ", issue.detail)
         assert match, issue.detail
         assert 2 <= int(match[1]) <= last_row
+        assert issue.key

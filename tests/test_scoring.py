@@ -1,8 +1,11 @@
 import io
+import math
 import random
+import re
 from datetime import datetime, timedelta, timezone
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from trapkit.errors import LabelNotFoundError
 from trapkit.report import IssueKind, Severity
@@ -14,6 +17,7 @@ from trapkit.scoring import (
     iter_predictions,
     parse_range_map,
     sequence_aggregate,
+    summarize_metrics,
     write_metrics,
     write_predictions,
 )
@@ -94,6 +98,39 @@ def test_duplicate_labels_keep_highest_rank():
     records, issues = _parse_all(io.StringIO("i1 sp_a:0.9 sp_a:0.5 sp_b:0.3\n"))
     assert records[0].entries == (("sp_a", 0.9), ("sp_b", 0.3))
     assert [issue.kind for issue in issues] == [IssueKind.DUPLICATE_ID]
+
+
+_TOKENS = st.one_of(
+    st.text(max_size=10),
+    st.sampled_from([
+        "i1", "sp_a:0.9", "sp_b:0.5", "sp_a:0.1", ":0.5", "sp_a:", ":", "a:b:0.3",
+        "sp_a:nan", "sp_b:-inf", "sp_c:1e400", "sp_d:-0.0", "\x00", "\r",
+    ]),
+)
+_PREDICTION_TEXTS = st.one_of(
+    st.text(alphabet=st.one_of(st.sampled_from(" :\t\r\n\x00"), st.characters()), max_size=200),
+    st.builds(
+        lambda lines, newline: newline.join(lines),
+        st.lists(st.lists(_TOKENS, max_size=6).map(" ".join), max_size=8),
+        st.sampled_from(["\n", "\r\n"]),
+    ),
+)
+
+
+@given(text=_PREDICTION_TEXTS)
+@settings(max_examples=300, deadline=None)
+def test_any_prediction_text_parses_and_names_its_lines(text):
+    records, issues = _parse_all(io.StringIO(text))
+    last_line = len(io.StringIO(text).readlines())
+    for issue in issues:
+        match = re.match(r"line (\d+): ", issue.detail)
+        assert match, issue.detail
+        assert 1 <= int(match[1]) <= last_line
+        assert issue.key
+    for record in records:
+        scores = [score for _, score in record.entries]
+        assert scores and all(math.isfinite(score) for score in scores)
+        assert scores == sorted(scores, reverse=True)
 
 
 def test_thousand_record_round_trip():
@@ -196,6 +233,11 @@ def test_duplicate_and_unmatched_prediction_records_reported():
     assert report.topk[1] == 1.0
     assert report.duplicate_predictions == 1
     assert report.unmatched_predictions == 1
+    summary = summarize_metrics(report).splitlines()
+    assert "  duplicate predictions    1" in summary
+    assert "  unmatched predictions    1" in summary
+    clean = evaluate(predictions[:1], truth, table, ks=(1,))
+    assert "duplicate predictions" not in summarize_metrics(clean)
 
 
 # ------------------------------------------------------------------ per-class
@@ -403,12 +445,20 @@ def test_parse_range_map_reports_bad_rows():
         "sp_d,nan,10.0,0.0,10.0\n"
         "sp_e,0.0,inf,0.0,10.0\n"
         "sp_f,-inf,10.0,0.0,10.0\n"
+        ",0,1,0,1\n"
+        ",1,0,0,1\n"
     )
     boxes, issues = parse_range_map(io.StringIO(text))
     assert len(boxes["sp_a"]) == 2
     assert set(boxes) == {"sp_a"}
-    assert [issue.kind for issue in issues] == [IssueKind.BAD_COORDINATE] * 5
-    assert [issue.key for issue in issues] == ["sp_b", "sp_c", "sp_d", "sp_e", "sp_f"]
+    assert [issue.kind for issue in issues] == (
+        [IssueKind.BAD_COORDINATE] * 5 + [IssueKind.MISSING_FIELD, IssueKind.BAD_COORDINATE]
+    )
+    assert [issue.key for issue in issues] == [
+        "sp_b", "sp_c", "sp_d", "sp_e", "sp_f", "row 9", "row 10"
+    ]
+    assert issues[-2].detail == "row 9: empty label_id"
+    assert issues[-1].detail == "row 10: box minimum exceeds maximum"
 
 
 # ----------------------------------------------------------------- sequences
