@@ -49,7 +49,6 @@ from .taxonomy import (
     TaxonRecord,
     TaxonomyTable,
     distinct_counts,
-    is_blank,
     parse_taxonomy,
     rollup,
 )

@@ -24,9 +24,7 @@ from __future__ import annotations
 import csv
 import math
 import random
-from dataclasses import dataclass
-from fractions import Fraction
-from typing import IO, Mapping, Union
+from typing import IO, Mapping, NamedTuple, Union
 
 from .errors import SplitError
 from .ingest import UnifiedDataset
@@ -39,28 +37,24 @@ EVAL = "eval"
 ASSIGNMENT_COLUMNS = ["cell_x", "cell_y", "cell_size_m", "fold", "image_count"]
 
 
-@dataclass(frozen=True, slots=True, order=True)
-class RegionId:
+class RegionId(NamedTuple):
     cell_x: int
     cell_y: int
     cell_size_m: float
 
 
-@dataclass(frozen=True, slots=True)
 class SplitConfig:
-    train_fraction: float = 0.9
-    cell_size_m: float = 10.0
-    seed: int = 0
+    def __init__(self, train_fraction: float = 0.9, cell_size_m: float = 10.0, seed: int = 0):
+        if not 0.0 < train_fraction < 1.0:
+            raise ValueError(f"train_fraction must be in (0, 1), got {train_fraction}")
+        if not (math.isfinite(cell_size_m) and cell_size_m > 0):
+            raise ValueError(f"cell_size_m must be a finite number > 0, got {cell_size_m}")
+        self.train_fraction = train_fraction
+        self.cell_size_m = cell_size_m
+        self.seed = seed
 
-    def __post_init__(self):
-        if not 0.0 < self.train_fraction < 1.0:
-            raise ValueError(f"train_fraction must be in (0, 1), got {self.train_fraction}")
-        if not (math.isfinite(self.cell_size_m) and self.cell_size_m > 0):
-            raise ValueError(f"cell_size_m must be a finite number > 0, got {self.cell_size_m}")
 
-
-@dataclass(frozen=True)
-class SplitAssignment:
+class SplitAssignment(NamedTuple):
     folds: dict[RegionId, str]
     region_image_counts: dict[RegionId, int]
     train_images: int
@@ -76,8 +70,7 @@ class SplitAssignment:
         return self.train_images / self.total_images
 
 
-@dataclass(frozen=True, slots=True)
-class SplitViolation:
+class SplitViolation(NamedTuple):
     kind: str  # "leakage" or "unassigned"
     region: RegionId
     fold_counts: tuple[tuple[str, int], ...]
@@ -88,9 +81,12 @@ def region_id(latitude: float, longitude: float, cell_size_m: float) -> RegionId
         raise ValueError(f"invalid coordinates ({latitude}, {longitude})")
     if not (math.isfinite(cell_size_m) and cell_size_m > 0):
         raise ValueError(f"cell_size_m must be a finite number > 0, got {cell_size_m}")
-    cell_y = math.floor(latitude * METERS_PER_DEGREE / cell_size_m)
-    cell_x = math.floor(longitude * METERS_PER_DEGREE / cell_size_m)
-    return RegionId(cell_x, cell_y, cell_size_m)
+    cell_y = latitude * METERS_PER_DEGREE / cell_size_m
+    cell_x = longitude * METERS_PER_DEGREE / cell_size_m
+    if not (math.isfinite(cell_y) and math.isfinite(cell_x)):
+        raise ValueError(f"cell_size_m {cell_size_m} is too small: the cell index of "
+                         f"({latitude}, {longitude}) is not a finite number")
+    return RegionId(math.floor(cell_x), math.floor(cell_y), cell_size_m)
 
 
 def _deployment_regions(dataset: UnifiedDataset, cell_size_m: float) -> dict[str, RegionId]:
@@ -124,11 +120,11 @@ def assign_regions(dataset: UnifiedDataset, config: SplitConfig) -> SplitAssignm
     random.Random(config.seed).shuffle(order)
 
     total = sum(counts.values())
-    target = Fraction(config.train_fraction) * total
+    num, den = config.train_fraction.as_integer_ratio()
     folds: dict[RegionId, str] = {}
     train_images = 0
     for region in order:
-        if train_images + counts[region] <= target:
+        if (train_images + counts[region]) * den <= num * total:
             folds[region] = TRAIN
             train_images += counts[region]
         else:

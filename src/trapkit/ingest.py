@@ -21,10 +21,9 @@ shares (header, blank rows, column count, unreadable rows) live in
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
 from datetime import datetime
 from sys import intern
-from typing import IO, Iterable, Sequence
+from typing import IO, Iterable, NamedTuple, Sequence
 
 from ._util import format_timestamp, parse_timestamp, read_rows, record_issue
 from .report import Issue, IssueKind, Severity
@@ -51,8 +50,7 @@ IMAGE_COLUMNS = [
 ]
 
 
-@dataclass(frozen=True, slots=True)
-class Deployment:
+class Deployment(NamedTuple):
     deployment_id: str
     project_id: str
     latitude: float
@@ -63,8 +61,7 @@ class Deployment:
     notes: str | None = None
 
 
-@dataclass(frozen=True, slots=True)
-class ImageRecord:
+class ImageRecord(NamedTuple):
     image_id: str
     deployment_id: str
     timestamp: datetime
@@ -73,8 +70,7 @@ class ImageRecord:
     source_id: str
 
 
-@dataclass(frozen=True, slots=True)
-class Source:
+class Source(NamedTuple):
     """One partner contribution: a parsed deployments/images pair."""
 
     name: str
@@ -82,16 +78,11 @@ class Source:
     images: Sequence[ImageRecord]
 
 
-@dataclass(frozen=True)
-class UnifiedDataset:
+class UnifiedDataset(NamedTuple):
     deployments: dict[str, Deployment]
     images: dict[str, ImageRecord]
     taxonomy: TaxonomyTable
     provenance: tuple[str, ...]
-
-    @property
-    def image_count(self) -> int:
-        return len(self.images)
 
 
 def _coordinate_ok(latitude: float, longitude: float) -> bool:

@@ -9,9 +9,8 @@ record, and a human-readable detail string.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
 from enum import Enum
-from typing import IO, Iterable
+from typing import IO, Iterable, NamedTuple
 
 
 class IssueKind(str, Enum):
@@ -34,8 +33,7 @@ class Severity(str, Enum):
 _KIND_ORDER = {kind: index for index, kind in enumerate(IssueKind)}
 
 
-@dataclass(frozen=True, slots=True)
-class Issue:
+class Issue(NamedTuple):
     kind: IssueKind
     key: str
     detail: str
@@ -46,7 +44,6 @@ def _sort_key(issue: Issue) -> tuple:
     return (_KIND_ORDER[issue.kind], issue.key, issue.detail)
 
 
-@dataclass
 class ValidationReport:
     """An ordered collection of issues found in one dataset or file.
 
@@ -54,7 +51,8 @@ class ValidationReport:
     two runs over the same input produce byte-identical reports.
     """
 
-    issues: list[Issue] = field(default_factory=list)
+    def __init__(self, issues: list[Issue] | None = None):
+        self.issues = [] if issues is None else issues
 
     @classmethod
     def from_issues(cls, issues: Iterable[Issue]) -> "ValidationReport":

@@ -18,8 +18,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
-from typing import IO, Iterable, Mapping, Sequence, Union
+from typing import IO, Iterable, Mapping, NamedTuple, Sequence
 
 from ._util import read_rows, record_issue
 from .errors import LabelNotFoundError
@@ -32,24 +31,18 @@ RANGE_MAP_COLUMNS = ["label_id", "lat_min", "lat_max", "lon_min", "lon_max"]
 METRICS_COLUMNS = ["metric", "label_id_or_overall", "value"]
 
 
-@dataclass(frozen=True, slots=True)
-class PredictionRecord:
+class PredictionRecord(NamedTuple):
     image_id: str
     entries: tuple[tuple[str, float], ...]
 
-    def top1(self) -> tuple[str, float]:
-        return self.entries[0]
 
-
-@dataclass(frozen=True, slots=True)
-class ClassMetrics:
+class ClassMetrics(NamedTuple):
     precision: float | None
     recall: float | None
     support: int
 
 
-@dataclass(frozen=True)
-class MetricsReport:
+class MetricsReport(NamedTuple):
     level: Level
     topk: dict[int, float]
     topk_nonblank: dict[int, float | None]
@@ -63,8 +56,7 @@ class MetricsReport:
     unmatched_predictions: int = 0
 
 
-@dataclass(frozen=True, slots=True)
-class RangeBox:
+class RangeBox(NamedTuple):
     lat_min: float
     lat_max: float
     lon_min: float
@@ -328,7 +320,7 @@ def parse_range_map(stream: IO[str]) -> tuple[dict[str, list[RangeBox]], list[Is
 
 
 def sequence_aggregate(
-    predictions: Union[Mapping[str, PredictionRecord], Iterable[PredictionRecord]],
+    predictions: Iterable[PredictionRecord],
     groups: Sequence[SequenceGroup],
 ) -> tuple[list[PredictionRecord], list[str]]:
     """Fuse per-image predictions into one ranked record per burst group.
@@ -339,12 +331,9 @@ def sequence_aggregate(
     descending mean with ties broken by label id. Groups with no predicted
     member are skipped and returned in the second element.
     """
-    if not isinstance(predictions, Mapping):
-        by_image: dict[str, PredictionRecord] = {}
-        for record in predictions:
-            by_image.setdefault(record.image_id, record)
-    else:
-        by_image = dict(predictions)
+    by_image: dict[str, PredictionRecord] = {}
+    for record in predictions:
+        by_image.setdefault(record.image_id, record)
 
     aggregated: list[PredictionRecord] = []
     skipped: list[str] = []

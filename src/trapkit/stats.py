@@ -10,9 +10,8 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
 from datetime import datetime
-from typing import IO
+from typing import IO, NamedTuple
 
 from ._util import format_timestamp
 from .ingest import UnifiedDataset
@@ -30,27 +29,23 @@ SEQUENCE_COLUMNS = [
 ]
 
 
-@dataclass(frozen=True)
 class ClassHistogram:
-    counts: dict[str, int]
-    total: int
-    level: Level | None = None
-
-    def __post_init__(self):
-        if sum(self.counts.values()) != self.total:
+    def __init__(self, counts: dict[str, int], total: int, level: Level | None = None):
+        if sum(counts.values()) != total:
             raise ValueError("histogram counts do not sum to total")
+        self.counts = counts
+        self.total = total
+        self.level = level
 
 
-@dataclass(frozen=True)
-class SkewReport:
+class SkewReport(NamedTuple):
     n_top: int
     coverage_fraction: float
     # (rank, label key, count, cumulative fraction), sorted by descending count
     curve: tuple[tuple[int, str, int, float], ...]
 
 
-@dataclass(frozen=True, slots=True)
-class SequenceGroup:
+class SequenceGroup(NamedTuple):
     sequence_id: str
     deployment_id: str
     image_ids: tuple[str, ...]
@@ -58,8 +53,7 @@ class SequenceGroup:
     end_time: datetime
 
 
-@dataclass(frozen=True)
-class ClassWeights:
+class ClassWeights(NamedTuple):
     weights: dict[str, float]
     scheme: str
     cap: float
@@ -132,7 +126,7 @@ def blank_rate(dataset: UnifiedDataset) -> tuple[float, dict[str, float]]:
     """Blank fraction overall and per contributing source_id, in one pass.
 
     Field-observed blank rates vary widely between partners, so the
-    per-source fractions (keyed by source_id, in sorted order) come with
+    per-source rates (keyed by source_id, in sorted order) come with
     the overall one.
     """
     if not dataset.images:
@@ -157,7 +151,11 @@ def labeling_effort(n_images: int, rate_images_per_hour: float) -> float:
         raise ValueError(f"rate must be a finite number > 0, got {rate_images_per_hour}")
     if n_images < 0:
         raise ValueError(f"n_images must be nonnegative, got {n_images}")
-    return n_images / rate_images_per_hour
+    hours = n_images / rate_images_per_hour
+    if not math.isfinite(hours):
+        raise ValueError(f"labeling effort for {n_images} images at "
+                         f"{rate_images_per_hour} images/hour is not a finite number")
+    return hours
 
 
 def group_bursts(dataset: UnifiedDataset, max_gap_seconds: float = 60.0) -> list[SequenceGroup]:

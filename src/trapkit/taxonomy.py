@@ -14,9 +14,8 @@ finest populated name and is marked inexact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import IntEnum
-from typing import IO, Iterable, Union
+from typing import IO, Iterable, NamedTuple, Union
 
 from ._util import read_rows, record_issue
 from .errors import LabelNotFoundError
@@ -53,8 +52,7 @@ class Level(IntEnum):
             raise ValueError(f"unknown taxonomic level: {name!r}") from None
 
 
-@dataclass(frozen=True, slots=True)
-class TaxonRecord:
+class TaxonRecord(NamedTuple):
     label_id: str
     class_name: str | None = None
     order_name: str | None = None
@@ -86,8 +84,7 @@ class TaxonRecord:
         return tuple(names)
 
 
-@dataclass(frozen=True, slots=True)
-class RolledLabel:
+class RolledLabel(NamedTuple):
     """A label projected onto one taxonomic level.
 
     ``names`` holds the lineage from class down to ``level``. For special
@@ -106,11 +103,12 @@ class RolledLabel:
         return self.names[-1]
 
 
-@dataclass(frozen=True)
 class TaxonomyTable:
-    records: dict[str, TaxonRecord]
-    blank_label_id: str
-    unknown_label_id: str | None = None
+    def __init__(self, records: dict[str, TaxonRecord], blank_label_id: str,
+                 unknown_label_id: str | None = None):
+        self.records = records
+        self.blank_label_id = blank_label_id
+        self.unknown_label_id = unknown_label_id
 
     def __contains__(self, label_id: str) -> bool:
         return label_id in self.records
@@ -259,10 +257,6 @@ def rollup(label: Union[str, RolledLabel], level: Level, table: TaxonomyTable) -
     finest = len(lineage) - 1
     take = min(level, finest)
     return RolledLabel(lineage[: take + 1], Level(take), exact=finest >= level)
-
-
-def is_blank(label_id: str, table: TaxonomyTable) -> bool:
-    return table.resolve(label_id).special_kind == BLANK
 
 
 def distinct_counts(source, group_by_class: bool = True) -> dict[str, dict[Level, int]]:

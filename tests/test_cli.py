@@ -1,10 +1,18 @@
 import csv
+import json
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
 from trapkit.cli import main
 
-from pipeline import artifact_files, run_pipeline
+from pipeline import artifact_files, pipeline_commands, run_pipeline
+
+REPO = Path(__file__).resolve().parent.parent
 
 
 def _dataset_flags(fixture_dir, out, extra=()):
@@ -334,3 +342,29 @@ def test_pipeline_outputs_identical_for_any_jobs_value(tmp_path, fixture_dir):
     for relative in files:
         assert (tmp_path / "j1" / relative).read_bytes() == \
             (tmp_path / "j8" / relative).read_bytes()
+
+
+def _python(*args):
+    """Run a fresh interpreter at the repository root with only ``src`` on its path."""
+    env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+    return subprocess.run([sys.executable, *args], cwd=REPO, env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_cli_import_loads_no_dataclasses_fractions_or_inspect():
+    unwanted = "{'dataclasses', 'fractions', 'inspect'}"
+    result = _python("-c", f"import sys, trapkit.cli; print(sorted({unwanted} & set(sys.modules)))")
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
+
+
+def test_traced_benchmark_run_of_split(tmp_path, fixture_dir):
+    spans = tmp_path / "spans.json"
+    argv = next(argv for argv in pipeline_commands(fixture_dir, tmp_path) if argv[0] == "split")
+    launch = time.clock_gettime(time.CLOCK_MONOTONIC)
+    result = _python("bench/traced_cli.py", str(spans), repr(launch), *argv)
+    assert result.returncode == 0, result.stderr
+    trace = json.loads(spans.read_text(encoding="utf-8"))
+    assert trace["status"] == 0
+    assert trace["counts"]["report.from_issues.calls"] >= 1
+    assert trace["counts"]["geosplit.region_id.calls"] >= 1

@@ -2,6 +2,7 @@ import io
 import math
 import random
 from datetime import datetime, timezone
+from fractions import Fraction
 
 import pytest
 
@@ -72,6 +73,9 @@ def test_invalid_inputs_raise():
             region_id(0.0, 0.0, cell_size_m)
         with pytest.raises(ValueError):
             SplitConfig(0.9, cell_size_m)
+    # finite and positive, but the cell index overflows to infinity
+    with pytest.raises(ValueError, match="cell_size_m"):
+        region_id(45.0, 0.0, 1e-320)
 
 
 def _offset_point(lat, lon, distance_m, bearing_rad):
@@ -146,6 +150,34 @@ def test_two_region_greedy_trace():
             assert assignment.train_images == 10
             outcomes.add("B-first")
     assert outcomes == {"A-first", "B-first"}
+
+
+def test_train_fraction_boundary_is_exact_rational_arithmetic():
+    # Fraction(0.7) * 10 is just below 7, while the float product 0.7 * 10 rounds
+    # to 7.0: only exact arithmetic keeps the 7-image region out of train.
+    assert Fraction(0.7) * 10 < 7 <= 0.7 * 10
+    dataset = _dataset_with_regions({"A": 7, "B": 3})
+    region_of = {
+        dep_id: region_id(dep.latitude, dep.longitude, 10.0)
+        for dep_id, dep in dataset.deployments.items()
+    }
+    a_first = False
+    for seed in range(8):
+        order = sorted(region_of.values())
+        random.Random(seed).shuffle(order)
+        counts = {region_of["d_A"]: 7, region_of["d_B"]: 3}
+        expected, train_images = {}, 0
+        for region in order:
+            fits = train_images + counts[region] <= Fraction(0.7) * 10
+            expected[region] = TRAIN if fits else EVAL
+            train_images += counts[region] if fits else 0
+        a_first = a_first or order[0] == region_of["d_A"]
+
+        assignment = assign_regions(dataset, SplitConfig(0.7, 10.0, seed))
+        assert assignment.folds == expected
+        assert assignment.folds[region_of["d_A"]] == EVAL
+        assert assignment.train_images == 3
+    assert a_first  # the seeds include the order in which float arithmetic would differ
 
 
 def test_hundred_equal_regions_split_ninety_ten():

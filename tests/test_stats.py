@@ -156,6 +156,8 @@ def test_labeling_effort_examples():
             labeling_effort(10, rate)
     with pytest.raises(ValueError):
         labeling_effort(-1, 10.0)
+    with pytest.raises(ValueError, match="not a finite number"):
+        labeling_effort(40, 1e-320)  # a positive rate whose effort overflows to inf
 
 
 @given(n=st.integers(0, 10**6), rate=st.floats(1.0, 1000.0))

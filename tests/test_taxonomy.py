@@ -11,7 +11,6 @@ from trapkit.taxonomy import (
     TaxonRecord,
     TaxonomyTable,
     distinct_counts,
-    is_blank,
     parse_taxonomy,
     rollup,
 )
@@ -123,7 +122,7 @@ def test_rollup_unresolvable_label_raises(taxonomy_table):
     with pytest.raises(LabelNotFoundError):
         rollup("sp_nope", Level.GENUS, taxonomy_table)
     with pytest.raises(LabelNotFoundError):
-        is_blank("sp_nope", taxonomy_table)
+        taxonomy_table.resolve("sp_nope")
 
 
 def test_rollup_all_ten_species_to_family_gives_three_names(taxonomy_table):
@@ -134,12 +133,6 @@ def test_rollup_all_ten_species_to_family_gives_three_names(taxonomy_table):
     assert len(species) == 10
     families = {rollup(label, Level.FAMILY, taxonomy_table).name for label in species}
     assert families == {"Felidae", "Canidae", "Lemuridae"}
-
-
-def test_is_blank(taxonomy_table):
-    assert is_blank("blank", taxonomy_table)
-    assert not is_blank("sp_canis_lupus", taxonomy_table)
-    assert not is_blank("unknown", taxonomy_table)
 
 
 def test_distinct_counts_on_fixture(taxonomy_table):
