@@ -32,8 +32,6 @@ from .scoring import (
     sequence_aggregate,
 )
 from .stats import (
-    ClassHistogram,
-    ClassWeights,
     SequenceGroup,
     SkewReport,
     blank_rate,

@@ -180,8 +180,12 @@ def _require_inputs(args):
 
 
 def _read(path, parse):
-    """Return ``parse(handle)`` on one input; bytes that are not UTF-8 are fatal."""
-    with open(path, encoding="utf-8") as handle:
+    """Return ``parse(handle)`` on one input; bytes that are not UTF-8 are fatal.
+
+    Line endings reach ``parse`` untranslated, so csv keeps a ``\r\n`` inside a
+    quoted field; line-based parsers strip the ``\r`` with the other whitespace.
+    """
+    with open(path, encoding="utf-8", newline="") as handle:
         try:
             return parse(handle)
         except UnicodeDecodeError as exc:
@@ -284,15 +288,14 @@ def _cmd_stats(args, dataset, issues):
     histogram = class_distribution(
         dataset,
         level=args.level,
-        include_blank=args.include_blank,
-        include_unknown=args.include_blank,
+        include_special=args.include_blank,
     )
     skew = skew_report(histogram, args.top_n)
     rate, per_source = blank_rate(dataset)
     effort = labeling_effort(len(dataset.images), args.images_per_hour)
     lines = [
         f"images                  {len(dataset.images)}",
-        f"distinct labels         {len(histogram.counts)}"
+        f"distinct labels         {len(histogram)}"
         + (f" (rolled to {args.level.name.lower()})" if args.level else ""),
         f"top-{args.top_n} coverage        {skew.coverage_fraction:.4f}",
         f"blank rate              {rate:.4f}",
@@ -375,7 +378,7 @@ def _cmd_weights(args, dataset, issues):
     histogram = class_distribution(dataset, level=args.level)
     weights = class_weights(histogram, args.cap)
     return {"weights.csv": lambda handle: write_weights(weights, handle)}, [
-        f"labels weighted         {len(weights.weights)} (cap {weights.cap:g})",
+        f"labels weighted         {len(weights)} (cap {args.cap:g})",
     ]
 
 

@@ -15,7 +15,7 @@ from typing import IO, NamedTuple
 
 from ._util import format_timestamp
 from .ingest import UnifiedDataset
-from .taxonomy import BLANK, Level, UNKNOWN, rollup
+from .taxonomy import BLANK, Level, rollup
 
 SKEW_COLUMNS = ["rank", "label_id", "count", "cumulative_fraction"]
 WEIGHTS_COLUMNS = ["label_id", "weight"]
@@ -29,17 +29,7 @@ SEQUENCE_COLUMNS = [
 ]
 
 
-class ClassHistogram:
-    def __init__(self, counts: dict[str, int], total: int, level: Level | None = None):
-        if sum(counts.values()) != total:
-            raise ValueError("histogram counts do not sum to total")
-        self.counts = counts
-        self.total = total
-        self.level = level
-
-
 class SkewReport(NamedTuple):
-    n_top: int
     coverage_fraction: float
     # (rank, label key, count, cumulative fraction), sorted by descending count
     curve: tuple[tuple[int, str, int, float], ...]
@@ -53,55 +43,45 @@ class SequenceGroup(NamedTuple):
     end_time: datetime
 
 
-class ClassWeights(NamedTuple):
-    weights: dict[str, float]
-    scheme: str
-    cap: float
-
-
 def class_distribution(
     dataset: UnifiedDataset,
     level: Level | None = None,
-    include_blank: bool = True,
-    include_unknown: bool = True,
-) -> ClassHistogram:
+    include_special: bool = True,
+) -> dict[str, int]:
     """Image counts per label, optionally rolled up to a coarser level.
 
     With ``level=None`` the histogram keys are the raw label ids, which is
     what a training pipeline joins against. With a level given, keys are
     the taxonomic name at that level (special labels keep their id and
-    coarse-only labels keep their finest populated name).
+    coarse-only labels keep their finest populated name). With
+    ``include_special=False`` blank and unknown images are not counted.
     """
     table = dataset.taxonomy
     key_cache: dict[str, str | None] = {}
     counts: dict[str, int] = {}
-    total = 0
     for image in dataset.images.values():
         label_id = image.label_id
         if label_id in key_cache:
             key = key_cache[label_id]
         else:
-            key = _histogram_key(label_id, level, table, include_blank, include_unknown)
+            key = _histogram_key(label_id, level, table, include_special)
             key_cache[label_id] = key
         if key is None:
             continue
         counts[key] = counts.get(key, 0) + 1
-        total += 1
-    return ClassHistogram(counts, total, level)
+    return counts
 
 
-def _histogram_key(label_id, level, table, include_blank, include_unknown):
+def _histogram_key(label_id, level, table, include_special):
     record = table.resolve(label_id)
-    if record.special_kind == BLANK and not include_blank:
-        return None
-    if record.special_kind == UNKNOWN and not include_unknown:
+    if record.special_kind is not None and not include_special:
         return None
     if level is None:
         return label_id
     return rollup(label_id, level, table).name
 
 
-def skew_report(histogram: ClassHistogram, n_top: int) -> SkewReport:
+def skew_report(counts: dict[str, int], n_top: int) -> SkewReport:
     """Cumulative coverage of the most frequent labels.
 
     The curve is sorted by descending count (ties broken by label key) and
@@ -110,16 +90,17 @@ def skew_report(histogram: ClassHistogram, n_top: int) -> SkewReport:
     """
     if n_top < 1:
         raise ValueError(f"n_top must be >= 1, got {n_top}")
-    if histogram.total == 0:
+    total = sum(counts.values())
+    if total == 0:
         raise ValueError("cannot compute skew of an empty histogram")
-    ordered = sorted(histogram.counts.items(), key=lambda item: (-item[1], item[0]))
+    ordered = sorted(counts.items(), key=lambda item: (-item[1], item[0]))
     curve = []
     running = 0
     for rank, (key, count) in enumerate(ordered, start=1):
         running += count
-        curve.append((rank, key, count, running / histogram.total))
+        curve.append((rank, key, count, running / total))
     coverage = curve[min(n_top, len(curve)) - 1][3]
-    return SkewReport(n_top, coverage, tuple(curve))
+    return SkewReport(coverage, tuple(curve))
 
 
 def blank_rate(dataset: UnifiedDataset) -> tuple[float, dict[str, float]]:
@@ -193,7 +174,7 @@ def group_bursts(dataset: UnifiedDataset, max_gap_seconds: float = 60.0) -> list
     return groups
 
 
-def class_weights(histogram: ClassHistogram, cap: float) -> ClassWeights:
+def class_weights(counts: dict[str, int], cap: float) -> dict[str, float]:
     """Inverse-frequency class weights, capped to tame ultra-rare labels.
 
     weight(c) = min(cap, N / (K * n_c)) with N total images and K distinct
@@ -201,14 +182,14 @@ def class_weights(histogram: ClassHistogram, cap: float) -> ClassWeights:
     """
     if not (math.isfinite(cap) and cap > 0):
         raise ValueError(f"cap must be a finite number > 0, got {cap}")
-    if histogram.total == 0:
+    total = sum(counts.values())
+    if total == 0:
         raise ValueError("cannot weight an empty histogram")
-    n_labels = len(histogram.counts)
-    weights = {
-        key: min(cap, histogram.total / (n_labels * count))
-        for key, count in histogram.counts.items()
+    n_labels = len(counts)
+    return {
+        key: min(cap, total / (n_labels * count))
+        for key, count in counts.items()
     }
-    return ClassWeights(weights, "inverse_frequency", cap)
 
 
 def write_skew(report: SkewReport, stream: IO[str]) -> None:
@@ -218,11 +199,11 @@ def write_skew(report: SkewReport, stream: IO[str]) -> None:
         writer.writerow([rank, key, count, repr(cumulative)])
 
 
-def write_weights(weights: ClassWeights, stream: IO[str]) -> None:
+def write_weights(weights: dict[str, float], stream: IO[str]) -> None:
     writer = csv.writer(stream, lineterminator="\n")
     writer.writerow(WEIGHTS_COLUMNS)
-    for key in sorted(weights.weights):
-        writer.writerow([key, repr(weights.weights[key])])
+    for key in sorted(weights):
+        writer.writerow([key, repr(weights[key])])
 
 
 def write_sequences(groups, stream: IO[str]) -> None:

@@ -9,7 +9,7 @@ downstream counting and scoring can treat them like any other class.
 
 Rolling a label up to a coarser level truncates its lineage. Rolling a
 coarse-only label "down" cannot invent detail, so the result keeps the
-finest populated name and is marked inexact.
+finest populated name, and its level is coarser than the one requested.
 """
 
 from __future__ import annotations
@@ -61,15 +61,6 @@ class TaxonRecord(NamedTuple):
     species_name: str | None = None
     special_kind: str | None = None
 
-    def level_names(self) -> tuple[str | None, ...]:
-        return (
-            self.class_name,
-            self.order_name,
-            self.family_name,
-            self.genus_name,
-            self.species_name,
-        )
-
     def lineage(self) -> tuple[str, ...]:
         """Contiguous run of names from class downward.
 
@@ -77,7 +68,8 @@ class TaxonRecord(NamedTuple):
         time as a tree inconsistency.
         """
         names: list[str] = []
-        for name in self.level_names():
+        for name in (self.class_name, self.order_name, self.family_name,
+                     self.genus_name, self.species_name):
             if name is None:
                 break
             names.append(name)
@@ -89,14 +81,13 @@ class RolledLabel(NamedTuple):
 
     ``names`` holds the lineage from class down to ``level``. For special
     labels ``names`` is the designated label id and ``level`` is None.
-    ``exact`` is False when the requested level was finer than the record's
-    finest populated name.
+    When the requested level was finer than the record's finest populated
+    name, ``level`` is that name's level, coarser than the one requested.
     """
 
     names: tuple[str, ...]
     level: Level | None
     special: str | None = None
-    exact: bool = True
 
     @property
     def name(self) -> str:
@@ -243,7 +234,7 @@ def rollup(label: Union[str, RolledLabel], level: Level, table: TaxonomyTable) -
             return RolledLabel(label.names[: level + 1], level)
         if level == label.level:
             return RolledLabel(label.names, level)
-        return RolledLabel(label.names, label.level, exact=False)
+        return RolledLabel(label.names, label.level)
 
     record = table.resolve(label)
     if record.special_kind is not None:
@@ -256,31 +247,22 @@ def rollup(label: Union[str, RolledLabel], level: Level, table: TaxonomyTable) -
     lineage = record.lineage()
     finest = len(lineage) - 1
     take = min(level, finest)
-    return RolledLabel(lineage[: take + 1], Level(take), exact=finest >= level)
+    return RolledLabel(lineage[: take + 1], Level(take))
 
 
-def distinct_counts(source, group_by_class: bool = True) -> dict[str, dict[Level, int]]:
-    """Distinct taxonomic names per level, optionally grouped by class.
+def distinct_counts(table: TaxonomyTable) -> dict[str, dict[Level, int]]:
+    """Distinct taxonomic names per level in every label of ``table``, grouped by class.
 
-    ``source`` is either a TaxonomyTable (count every label in the table) or
-    a unified dataset (count only labels that occur on images). Blank and
-    unknown labels never contribute.
+    Blank and unknown labels never contribute.
     """
-    if isinstance(source, TaxonomyTable):
-        records = list(source.records.values())
-    else:
-        table = source.taxonomy
-        records = [table.resolve(image.label_id) for image in source.images.values()]
-
     names: dict[str, dict[Level, set[str]]] = {}
-    for record in records:
+    for record in table.records.values():
         if record.special_kind:
             continue
         lineage = record.lineage()
         if not lineage:
             continue
-        group = lineage[0] if group_by_class else "all"
-        per_level = names.setdefault(group, {level: set() for level in Level})
+        per_level = names.setdefault(lineage[0], {level: set() for level in Level})
         for level, name in zip(Level, lineage):
             per_level[level].add(name)
 

@@ -384,7 +384,7 @@ def test_criterion_8_paper_shape_sanity():
     add("blank", blank_images)
     dataset = UnifiedDataset(deployments, images, table, ("syn",))
 
-    histogram = class_distribution(dataset, include_blank=False, include_unknown=False)
+    histogram = class_distribution(dataset, include_special=False)
     skew = skew_report(histogram, n_top)
     rate, _ = blank_rate(dataset)
 

@@ -358,13 +358,56 @@ def test_cli_import_loads_no_dataclasses_fractions_or_inspect():
     assert result.stdout.strip() == "[]"
 
 
-def test_traced_benchmark_run_of_split(tmp_path, fixture_dir):
-    spans = tmp_path / "spans.json"
-    argv = next(argv for argv in pipeline_commands(fixture_dir, tmp_path) if argv[0] == "split")
-    launch = time.clock_gettime(time.CLOCK_MONOTONIC)
-    result = _python("bench/traced_cli.py", str(spans), repr(launch), *argv)
-    assert result.returncode == 0, result.stderr
-    trace = json.loads(spans.read_text(encoding="utf-8"))
-    assert trace["status"] == 0
-    assert trace["counts"]["report.from_issues.calls"] >= 1
-    assert trace["counts"]["geosplit.region_id.calls"] >= 1
+# One count per command that reads 0 if the traced path no longer reaches its layer.
+TRACED_COUNTS = {
+    "ingest": "ingest.parse_images.rows",
+    "validate": "ingest.unify.input_images",
+    "stats": "stats.class_distribution.calls",
+    "split": "geosplit.region_id.calls",
+    "eval": "taxonomy.rollup.calls",
+    "geofilter": "scoring.geofilter.calls",
+    "weights": "stats.class_weights.calls",
+    "sequences": "stats.group_bursts.groups",
+}
+
+
+def test_traced_benchmark_run_of_every_pipeline_command(tmp_path, fixture_dir):
+    # in pipeline order and one directory: eval reads split/eval.txt
+    for argv in pipeline_commands(fixture_dir, tmp_path):
+        spans = tmp_path / f"{argv[0]}.spans.json"
+        launch = time.clock_gettime(time.CLOCK_MONOTONIC)
+        result = _python("bench/traced_cli.py", str(spans), repr(launch), *argv)
+        assert result.returncode == 0, (argv[0], result.stderr)
+        trace = json.loads(spans.read_text(encoding="utf-8"))
+        assert trace["status"] == 0, argv[0]
+        assert trace["counts"]["report.from_issues.calls"] >= 1, argv[0]
+        assert trace["counts"].get(TRACED_COUNTS[argv[0]], 0) >= 1, argv[0]
+
+
+def _copy_fixture(fixture_dir, target, edit):
+    target.mkdir()
+    for path in fixture_dir.iterdir():
+        (target / path.name).write_bytes(edit(path.read_bytes()))
+    return target
+
+
+def test_crlf_inside_a_quoted_field_survives_ingest(tmp_path, fixture_dir, golden_dir, capsys):
+    fixture = _copy_fixture(fixture_dir, tmp_path / "fixture", lambda text: text.replace(
+        b",river terrace\n", b',"two\r\nlines"\n'))
+    out = tmp_path / "out"
+    assert main(["ingest", *_dataset_flags(fixture, out)]) == 0
+    capsys.readouterr()
+    written = (out / "deployments.csv").read_bytes()
+    assert b',"two\r\nlines"\n' in written
+    assert written.replace(b',"two\r\nlines"\n', b",river terrace\n") == \
+        (golden_dir / "ingest" / "deployments.csv").read_bytes()
+
+
+def test_crlf_fixture_reproduces_golden_outputs(tmp_path, fixture_dir, golden_dir):
+    fixture = _copy_fixture(fixture_dir, tmp_path / "fixture",
+                            lambda text: text.replace(b"\n", b"\r\n"))
+    run_pipeline(fixture, tmp_path / "out")
+    assert artifact_files(tmp_path / "out") == artifact_files(golden_dir)
+    for relative in artifact_files(golden_dir):
+        assert (tmp_path / "out" / relative).read_bytes() == \
+            (golden_dir / relative).read_bytes(), f"{relative} differs from golden copy"

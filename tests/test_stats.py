@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 
 from trapkit.ingest import Deployment, ImageRecord, UnifiedDataset
 from trapkit.stats import (
-    ClassHistogram,
     blank_rate,
     class_distribution,
     class_weights,
@@ -56,59 +55,49 @@ def _dataset(labels, sources=None, times=None, deployments=("d1",)):
 
 
 def test_distribution_at_native_labels():
-    histogram = class_distribution(_dataset(["a", "a", "b"]))
-    assert histogram.counts == {"a": 2, "b": 1}
-    assert histogram.total == 3
-    assert histogram.level is None
+    assert class_distribution(_dataset(["a", "a", "b"])) == {"a": 2, "b": 1}
 
 
 def test_distribution_rolled_to_shared_genus():
-    histogram = class_distribution(_dataset(["a", "a", "b"]), level=Level.GENUS)
-    assert histogram.counts == {"Panthera": 3}
+    assert class_distribution(_dataset(["a", "a", "b"]), level=Level.GENUS) == {"Panthera": 3}
 
 
 def test_distribution_empty_dataset():
-    histogram = class_distribution(_dataset([]))
-    assert histogram.counts == {}
-    assert histogram.total == 0
+    assert class_distribution(_dataset([])) == {}
 
 
 def test_distribution_counts_blanks_under_blank_label():
-    histogram = class_distribution(_dataset(["a", "blank", "blank"]), level=Level.GENUS)
-    assert histogram.counts == {"Panthera": 1, "blank": 2}
-    filtered = class_distribution(
-        _dataset(["a", "blank", "blank"]), level=Level.GENUS, include_blank=False
-    )
-    assert filtered.counts == {"Panthera": 1}
-    assert filtered.total == 1
+    labels = ["a", "blank", "blank", "unknown"]
+    histogram = class_distribution(_dataset(labels), level=Level.GENUS)
+    assert histogram == {"Panthera": 1, "blank": 2, "unknown": 1}
+    filtered = class_distribution(_dataset(labels), level=Level.GENUS, include_special=False)
+    assert filtered == {"Panthera": 1}
 
 
 def test_histogram_conservation_across_levels():
     labels = ["a", "a", "b", "c", "blank"] * 4
     dataset = _dataset(labels)
     for level in [None, *Level]:
-        assert class_distribution(dataset, level=level).total == len(labels)
+        assert sum(class_distribution(dataset, level=level).values()) == len(labels)
 
 
 # ----------------------------------------------------------------------- skew
 
 
 def test_skew_top1_of_seventy_twenty_ten():
-    histogram = ClassHistogram({"a": 70, "b": 20, "c": 10}, 100)
-    report = skew_report(histogram, 1)
+    report = skew_report({"a": 70, "b": 20, "c": 10}, 1)
     assert report.coverage_fraction == 0.70
 
 
 def test_skew_rejects_bad_inputs():
-    histogram = ClassHistogram({"a": 1}, 1)
     with pytest.raises(ValueError):
-        skew_report(histogram, 0)
+        skew_report({"a": 1}, 0)
     with pytest.raises(ValueError):
-        skew_report(ClassHistogram({}, 0), 5)
+        skew_report({}, 5)
 
 
 def test_skew_ntop_beyond_label_count_is_full_coverage():
-    report = skew_report(ClassHistogram({"a": 3, "b": 1}, 4), 10)
+    report = skew_report({"a": 3, "b": 1}, 10)
     assert report.coverage_fraction == 1.0
 
 
@@ -117,8 +106,7 @@ def test_skew_ntop_beyond_label_count_is_full_coverage():
 def test_skew_curve_matches_sort_and_prefix_sum_oracle(seed):
     rng = random.Random(seed)
     counts = {f"l{i}": rng.randint(1, 500) for i in range(rng.randint(1, 40))}
-    histogram = ClassHistogram(counts, sum(counts.values()))
-    report = skew_report(histogram, rng.randint(1, 45))
+    report = skew_report(counts, rng.randint(1, 45))
     expected = skew_curve(counts)
     assert [(key, count, frac) for _, key, count, frac in report.curve] == expected
     fractions = [point[3] for point in report.curve]
@@ -234,37 +222,35 @@ def test_groups_partition_the_time_sorted_deployment_list():
 
 
 def test_weight_formula_on_skewed_histogram():
-    weights = class_weights(ClassHistogram({"a": 90, "b": 10}, 100), cap=100.0)
-    assert weights.weights["a"] == pytest.approx(100 / 180)
-    assert weights.weights["b"] == 5.0
-    assert weights.scheme == "inverse_frequency"
+    weights = class_weights({"a": 90, "b": 10}, cap=100.0)
+    assert weights["a"] == pytest.approx(100 / 180)
+    assert weights["b"] == 5.0
 
 
 def test_uniform_histogram_gives_unit_weights():
-    weights = class_weights(ClassHistogram({"a": 25, "b": 25, "c": 25, "d": 25}, 100), cap=9.0)
-    assert set(weights.weights.values()) == {1.0}
+    weights = class_weights({"a": 25, "b": 25, "c": 25, "d": 25}, cap=9.0)
+    assert set(weights.values()) == {1.0}
 
 
 def test_cap_clips_rare_class_weight():
-    weights = class_weights(ClassHistogram({"a": 90, "b": 10}, 100), cap=2.0)
-    assert weights.weights["b"] == 2.0
+    weights = class_weights({"a": 90, "b": 10}, cap=2.0)
+    assert weights["b"] == 2.0
 
 
 def test_weights_reject_bad_inputs():
     for cap in (0.0, float("nan"), float("inf")):
         with pytest.raises(ValueError):
-            class_weights(ClassHistogram({"a": 1}, 1), cap=cap)
+            class_weights({"a": 1}, cap=cap)
     with pytest.raises(ValueError):
-        class_weights(ClassHistogram({}, 0), cap=1.0)
+        class_weights({}, cap=1.0)
 
 
 # -------------------------------------------------------------------- exports
 
 
 def test_skew_and_sequence_files_have_contract_headers():
-    histogram = ClassHistogram({"a": 2, "b": 1}, 3)
     buffer = io.StringIO()
-    write_skew(skew_report(histogram, 1), buffer)
+    write_skew(skew_report({"a": 2, "b": 1}, 1), buffer)
     lines = buffer.getvalue().splitlines()
     assert lines[0] == "rank,label_id,count,cumulative_fraction"
     assert lines[1].startswith("1,a,2,")

@@ -93,7 +93,6 @@ def test_rollup_identity_at_finest_level(taxonomy_table):
     rolled = rollup("sp_panthera_onca", Level.SPECIES, taxonomy_table)
     assert rolled.name == "Panthera onca"
     assert rolled.level is Level.SPECIES
-    assert rolled.exact
 
 
 def test_rollup_blank_is_fixed_point_at_every_level(taxonomy_table):
@@ -104,7 +103,7 @@ def test_rollup_blank_is_fixed_point_at_every_level(taxonomy_table):
         assert rollup(rolled, level, taxonomy_table) == rolled
 
 
-def test_rollup_below_finest_populated_is_tagged_inexact():
+def test_rollup_below_finest_populated_keeps_coarser_level():
     table = TaxonomyTable(
         {
             "g_only": TaxonRecord("g_only", "Mammalia", "Carnivora", "Felidae", "Panthera"),
@@ -115,7 +114,6 @@ def test_rollup_below_finest_populated_is_tagged_inexact():
     rolled = rollup("g_only", Level.SPECIES, table)
     assert rolled.name == "Panthera"
     assert rolled.level is Level.GENUS
-    assert not rolled.exact
 
 
 def test_rollup_unresolvable_label_raises(taxonomy_table):
@@ -142,26 +140,6 @@ def test_distinct_counts_on_fixture(taxonomy_table):
     assert counts["Mammalia"][Level.FAMILY] == 3
     assert counts["Mammalia"][Level.GENUS] == 4
     assert counts["Mammalia"][Level.SPECIES] == 10
-
-
-def test_distinct_counts_over_dataset_only_sees_occurring_labels(fixture_dataset):
-    counts = distinct_counts(fixture_dataset)
-    # sp_leopardus_wiedii..sp_lemur_macaco all occur in the bundled images
-    assert counts["Mammalia"][Level.SPECIES] == 10
-    assert counts["Mammalia"][Level.CLASS] == 1
-
-
-def test_distinct_counts_empty_dataset(taxonomy_table):
-    from trapkit.ingest import UnifiedDataset
-
-    empty = UnifiedDataset({}, {}, taxonomy_table, ())
-    assert distinct_counts(empty) == {}
-
-
-def test_distinct_counts_ungrouped(taxonomy_table):
-    counts = distinct_counts(taxonomy_table, group_by_class=False)
-    assert counts["all"][Level.CLASS] == 1
-    assert counts["all"][Level.SPECIES] == 10
 
 
 @given(seed=st.integers(0, 10_000), level=st.sampled_from(list(Level)))
