@@ -142,6 +142,28 @@ def test_distinct_counts_on_fixture(taxonomy_table):
     assert counts["Mammalia"][Level.SPECIES] == 10
 
 
+def test_distinct_counts_only_special_labels_is_empty():
+    table, report = parse(f"{HEADER}\nblank,,,,,,blank\nunknown,,,,,,unknown\n")
+    assert report.is_empty
+    assert distinct_counts(table) == {}
+
+
+def test_distinct_counts_groups_each_class_apart():
+    table, _ = parse(
+        f"{HEADER}\n"
+        "sp_a,Mammalia,Carnivora,Felidae,Panthera,Panthera onca,\n"
+        "sp_b,Mammalia,Carnivora,Felidae,Panthera,Panthera leo,\n"
+        "sp_c,Aves,Galliformes,Cracidae,Crax,Crax rubra,\n"
+        "g_d,Aves,Galliformes,Cracidae,Penelope,,\n"
+    )
+    counts = distinct_counts(table)
+    assert list(counts) == ["Aves", "Mammalia"]
+    assert counts["Mammalia"][Level.CLASS] == 1
+    assert counts["Mammalia"][Level.SPECIES] == 2
+    assert counts["Aves"][Level.GENUS] == 2
+    assert counts["Aves"][Level.SPECIES] == 1
+
+
 @given(seed=st.integers(0, 10_000), level=st.sampled_from(list(Level)))
 @settings(max_examples=60, deadline=None)
 def test_rollup_idempotent_on_random_tables(seed, level):
