@@ -1,10 +1,10 @@
-"""Shared parsing helpers for the delimited file contracts."""
+"""Shared helpers that read and write the delimited file contracts."""
 
 from __future__ import annotations
 
 import csv
 from datetime import datetime, timezone
-from typing import IO
+from typing import IO, Iterable
 
 from .errors import HeaderError
 from .report import Issue, IssueKind, Severity
@@ -57,6 +57,15 @@ def read_rows(stream: IO[str], columns: list[str], what: str, issues: list[Issue
                 continue
             detail = f"expected {len(columns)} columns, got {len(row)}"
         issues.append(record_issue(IssueKind.MISSING_FIELD, "", row_number, detail))
+
+
+def write_rows(stream: IO[str], rows: Iterable) -> None:
+    """Write each row as one CSV line ending in ``\n``: the one output dialect.
+
+    csv writes None as an empty cell, a float as its ``repr`` and any other
+    value as its ``str``, quoting a cell that holds a comma, quote or ``\n``.
+    """
+    csv.writer(stream, lineterminator="\n").writerows(rows)
 
 
 def parse_timestamp(text: str) -> tuple[datetime, bool]:

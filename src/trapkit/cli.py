@@ -69,7 +69,9 @@ def _positive(kind, below=math.inf):
     return convert
 
 
-def _add_dataset_arguments(sub: argparse.ArgumentParser) -> None:
+def _add_command(commands, name: str, func, help: str) -> argparse.ArgumentParser:
+    """Register one subcommand with the dataset and output flags every command takes."""
+    sub = commands.add_parser(name, help=help)
     sub.add_argument("--deployments", action="append", required=True, metavar="CSV",
                      help="deployments file, repeat once per source")
     sub.add_argument("--images", action="append", required=True, metavar="CSV",
@@ -77,9 +79,6 @@ def _add_dataset_arguments(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--taxonomy", required=True, metavar="CSV", help="taxonomy file")
     sub.add_argument("--source-name", action="append", default=None, metavar="NAME",
                      help="provenance name per source (default source0, source1, ...)")
-
-
-def _add_common_arguments(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("-o", "--output-dir", required=True, metavar="DIR")
     sub.add_argument("--overwrite", action="store_true",
                      help="allow replacing existing output files")
@@ -91,6 +90,8 @@ def _add_common_arguments(sub: argparse.ArgumentParser) -> None:
                      help="what to print on stdout: human summary or the primary csv artifact")
     sub.add_argument("-v", "--verbose", action="store_true",
                      help="also print every issue to stderr")
+    sub.set_defaults(func=func)
+    return sub
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -100,19 +101,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     commands = parser.add_subparsers(dest="command", required=True)
 
-    sub = commands.add_parser("ingest", help="unify sources into one validated dataset")
-    _add_dataset_arguments(sub)
-    _add_common_arguments(sub)
-    sub.set_defaults(func=_cmd_ingest)
+    _add_command(commands, "ingest", _cmd_ingest, "unify sources into one validated dataset")
+    _add_command(commands, "validate", _cmd_validate,
+                 "report data-quality issues without writing a dataset")
 
-    sub = commands.add_parser("validate", help="report data-quality issues without writing a dataset")
-    _add_dataset_arguments(sub)
-    _add_common_arguments(sub)
-    sub.set_defaults(func=_cmd_validate)
-
-    sub = commands.add_parser("stats", help="class skew, blank rate, and labeling-effort diagnostics")
-    _add_dataset_arguments(sub)
-    _add_common_arguments(sub)
+    sub = _add_command(commands, "stats", _cmd_stats,
+                       "class skew, blank rate, and labeling-effort diagnostics")
     sub.add_argument("--top-n", type=_positive(int), default=20, metavar="N",
                      help="rank cutoff for the skew coverage figure (default 20)")
     sub.add_argument("--level", type=Level.from_name, default=None, metavar="LEVEL",
@@ -121,48 +115,34 @@ def build_parser() -> argparse.ArgumentParser:
                      help="expert labeling rate for the effort estimate (default 450)")
     sub.add_argument("--include-blank", action="store_true",
                      help="keep blank/unknown labels in the skew table")
-    sub.set_defaults(func=_cmd_stats)
 
-    sub = commands.add_parser("split", help="leakage-free geographic train/eval split")
-    _add_dataset_arguments(sub)
-    _add_common_arguments(sub)
+    sub = _add_command(commands, "split", _cmd_split, "leakage-free geographic train/eval split")
     sub.add_argument("--train-fraction", type=_positive(float, below=1.0), default=0.9, metavar="F")
     sub.add_argument("--cell-size-m", type=_positive(float), default=10.0, metavar="METERS")
     sub.add_argument("--seed", type=int, default=0, metavar="SEED")
-    sub.set_defaults(func=_cmd_split)
 
-    sub = commands.add_parser("eval", help="score ranked predictions against ground truth")
-    _add_dataset_arguments(sub)
-    _add_common_arguments(sub)
+    sub = _add_command(commands, "eval", _cmd_eval,
+                       "score ranked predictions against ground truth")
     sub.add_argument("--predictions", required=True, metavar="FILE")
     sub.add_argument("--k", action="append", type=_positive(int), default=None, metavar="K",
                      help="top-k cutoffs, repeatable (default 1 and 3)")
     sub.add_argument("--level", type=Level.from_name, default=Level.SPECIES, metavar="LEVEL")
     sub.add_argument("--split", default=None, metavar="MANIFEST",
                      help="restrict evaluation to image ids listed in this manifest")
-    sub.set_defaults(func=_cmd_eval)
 
-    sub = commands.add_parser("geofilter", help="drop predictions outside each species' range")
-    _add_dataset_arguments(sub)
-    _add_common_arguments(sub)
+    sub = _add_command(commands, "geofilter", _cmd_geofilter,
+                       "drop predictions outside each species' range")
     sub.add_argument("--predictions", required=True, metavar="FILE")
     sub.add_argument("--range-map", required=True, metavar="CSV")
-    sub.set_defaults(func=_cmd_geofilter)
 
-    sub = commands.add_parser("weights", help="export inverse-frequency class weights")
-    _add_dataset_arguments(sub)
-    _add_common_arguments(sub)
+    sub = _add_command(commands, "weights", _cmd_weights, "export inverse-frequency class weights")
     sub.add_argument("--cap", type=_positive(float), default=100.0, metavar="CAP")
     sub.add_argument("--level", type=Level.from_name, default=None, metavar="LEVEL")
-    sub.set_defaults(func=_cmd_weights)
 
-    sub = commands.add_parser("sequences", help="group images into burst sequences")
-    _add_dataset_arguments(sub)
-    _add_common_arguments(sub)
+    sub = _add_command(commands, "sequences", _cmd_sequences, "group images into burst sequences")
     sub.add_argument("--max-gap-seconds", type=_positive(float), default=60.0, metavar="SECONDS")
     sub.add_argument("--predictions", default=None, metavar="FILE",
                      help="also fuse these per-image predictions into one record per sequence")
-    sub.set_defaults(func=_cmd_sequences)
 
     return parser
 

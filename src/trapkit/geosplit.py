@@ -21,11 +21,12 @@ produce identical folds and manifests.
 
 from __future__ import annotations
 
-import csv
 import math
 import random
+from itertools import chain
 from typing import IO, Mapping, NamedTuple, Union
 
+from ._util import write_rows
 from .errors import SplitError
 from .ingest import UnifiedDataset
 
@@ -238,13 +239,13 @@ def read_manifest(stream: IO[str]) -> list[str]:
 
 
 def write_assignment(assignment: SplitAssignment, stream: IO[str]) -> None:
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(ASSIGNMENT_COLUMNS)
-    for region in sorted(assignment.folds):
-        writer.writerow([
+    write_rows(stream, chain([ASSIGNMENT_COLUMNS], (
+        (
             region.cell_x,
             region.cell_y,
-            repr(region.cell_size_m),
+            region.cell_size_m,
             assignment.folds[region],
             assignment.region_image_counts.get(region, 0),
-        ])
+        )
+        for region in sorted(assignment.folds)
+    )))

@@ -20,12 +20,12 @@ shares (header, blank rows, column count, unreadable rows) live in
 
 from __future__ import annotations
 
-import csv
 from datetime import datetime
+from itertools import chain
 from sys import intern
 from typing import IO, Iterable, NamedTuple, Sequence
 
-from ._util import format_timestamp, parse_timestamp, read_rows, record_issue
+from ._util import format_timestamp, parse_timestamp, read_rows, record_issue, write_rows
 from .report import Issue, IssueKind, Severity
 from .taxonomy import TaxonomyTable
 
@@ -216,33 +216,33 @@ def parse_images(stream: IO[str]) -> tuple[list[ImageRecord], list[Issue]]:
 
 
 def write_deployments(records: Iterable[Deployment], stream: IO[str]) -> None:
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(DEPLOYMENT_COLUMNS)
-    for record in records:
-        writer.writerow([
+    write_rows(stream, chain([DEPLOYMENT_COLUMNS], (
+        (
             record.deployment_id,
             record.project_id,
-            repr(record.latitude),
-            repr(record.longitude),
-            record.camera_model or "",
-            format_timestamp(record.start_time) if record.start_time else "",
-            format_timestamp(record.end_time) if record.end_time else "",
-            record.notes or "",
-        ])
+            record.latitude,
+            record.longitude,
+            record.camera_model,
+            format_timestamp(record.start_time) if record.start_time else None,
+            format_timestamp(record.end_time) if record.end_time else None,
+            record.notes,
+        )
+        for record in records
+    )))
 
 
 def write_images(records: Iterable[ImageRecord], stream: IO[str]) -> None:
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(IMAGE_COLUMNS)
-    for record in records:
-        writer.writerow([
+    write_rows(stream, chain([IMAGE_COLUMNS], (
+        (
             record.image_id,
             record.deployment_id,
             format_timestamp(record.timestamp),
             record.label_id,
-            "" if record.burst_index is None else str(record.burst_index),
+            record.burst_index,
             record.source_id,
-        ])
+        )
+        for record in records
+    )))
 
 
 def unify(

@@ -8,7 +8,6 @@ record, and a human-readable detail string.
 
 from __future__ import annotations
 
-import csv
 from enum import Enum
 from typing import IO, Iterable, NamedTuple
 
@@ -82,9 +81,9 @@ class ValidationReport:
 
     def write_csv(self, stream: IO[str]) -> None:
         """Emit one `kind,record_key,detail` line per issue."""
-        writer = csv.writer(stream, lineterminator="\n")
-        for issue in self.issues:
-            writer.writerow([issue.kind.value, issue.key, issue.detail])
+        from ._util import write_rows  # _util imports this module, so not at the top
+
+        write_rows(stream, ((issue.kind.value, issue.key, issue.detail) for issue in self.issues))
 
     def summary(self) -> str:
         lines = ["validation issues:"]

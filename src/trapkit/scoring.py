@@ -16,11 +16,10 @@ coerced to zero.
 
 from __future__ import annotations
 
-import csv
 import math
 from typing import IO, Iterable, Mapping, NamedTuple, Sequence
 
-from ._util import read_rows, record_issue
+from ._util import read_rows, record_issue, write_rows
 from .errors import LabelNotFoundError
 from .report import Issue, IssueKind, Severity
 from .stats import SequenceGroup
@@ -134,26 +133,6 @@ def write_predictions(records: Iterable[PredictionRecord], stream: IO[str]) -> N
         stream.write(f"{record.image_id} {tokens}\n")
 
 
-def _rollup_cache(table: TaxonomyTable, level: Level) -> dict[str, RolledLabel]:
-    return {label_id: rollup(label_id, level, table) for label_id in table.records}
-
-
-def _rolled_ranking(
-    entries: Sequence[tuple[str, float]],
-    cache: Mapping[str, RolledLabel],
-) -> tuple[list[RolledLabel], int]:
-    """Rolled labels in rank order, deduplicated, plus unresolved count."""
-    ranking: list[RolledLabel] = []
-    unresolved = 0
-    for label, _ in entries:
-        rolled = cache.get(label)
-        if rolled is None:
-            unresolved += 1
-        elif rolled not in ranking:
-            ranking.append(rolled)
-    return ranking, unresolved
-
-
 def evaluate(
     predictions: Iterable[PredictionRecord],
     truth: Mapping[str, str],
@@ -177,7 +156,7 @@ def evaluate(
         raise ValueError("truth mapping is empty, nothing to evaluate")
     level = Level(level)
 
-    cache = _rollup_cache(table, level)
+    cache = {label_id: rollup(label_id, level, table) for label_id in table.records}
     truth_rolled: dict[str, RolledLabel] = {}
     support: dict[str, int] = {}
     nonblank_total = 0
@@ -212,13 +191,19 @@ def evaluate(
             continue
         seen.add(image_id)
 
-        ranking, missing = _rolled_ranking(entries, cache)
-        unresolved += missing
+        # The rank is the number of distinct rolled labels ranked above the truth;
+        # every entry the taxonomy cannot resolve counts, even after the hit.
         rank = None
-        for index, rolled in enumerate(ranking):
-            if rolled == truth_label:
-                rank = index
-                break
+        above: set[RolledLabel] = set()
+        for label, _ in entries:
+            rolled = cache.get(label)
+            if rolled is None:
+                unresolved += 1
+            elif rank is None:
+                if rolled == truth_label:
+                    rank = len(above)
+                else:
+                    above.add(rolled)
         if rank is not None:
             for k in ks:
                 if rank < k:
@@ -357,34 +342,29 @@ def sequence_aggregate(
     return aggregated, skipped
 
 
-def _value_text(value) -> str:
-    if value is None:
-        return "undefined"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+def _value_text(value):
+    return "undefined" if value is None else value
 
 
 def write_metrics(report: MetricsReport, stream: IO[str]) -> None:
     """Machine-readable `metric,label_id_or_overall,value` rows."""
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(METRICS_COLUMNS)
-    writer.writerow(["level", "overall", report.level.name.lower()])
+    rows = [METRICS_COLUMNS, ["level", "overall", report.level.name.lower()]]
     for k in sorted(report.topk):
-        writer.writerow([f"top{k}_accuracy", "overall", _value_text(report.topk[k])])
+        rows.append([f"top{k}_accuracy", "overall", _value_text(report.topk[k])])
     for k in sorted(report.topk_nonblank):
-        writer.writerow([
+        rows.append([
             f"top{k}_accuracy_nonblank", "overall", _value_text(report.topk_nonblank[k])
         ])
-    writer.writerow(["evaluated_images", "overall", report.evaluated])
-    writer.writerow(["skipped_images", "overall", report.skipped])
-    writer.writerow(["unresolved_predictions", "overall", report.unresolved_predictions])
-    writer.writerow(["blank_precision", "overall", _value_text(report.blank_precision)])
-    writer.writerow(["blank_recall", "overall", _value_text(report.blank_recall)])
+    rows.append(["evaluated_images", "overall", report.evaluated])
+    rows.append(["skipped_images", "overall", report.skipped])
+    rows.append(["unresolved_predictions", "overall", report.unresolved_predictions])
+    rows.append(["blank_precision", "overall", _value_text(report.blank_precision)])
+    rows.append(["blank_recall", "overall", _value_text(report.blank_recall)])
     for name, metrics in report.per_class.items():
-        writer.writerow(["precision", name, _value_text(metrics.precision)])
-        writer.writerow(["recall", name, _value_text(metrics.recall)])
-        writer.writerow(["support", name, metrics.support])
+        rows.append(["precision", name, _value_text(metrics.precision)])
+        rows.append(["recall", name, _value_text(metrics.recall)])
+        rows.append(["support", name, metrics.support])
+    write_rows(stream, rows)
 
 
 def summarize_metrics(report: MetricsReport) -> str:

@@ -8,12 +8,12 @@ export class weights that counteract the imbalance.
 
 from __future__ import annotations
 
-import csv
 import math
 from datetime import datetime
+from itertools import chain
 from typing import IO, NamedTuple
 
-from ._util import format_timestamp
+from ._util import format_timestamp, write_rows
 from .ingest import UnifiedDataset
 from .taxonomy import BLANK, Level, rollup
 
@@ -193,28 +193,22 @@ def class_weights(counts: dict[str, int], cap: float) -> dict[str, float]:
 
 
 def write_skew(report: SkewReport, stream: IO[str]) -> None:
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(SKEW_COLUMNS)
-    for rank, key, count, cumulative in report.curve:
-        writer.writerow([rank, key, count, repr(cumulative)])
+    write_rows(stream, chain([SKEW_COLUMNS], report.curve))
 
 
 def write_weights(weights: dict[str, float], stream: IO[str]) -> None:
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(WEIGHTS_COLUMNS)
-    for key in sorted(weights):
-        writer.writerow([key, repr(weights[key])])
+    write_rows(stream, chain([WEIGHTS_COLUMNS], sorted(weights.items())))
 
 
 def write_sequences(groups, stream: IO[str]) -> None:
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(SEQUENCE_COLUMNS)
-    for group in groups:
-        writer.writerow([
+    write_rows(stream, chain([SEQUENCE_COLUMNS], (
+        (
             group.sequence_id,
             group.deployment_id,
             format_timestamp(group.start_time),
             format_timestamp(group.end_time),
             len(group.image_ids),
             " ".join(group.image_ids),
-        ])
+        )
+        for group in groups
+    )))

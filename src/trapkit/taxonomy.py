@@ -232,9 +232,7 @@ def rollup(label: Union[str, RolledLabel], level: Level, table: TaxonomyTable) -
             return label
         if level < label.level:
             return RolledLabel(label.names[: level + 1], level)
-        if level == label.level:
-            return RolledLabel(label.names, level)
-        return RolledLabel(label.names, label.level)
+        return label
 
     record = table.resolve(label)
     if record.special_kind is not None:

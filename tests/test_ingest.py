@@ -6,6 +6,7 @@ from datetime import datetime, timezone
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from trapkit._util import write_rows
 from trapkit.cli import main
 from trapkit.errors import HeaderError
 from trapkit.ingest import (
@@ -172,6 +173,14 @@ _timestamp = st.datetimes(
     min_value=datetime(2000, 1, 1),
     max_value=datetime(2030, 1, 1),
 ).map(lambda value: value.replace(tzinfo=UTC))
+# Free text whose inside holds what csv must quote; its ends are not whitespace,
+# which parsing strips.
+_text = st.builds(
+    lambda first, middle, last: first + "".join(middle) + last,
+    _identifier,
+    st.lists(st.sampled_from([",", '"', "\n", "\r\n", " ", "x"]), max_size=6),
+    _identifier,
+)
 
 
 @st.composite
@@ -191,10 +200,10 @@ def _deployments(draw):
             draw(_identifier),
             draw(st.floats(-90, 90, allow_nan=False)),
             draw(st.floats(-180, 180, allow_nan=False)),
-            draw(st.none() | _identifier),
+            draw(st.none() | _text),
             start,
             end,
-            draw(st.none() | _identifier),
+            draw(st.none() | _text),
         ))
     return records
 
@@ -236,6 +245,21 @@ def test_image_round_trip(records):
     parsed, issues = parse_img(buffer.getvalue())
     assert issues == []
     assert parsed == records
+
+
+@pytest.mark.xfail(strict=True, reason="FOUND in CHANGES.md: csv writes a bare \\r unquoted "
+                                       "when lines end in \\n, so the row does not read back")
+def test_bare_cr_in_a_text_cell_round_trips():
+    record = Deployment("d1", "p1", 0.0, 0.0, None, None, None, "two\rlines")
+    buffer = io.StringIO()
+    write_deployments([record], buffer)
+    assert parse_dep(buffer.getvalue()) == ([record], [])
+
+
+def test_write_rows_quotes_and_formats_cells_as_csv_does():
+    buffer = io.StringIO()
+    write_rows(buffer, [[0.1 + 0.2, None, 3, -0.0, 1e22, 'a,"b"', "x\ny"]])
+    assert buffer.getvalue() == '0.30000000000000004,,3,-0.0,1e+22,"a,""b""","x\ny"\n'
 
 
 # ------------------------------------------------------------------- validate

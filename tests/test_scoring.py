@@ -203,6 +203,14 @@ def test_unresolvable_predicted_labels_counted_not_fatal():
     assert report.topk[1] == 1.0
 
 
+def test_unresolvable_labels_after_the_true_label_still_counted():
+    table = _table()
+    predictions = [_record("i1", "sp_b", "sp_a", "alien", "ghost")]
+    report = evaluate(predictions, {"i1": "sp_a"}, table, ks=(1, 2))
+    assert report.unresolved_predictions == 2
+    assert report.topk == {1: 0.0, 2: 1.0}
+
+
 def test_rollup_merges_wrong_species_right_genus():
     table = _table()
     truth = {"i1": "sp_a"}
