@@ -59,31 +59,26 @@ def read_rows(stream: IO[str], columns: list[str], what: str, issues: list[Issue
         issues.append(record_issue(IssueKind.MISSING_FIELD, "", row_number, detail))
 
 
+class _LfLines:
+    r"""A stream whose ``write`` swaps each CSV line's trailing ``\r\n`` for ``\n``."""
+
+    def __init__(self, stream: IO[str]):
+        self.stream = stream
+
+    def write(self, line: str):
+        return self.stream.write(line[:-2] + "\n")
+
+
 def write_rows(stream: IO[str], rows: Iterable) -> None:
-    """Write each row as one CSV line ending in ``\n``: the one output dialect.
+    r"""Write each row as one CSV line ending in ``\n``: the one output dialect.
 
     csv writes None as an empty cell, a float as its ``repr`` and any other
-    value as its ``str``, quoting a cell that holds a comma, quote or ``\n``.
+    value as its ``str``, quoting a cell that holds a comma, quote, ``\r`` or
+    ``\n``. Of ``\r`` and ``\n``, csv quotes only those in its line
+    terminator, so rows are written with ``\r\n`` and each line's ending is
+    cut back to ``\n``.
     """
-    csv.writer(stream, lineterminator="\n").writerows(rows)
-
-
-def parse_timestamp(text: str) -> tuple[datetime, bool]:
-    """Parse an ISO-8601 timestamp into aware UTC.
-
-    Returns (value, was_naive). Naive inputs are interpreted as UTC; the
-    caller decides whether to flag them. Raises ValueError on junk.
-    """
-    cleaned = text.strip()
-    if cleaned.endswith(("Z", "z")):
-        cleaned = cleaned[:-1] + "+00:00"
-    value = datetime.fromisoformat(cleaned)
-    if value.tzinfo is None:
-        return value.replace(tzinfo=UTC), True
-    try:
-        return value.astimezone(UTC), False
-    except OverflowError:  # e.g. 0001-01-01T00:00:00+05:00 is before year 1 in UTC
-        raise ValueError(f"{text!r} is out of range in UTC") from None
+    csv.writer(_LfLines(stream), lineterminator="\r\n").writerows(rows)
 
 
 def format_timestamp(value: datetime) -> str:

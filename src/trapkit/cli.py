@@ -69,6 +69,14 @@ def _positive(kind, below=math.inf):
     return convert
 
 
+def _level(text: str) -> Level:
+    """The argparse type for ``--level``, so a usage error shows ``Level.from_name``'s text."""
+    try:
+        return Level.from_name(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _add_command(commands, name: str, func, help: str) -> argparse.ArgumentParser:
     """Register one subcommand with the dataset and output flags every command takes."""
     sub = commands.add_parser(name, help=help)
@@ -109,7 +117,7 @@ def build_parser() -> argparse.ArgumentParser:
                        "class skew, blank rate, and labeling-effort diagnostics")
     sub.add_argument("--top-n", type=_positive(int), default=20, metavar="N",
                      help="rank cutoff for the skew coverage figure (default 20)")
-    sub.add_argument("--level", type=Level.from_name, default=None, metavar="LEVEL",
+    sub.add_argument("--level", type=_level, default=None, metavar="LEVEL",
                      help="roll labels up to this level first (class/order/family/genus/species)")
     sub.add_argument("--images-per-hour", type=_positive(float), default=450.0, metavar="RATE",
                      help="expert labeling rate for the effort estimate (default 450)")
@@ -126,7 +134,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--predictions", required=True, metavar="FILE")
     sub.add_argument("--k", action="append", type=_positive(int), default=None, metavar="K",
                      help="top-k cutoffs, repeatable (default 1 and 3)")
-    sub.add_argument("--level", type=Level.from_name, default=Level.SPECIES, metavar="LEVEL")
+    sub.add_argument("--level", type=_level, default=Level.SPECIES, metavar="LEVEL")
     sub.add_argument("--split", default=None, metavar="MANIFEST",
                      help="restrict evaluation to image ids listed in this manifest")
 
@@ -137,7 +145,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = _add_command(commands, "weights", _cmd_weights, "export inverse-frequency class weights")
     sub.add_argument("--cap", type=_positive(float), default=100.0, metavar="CAP")
-    sub.add_argument("--level", type=Level.from_name, default=None, metavar="LEVEL")
+    sub.add_argument("--level", type=_level, default=None, metavar="LEVEL")
 
     sub = _add_command(commands, "sequences", _cmd_sequences, "group images into burst sequences")
     sub.add_argument("--max-gap-seconds", type=_positive(float), default=60.0, metavar="SECONDS")

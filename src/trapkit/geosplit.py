@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 import random
 from itertools import chain
-from typing import IO, Mapping, NamedTuple, Union
+from typing import IO, Mapping, NamedTuple
 
 from ._util import write_rows
 from .errors import SplitError
@@ -146,12 +146,11 @@ def assign_regions(dataset: UnifiedDataset, config: SplitConfig) -> SplitAssignm
 
 
 def image_folds(dataset: UnifiedDataset, assignment: SplitAssignment) -> dict[str, str]:
-    """Expand a region assignment to a per-image fold mapping."""
+    """Expand a region assignment to a per-image fold mapping.
+
+    An image whose region the assignment does not name gets no entry.
+    """
     dep_region = _deployment_regions(dataset, assignment.config.cell_size_m)
-    return _image_folds(dataset, assignment, dep_region)
-
-
-def _image_folds(dataset, assignment, dep_region) -> dict[str, str]:
     return {
         image_id: assignment.folds[dep_region[image.deployment_id]]
         for image_id, image in dataset.images.items()
@@ -160,32 +159,17 @@ def _image_folds(dataset, assignment, dep_region) -> dict[str, str]:
 
 
 def leakage_check(
-    dataset: UnifiedDataset,
-    assignment: Union[SplitAssignment, Mapping[str, str]],
-    cell_size_m: float | None = None,
+    dataset: UnifiedDataset, folds: Mapping[str, str], cell_size_m: float
 ) -> list[SplitViolation]:
-    """Verify that no region contributes images to both folds.
+    """Verify that no region of ``cell_size_m`` contributes images to both folds.
 
-    Accepts either a region assignment or a per-image fold mapping (the
-    form a corrupted or externally produced split arrives in). Returns one
-    violation per offending region: kind "leakage" with per-fold image
-    counts when a region's images straddle folds, kind "unassigned" when
-    a populated region has images without a fold.
+    ``folds`` maps image id to fold: the output of ``image_folds``, or a
+    corrupted or externally produced split. Returns one violation per
+    offending region: kind "leakage" with per-fold image counts when a
+    region's images straddle folds, kind "unassigned" when a populated
+    region has images without a fold.
     """
-    if isinstance(assignment, SplitAssignment):
-        # A region missing from the assignment leaves its images without a
-        # fold, so the per-image check below reports it as "unassigned".
-        dep_region = _deployment_regions(dataset, assignment.config.cell_size_m)
-        folds = _image_folds(dataset, assignment, dep_region)
-    elif cell_size_m is None:
-        raise ValueError("cell_size_m is required when checking a per-image fold mapping")
-    else:
-        dep_region = _deployment_regions(dataset, cell_size_m)
-        folds = assignment
-    return _violations(dataset, folds, dep_region)
-
-
-def _violations(dataset, folds, dep_region) -> list[SplitViolation]:
+    dep_region = _deployment_regions(dataset, cell_size_m)
     per_region: dict[RegionId, dict[str, int]] = {}
     for image_id, image in dataset.images.items():
         region = dep_region[image.deployment_id]
@@ -216,9 +200,8 @@ def export_split(
     Refuses to export when the leakage check finds any violation. Manifests
     are sorted by image id so repeated exports are byte-identical.
     """
-    dep_region = _deployment_regions(dataset, assignment.config.cell_size_m)
-    folds = _image_folds(dataset, assignment, dep_region)
-    violations = _violations(dataset, folds, dep_region)
+    folds = image_folds(dataset, assignment)
+    violations = leakage_check(dataset, folds, assignment.config.cell_size_m)
     if violations:
         raise SplitError(
             f"refusing to export a leaking split: {len(violations)} violation(s), "

@@ -25,7 +25,7 @@ from itertools import chain
 from sys import intern
 from typing import IO, Iterable, NamedTuple, Sequence
 
-from ._util import format_timestamp, parse_timestamp, read_rows, record_issue, write_rows
+from ._util import UTC, format_timestamp, read_rows, record_issue, write_rows
 from .report import Issue, IssueKind, Severity
 from .taxonomy import TaxonomyTable
 
@@ -143,16 +143,20 @@ def parse_deployments(stream: IO[str]) -> tuple[list[Deployment], list[Issue]]:
 
 
 def _timestamp(text, field_name, key, row_number, issues, optional=True):
-    """Parse a row's timestamp field; a naive value is assumed UTC, with a warning.
+    """Parse a row's ISO-8601 timestamp field into an aware UTC datetime.
 
-    None, with an issue, if the text is unparseable; None, without one, if it is
-    empty and the field optional.
+    A trailing ``Z`` means UTC; a naive value is assumed UTC, with a warning.
+    None, with an issue, if the text is unparseable or out of range in UTC;
+    None, without one, if it is empty and the field optional.
     """
     if optional and not text:
         return None
+    iso = text[:-1] + "+00:00" if text.endswith(("Z", "z")) else text
     try:
-        value, naive = parse_timestamp(text)
-    except ValueError:
+        value = datetime.fromisoformat(iso)
+        naive = value.tzinfo is None
+        value = value.replace(tzinfo=UTC) if naive else value.astimezone(UTC)
+    except (ValueError, OverflowError):  # OverflowError: 0001-01-01T00:00:00+05:00 in UTC
         cleared = ", cleared" if optional else ""
         issues.append(record_issue(IssueKind.BAD_TIMESTAMP, key, row_number,
                                    f"unparseable {field_name} {text!r}{cleared}"))

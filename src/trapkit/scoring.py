@@ -61,12 +61,6 @@ class RangeBox(NamedTuple):
     lon_min: float
     lon_max: float
 
-    def contains(self, latitude: float, longitude: float) -> bool:
-        return (
-            self.lat_min <= latitude <= self.lat_max
-            and self.lon_min <= longitude <= self.lon_max
-        )
-
 
 def iter_predictions(stream: IO[str], issues: list[Issue]) -> Iterable[PredictionRecord]:
     """Stream `image_id label:score ...` lines as prediction records.
@@ -268,7 +262,8 @@ def geofilter(
         (label, score)
         for label, score in record.entries
         if label not in range_map
-        or any(box.contains(latitude, longitude) for box in range_map[label])
+        or any(lat_min <= latitude <= lat_max and lon_min <= longitude <= lon_max
+               for lat_min, lat_max, lon_min, lon_max in range_map[label])
     )
     if not survivors:
         survivors = ((unknown_label_id, 0.0),)

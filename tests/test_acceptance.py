@@ -11,7 +11,7 @@ import resource
 import time
 from datetime import datetime, timezone
 
-from trapkit.geosplit import SplitConfig, assign_regions, export_split, leakage_check, region_id
+from trapkit.geosplit import SplitConfig, assign_regions, export_split, image_folds, leakage_check, region_id
 from trapkit.ingest import Deployment, ImageRecord, Source, UnifiedDataset, parse_deployments, parse_images, unify
 from trapkit.scoring import evaluate, iter_predictions
 from trapkit.stats import blank_rate, class_distribution, skew_report
@@ -49,7 +49,7 @@ def test_criterion_1_leakage_suite():
             rng, n_regions, total_images=3 * n_regions, zipf_exponent=1.3
         )
         assignment = assign_regions(dataset, SplitConfig(0.9, 10.0, seed=trial))
-        violations = leakage_check(dataset, assignment)
+        violations = leakage_check(dataset, image_folds(dataset, assignment), 10.0)
         largest = max(assignment.region_image_counts.values())
         bound = largest / assignment.total_images
         drift = abs(assignment.realized_train_fraction - 0.9)

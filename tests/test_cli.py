@@ -323,6 +323,61 @@ def test_stats_summary_reports_blank_rate(tmp_path, fixture_dir, capsys):
     assert (out / "skew.csv").exists()
 
 
+def _counts(path):
+    return [(row[1], int(row[2])) for row in list(csv.reader(open(path)))[1:]]
+
+
+def test_stats_level_rolls_labels_up(tmp_path, fixture_dir, capsys):
+    out = tmp_path / "out"
+    assert main(["stats", *_dataset_flags(fixture_dir, out), "--level", "genus"]) == 0
+    assert _counts(out / "skew.csv") == [
+        ("Panthera", 11), ("Lemur", 7), ("Canis", 4), ("Leopardus", 4),
+    ]
+    assert "4 (rolled to genus)" in capsys.readouterr().out
+
+
+def test_stats_include_blank_counts_blank_and_unknown(tmp_path, fixture_dir, capsys):
+    out = tmp_path / "out"
+    argv = ["stats", *_dataset_flags(fixture_dir, out), "--level", "genus", "--include-blank"]
+    assert main(argv) == 0
+    assert _counts(out / "skew.csv") == [
+        ("blank", 13), ("Panthera", 11), ("Lemur", 7), ("Canis", 4), ("Leopardus", 4),
+        ("unknown", 1),
+    ]
+    capsys.readouterr()
+
+
+def test_weights_level_weights_genera(tmp_path, fixture_dir, capsys):
+    out = tmp_path / "out"
+    assert main(["weights", *_dataset_flags(fixture_dir, out), "--level", "genus"]) == 0
+    rows = list(csv.reader(open(out / "weights.csv")))
+    assert [row[0] for row in rows[1:]] == [
+        "Canis", "Lemur", "Leopardus", "Panthera", "blank", "unknown",
+    ]
+    capsys.readouterr()
+
+
+def test_verbose_prints_every_issue_on_stderr(tmp_path, fixture_dir, capsys):
+    out = tmp_path / "out"
+    assert main(["validate", *_dataset_flags(fixture_dir, out), "-v"]) == 0
+    lines = capsys.readouterr().err.splitlines()
+    rows = list(csv.reader(open(out / "issues.csv")))
+    assert len(rows) == 3 and len(lines) == len(rows)
+    for line, (kind, key, detail) in zip(lines, rows):
+        severity, rest = line.split(": ", 1)
+        assert severity in ("error", "warning")
+        assert rest == f"{kind}: {key}: {detail}"
+
+
+@pytest.mark.parametrize("command", ["stats", "eval", "weights"])
+def test_unknown_level_names_the_level(tmp_path, fixture_dir, capsys, command):
+    out = tmp_path / "out"
+    extra = ["--predictions", str(fixture_dir / "predictions.txt")] if command == "eval" else []
+    assert main([command, *_dataset_flags(fixture_dir, out, [*extra, "--level", "bogus"])]) == 2
+    assert "argument --level: unknown taxonomic level: 'bogus'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_full_pipeline_reproduces_golden_outputs(tmp_path, fixture_dir, golden_dir):
     run_pipeline(fixture_dir, tmp_path)
     golden_files = artifact_files(golden_dir)
@@ -358,16 +413,17 @@ def test_cli_import_loads_no_dataclasses_fractions_or_inspect():
     assert result.stdout.strip() == "[]"
 
 
-# One count per command that reads 0 if the traced path no longer reaches its layer.
+# The counts per command that read 0 if the traced path no longer reaches its layers.
 TRACED_COUNTS = {
-    "ingest": "ingest.parse_images.rows",
-    "validate": "ingest.unify.input_images",
-    "stats": "stats.class_distribution.calls",
-    "split": "geosplit.region_id.calls",
-    "eval": "taxonomy.rollup.calls",
-    "geofilter": "scoring.geofilter.calls",
-    "weights": "stats.class_weights.calls",
-    "sequences": "stats.group_bursts.groups",
+    "ingest": ("ingest.parse_images.rows",),
+    "validate": ("ingest.unify.input_images",),
+    "stats": ("stats.class_distribution.calls",),
+    "split": ("geosplit.region_id.calls", "geosplit.image_folds.calls",
+              "geosplit.leakage_check.calls"),
+    "eval": ("taxonomy.rollup.calls",),
+    "geofilter": ("scoring.geofilter.calls",),
+    "weights": ("stats.class_weights.calls",),
+    "sequences": ("stats.group_bursts.groups",),
 }
 
 
@@ -381,7 +437,8 @@ def test_traced_benchmark_run_of_every_pipeline_command(tmp_path, fixture_dir):
         trace = json.loads(spans.read_text(encoding="utf-8"))
         assert trace["status"] == 0, argv[0]
         assert trace["counts"]["report.from_issues.calls"] >= 1, argv[0]
-        assert trace["counts"].get(TRACED_COUNTS[argv[0]], 0) >= 1, argv[0]
+        for name in TRACED_COUNTS[argv[0]]:
+            assert trace["counts"].get(name, 0) >= 1, (argv[0], name)
 
 
 def _copy_fixture(fixture_dir, target, edit):

@@ -230,7 +230,7 @@ def test_fraction_bound_on_random_datasets():
 def test_assign_regions_output_always_passes_leakage_check():
     dataset = _dataset_with_regions({f"r{n}": 3 * n + 1 for n in range(10)})
     assignment = assign_regions(dataset, SplitConfig(0.8, 10.0, seed=9))
-    assert leakage_check(dataset, assignment) == []
+    assert leakage_check(dataset, image_folds(dataset, assignment), 10.0) == []
 
 
 def test_hand_corrupted_fold_mapping_names_the_region():
@@ -283,7 +283,7 @@ def test_missing_region_reports_unassigned():
         eval_images=assignment.eval_images,
         config=assignment.config,
     )
-    violations = leakage_check(dataset, broken)
+    violations = leakage_check(dataset, image_folds(dataset, broken), 10.0)
     assert [v.kind for v in violations] == ["unassigned"]
     assert violations[0].region == removed
 

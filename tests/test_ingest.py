@@ -247,8 +247,6 @@ def test_image_round_trip(records):
     assert parsed == records
 
 
-@pytest.mark.xfail(strict=True, reason="FOUND in CHANGES.md: csv writes a bare \\r unquoted "
-                                       "when lines end in \\n, so the row does not read back")
 def test_bare_cr_in_a_text_cell_round_trips():
     record = Deployment("d1", "p1", 0.0, 0.0, None, None, None, "two\rlines")
     buffer = io.StringIO()
