@@ -186,6 +186,10 @@ def parse_images(stream: IO[str]) -> tuple[list[ImageRecord], list[Issue]]:
                 "image_id, deployment_id, label_id and source_id are required",
             ))
             continue
+        if "\r" in image_id or "\n" in image_id:
+            issues.append(record_issue(IssueKind.MISSING_FIELD, image_id, row_number,
+                                       "image_id contains a line break"))
+            continue
         if image_id in seen:
             issues.append(record_issue(IssueKind.DUPLICATE_ID, image_id, row_number,
                                        "duplicate image_id, first occurrence kept"))

@@ -86,9 +86,7 @@ def _parse_prediction_line(line: str, line_number: int, issues: list[Issue]):
         issues.append(record_issue(IssueKind.MALFORMED_PREDICTION, image_id, line_number,
                                    "no ranked entries", unit="line"))
         return None
-    entries: list[tuple[str, float]] = []
-    labels_seen: set[str] = set()
-    duplicate = False
+    scores: dict[str, float] = {}
     for token in parts[1:]:
         label, sep, score_text = token.rpartition(":")
         if not sep or not label:
@@ -103,22 +101,19 @@ def _parse_prediction_line(line: str, line_number: int, issues: list[Issue]):
             issues.append(record_issue(IssueKind.MALFORMED_PREDICTION, image_id, line_number,
                                        f"bad score in {token!r}", unit="line"))
             return None
-        if label in labels_seen:
-            duplicate = True
-            continue
-        labels_seen.add(label)
-        entries.append((label, score))
-    if duplicate:
+        scores.setdefault(label, score)
+    if len(scores) < len(parts) - 1:
         issues.append(record_issue(IssueKind.DUPLICATE_ID, image_id, line_number,
                                    "duplicate labels in record, highest rank kept",
                                    Severity.WARNING, unit="line"))
-    scores = [score for _, score in entries]
-    if any(scores[i] < scores[i + 1] for i in range(len(scores) - 1)):
+    entries = tuple(scores.items())
+    values = list(scores.values())
+    if values != sorted(values, reverse=True):
         issues.append(record_issue(IssueKind.UNSORTED_SCORES, image_id, line_number,
                                    "scores not nonincreasing, re-sorted",
                                    Severity.WARNING, unit="line"))
-        entries.sort(key=lambda entry: -entry[1])
-    return PredictionRecord(image_id, tuple(entries))
+        entries = tuple(sorted(entries, key=lambda entry: -entry[1]))
+    return PredictionRecord(image_id, entries)
 
 
 def write_predictions(records: Iterable[PredictionRecord], stream: IO[str]) -> None:

@@ -161,7 +161,7 @@ def parse_taxonomy(stream: IO[str]) -> tuple[TaxonomyTable, list[Issue]]:
                                            "non-special label without class_name"))
                 continue
             record = TaxonRecord(label_id, *fields)
-            if _has_lineage_gap(fields):
+            if len(record.lineage()) < len(fields) - fields.count(None):
                 issues.append(record_issue(
                     IssueKind.TREE_INCONSISTENCY, label_id, row_number,
                     "names do not populate contiguously from class", Severity.WARNING,
@@ -181,16 +181,6 @@ def parse_taxonomy(stream: IO[str]) -> tuple[TaxonomyTable, list[Issue]]:
     issues.extend(_tree_consistency_issues(records.values()))
     table = TaxonomyTable(records, blank_id, unknown_id)
     return table, issues
-
-
-def _has_lineage_gap(fields: list[str | None]) -> bool:
-    seen_gap = False
-    for name in fields:
-        if name is None:
-            seen_gap = True
-        elif seen_gap:
-            return True
-    return False
 
 
 def _tree_consistency_issues(records: Iterable[TaxonRecord]) -> list[Issue]:

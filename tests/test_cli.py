@@ -413,6 +413,15 @@ def test_cli_import_loads_no_dataclasses_fractions_or_inspect():
     assert result.stdout.strip() == "[]"
 
 
+def test_package_import_loads_no_submodule_and_exports_only_its_version():
+    result = _python("-c", "import sys, trapkit; "
+                     "print([m for m in sys.modules if m.startswith('trapkit.')]); "
+                     "print([n for n in vars(trapkit) if not n.startswith('_')]); "
+                     "print(trapkit.__version__)")
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines() == ["[]", "[]", "0.1.0"]
+
+
 # The counts per command that read 0 if the traced path no longer reaches its layers.
 TRACED_COUNTS = {
     "ingest": ("ingest.parse_images.rows",),

@@ -26,6 +26,7 @@ from trapkit.scoring import RANGE_MAP_COLUMNS, parse_range_map
 from trapkit.taxonomy import TAXONOMY_COLUMNS, parse_taxonomy
 
 from oracles import duplicate_count
+from pipeline import pipeline_commands
 
 UTC = timezone.utc
 
@@ -335,6 +336,39 @@ def test_validation_completeness_k_defects_k_issues(tmp_path, fixture_dir):
         ("unknown_label", "i3"),
         ("duplicate_id", "i3"),
     ]
+
+
+def test_image_id_with_a_line_break_is_rejected_and_keeps_manifests_whole(
+        tmp_path, fixture_dir, golden_dir, capsys):
+    # i_am1_001 is a planted duplicate, so rename an id that appears once
+    fixture = tmp_path / "fixture"
+    fixture.mkdir()
+    for path in fixture_dir.iterdir():
+        text = path.read_bytes()
+        if path.name == "images.csv":
+            text = text.replace(b"\ni_am1_002,", b'\n"i_am1_002\nx",')
+        (fixture / path.name).write_bytes(text)
+    commands = {argv[0]: argv for argv in pipeline_commands(fixture, tmp_path / "out")}
+    for name in ("validate", "split", "eval"):
+        assert main(commands[name]) == 0, name
+    assert "manifest" not in capsys.readouterr().err
+
+    def issue_rows(root):
+        with open(root / "validate" / "issues.csv", encoding="utf-8", newline="") as handle:
+            return list(csv.reader(handle))
+
+    def manifest_ids(root):
+        return sorted(line for name in ("train.txt", "eval.txt")
+                      for line in (root / "split" / name).read_text(encoding="utf-8").splitlines())
+
+    out, golden = issue_rows(tmp_path / "out"), issue_rows(golden_dir)
+    assert len(out) == len(golden) + 1
+    assert [row for row in out if row not in golden] == [
+        ["missing_field", "i_am1_002\nx", "row 3: image_id contains a line break"],
+    ]
+    # one id per line: the golden ids less the rejected one
+    assert manifest_ids(tmp_path / "out") == \
+        [image_id for image_id in manifest_ids(golden_dir) if image_id != "i_am1_002"]
 
 
 # ---------------------------------------------------------------------- unify

@@ -100,6 +100,17 @@ def test_duplicate_labels_keep_highest_rank():
     assert [issue.kind for issue in issues] == [IssueKind.DUPLICATE_ID]
 
 
+@pytest.mark.parametrize("line, entries, kinds", [
+    ("i1 sp_a:0.9 sp_b:0.5 sp_a:0.95", (("sp_a", 0.9), ("sp_b", 0.5)), [IssueKind.DUPLICATE_ID]),
+    ("i1 sp_a:0.1 sp_b:0.9 sp_a:0.95", (("sp_b", 0.9), ("sp_a", 0.1)),
+     [IssueKind.DUPLICATE_ID, IssueKind.UNSORTED_SCORES]),
+], ids=["sorted", "unsorted"])
+def test_only_first_seen_entries_are_checked_for_order(line, entries, kinds):
+    records, issues = _parse_all(io.StringIO(line + "\n"))
+    assert records[0].entries == entries
+    assert [issue.kind for issue in issues] == kinds
+
+
 _TOKENS = st.one_of(
     st.text(max_size=10),
     st.sampled_from([
