@@ -22,6 +22,11 @@ def record_issue(kind: IssueKind, key: str, number: int, text: str,
     return Issue(kind, key or where, f"{where}: {text}", severity)
 
 
+def coordinate_ok(latitude: float, longitude: float) -> bool:
+    """Whether a point lies in the latitude and longitude ranges every deployment needs."""
+    return -90.0 <= latitude <= 90.0 and -180.0 <= longitude <= 180.0
+
+
 def read_rows(stream: IO[str], columns: list[str], what: str, issues: list[Issue]):
     """Yield ``(row_number, stripped_cells)`` for each well-formed data row.
 

@@ -26,7 +26,7 @@ import random
 from itertools import chain
 from typing import IO, Mapping, NamedTuple
 
-from ._util import write_rows
+from ._util import coordinate_ok, write_rows
 from .errors import SplitError
 from .ingest import UnifiedDataset
 
@@ -58,6 +58,7 @@ class SplitConfig:
 class SplitAssignment(NamedTuple):
     folds: dict[RegionId, str]
     region_image_counts: dict[RegionId, int]
+    deployment_regions: dict[str, RegionId]
     train_images: int
     eval_images: int
     config: SplitConfig
@@ -78,7 +79,7 @@ class SplitViolation(NamedTuple):
 
 
 def region_id(latitude: float, longitude: float, cell_size_m: float) -> RegionId:
-    if not (-90.0 <= latitude <= 90.0 and -180.0 <= longitude <= 180.0):
+    if not coordinate_ok(latitude, longitude):
         raise ValueError(f"invalid coordinates ({latitude}, {longitude})")
     if not (math.isfinite(cell_size_m) and cell_size_m > 0):
         raise ValueError(f"cell_size_m must be a finite number > 0, got {cell_size_m}")
@@ -139,6 +140,7 @@ def assign_regions(dataset: UnifiedDataset, config: SplitConfig) -> SplitAssignm
     return SplitAssignment(
         folds=folds,
         region_image_counts=counts,
+        deployment_regions=dep_region,
         train_images=train_images,
         eval_images=total - train_images,
         config=config,
@@ -148,9 +150,11 @@ def assign_regions(dataset: UnifiedDataset, config: SplitConfig) -> SplitAssignm
 def image_folds(dataset: UnifiedDataset, assignment: SplitAssignment) -> dict[str, str]:
     """Expand a region assignment to a per-image fold mapping.
 
-    An image whose region the assignment does not name gets no entry.
+    Reads the deployment-to-region map that ``assign_regions`` stored, so
+    ``dataset`` must be the dataset that was assigned. An image whose
+    region the assignment does not name gets no entry.
     """
-    dep_region = _deployment_regions(dataset, assignment.config.cell_size_m)
+    dep_region = assignment.deployment_regions
     return {
         image_id: assignment.folds[dep_region[image.deployment_id]]
         for image_id, image in dataset.images.items()
@@ -228,7 +232,7 @@ def write_assignment(assignment: SplitAssignment, stream: IO[str]) -> None:
             region.cell_y,
             region.cell_size_m,
             assignment.folds[region],
-            assignment.region_image_counts.get(region, 0),
+            assignment.region_image_counts[region],
         )
         for region in sorted(assignment.folds)
     )))

@@ -25,7 +25,7 @@ from itertools import chain
 from sys import intern
 from typing import IO, Iterable, NamedTuple, Sequence
 
-from ._util import UTC, format_timestamp, read_rows, record_issue, write_rows
+from ._util import UTC, coordinate_ok, format_timestamp, read_rows, record_issue, write_rows
 from .report import Issue, IssueKind, Severity
 from .taxonomy import TaxonomyTable
 
@@ -85,10 +85,6 @@ class UnifiedDataset(NamedTuple):
     provenance: tuple[str, ...]
 
 
-def _coordinate_ok(latitude: float, longitude: float) -> bool:
-    return -90.0 <= latitude <= 90.0 and -180.0 <= longitude <= 180.0
-
-
 def parse_deployments(stream: IO[str]) -> tuple[list[Deployment], list[Issue]]:
     """Parse deployment rows, collecting per-row issues instead of failing.
 
@@ -116,7 +112,7 @@ def parse_deployments(stream: IO[str]) -> tuple[list[Deployment], list[Issue]]:
             issues.append(record_issue(IssueKind.BAD_COORDINATE, dep_id, row_number,
                                        f"unparseable coordinates {lat_text!r},{lon_text!r}"))
             continue
-        if not _coordinate_ok(latitude, longitude):
+        if not coordinate_ok(latitude, longitude):
             issues.append(record_issue(IssueKind.BAD_COORDINATE, dep_id, row_number,
                                        f"coordinates ({latitude}, {longitude}) out of range"))
             continue
@@ -186,9 +182,9 @@ def parse_images(stream: IO[str]) -> tuple[list[ImageRecord], list[Issue]]:
                 "image_id, deployment_id, label_id and source_id are required",
             ))
             continue
-        if "\r" in image_id or "\n" in image_id:
+        if image_id.split() != [image_id]:
             issues.append(record_issue(IssueKind.MISSING_FIELD, image_id, row_number,
-                                       "image_id contains a line break"))
+                                       "image_id contains whitespace"))
             continue
         if image_id in seen:
             issues.append(record_issue(IssueKind.DUPLICATE_ID, image_id, row_number,

@@ -58,14 +58,6 @@ class ValidationReport:
         return cls(sorted(issues, key=_sort_key))
 
     @property
-    def total(self) -> int:
-        return len(self.issues)
-
-    @property
-    def is_empty(self) -> bool:
-        return not self.issues
-
-    @property
     def has_errors(self) -> bool:
         return any(issue.severity is Severity.ERROR for issue in self.issues)
 
@@ -90,7 +82,7 @@ class ValidationReport:
         for kind, count in self.counts().items():
             if count:
                 lines.append(f"  {kind.value:<22} {count}")
-        if self.is_empty:
+        if not self.issues:
             lines.append("  none")
-        lines.append(f"  {'total':<22} {self.total}")
+        lines.append(f"  {'total':<22} {len(self.issues)}")
         return "\n".join(lines)

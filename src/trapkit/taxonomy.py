@@ -104,9 +104,6 @@ class TaxonomyTable:
     def __contains__(self, label_id: str) -> bool:
         return label_id in self.records
 
-    def __len__(self) -> int:
-        return len(self.records)
-
     def resolve(self, label_id: str) -> TaxonRecord:
         try:
             return self.records[label_id]

@@ -448,6 +448,10 @@ def test_traced_benchmark_run_of_every_pipeline_command(tmp_path, fixture_dir):
         assert trace["counts"]["report.from_issues.calls"] >= 1, argv[0]
         for name in TRACED_COUNTS[argv[0]]:
             assert trace["counts"].get(name, 0) >= 1, (argv[0], name)
+        if argv[0] == "split":
+            # binned once to assign, once more by the independent leakage check
+            assert trace["counts"]["geosplit.region_id.calls"] == \
+                2 * trace["counts"]["ingest.unify.deployments"] == 8
 
 
 def _copy_fixture(fixture_dir, target, edit):

@@ -276,13 +276,7 @@ def test_missing_region_reports_unassigned():
     damaged = dict(assignment.folds)
     removed = sorted(damaged)[0]
     del damaged[removed]
-    broken = type(assignment)(
-        folds=damaged,
-        region_image_counts=assignment.region_image_counts,
-        train_images=assignment.train_images,
-        eval_images=assignment.eval_images,
-        config=assignment.config,
-    )
+    broken = assignment._replace(folds=damaged)
     violations = leakage_check(dataset, image_folds(dataset, broken), 10.0)
     assert [v.kind for v in violations] == ["unassigned"]
     assert violations[0].region == removed
@@ -306,13 +300,7 @@ def test_export_refuses_damaged_assignment():
     assignment = assign_regions(dataset, SplitConfig(0.6, 10.0, seed=0))
     damaged = dict(assignment.folds)
     del damaged[sorted(damaged)[0]]
-    broken = type(assignment)(
-        folds=damaged,
-        region_image_counts=assignment.region_image_counts,
-        train_images=assignment.train_images,
-        eval_images=assignment.eval_images,
-        config=assignment.config,
-    )
+    broken = assignment._replace(folds=damaged)
     with pytest.raises(SplitError):
         export_split(dataset, broken)
 

@@ -338,18 +338,23 @@ def test_validation_completeness_k_defects_k_issues(tmp_path, fixture_dir):
     ]
 
 
+@pytest.mark.parametrize("cell, image_id", [
+    (b'"i_am1_002\nx"', "i_am1_002\nx"),
+    (b"i_am1_002 x", "i_am1_002 x"),
+    (b"i_am1_002\tx", "i_am1_002\tx"),
+], ids=["line_break", "space", "tab"])
 def test_image_id_with_a_line_break_is_rejected_and_keeps_manifests_whole(
-        tmp_path, fixture_dir, golden_dir, capsys):
+        tmp_path, fixture_dir, golden_dir, capsys, cell, image_id):
     # i_am1_001 is a planted duplicate, so rename an id that appears once
     fixture = tmp_path / "fixture"
     fixture.mkdir()
     for path in fixture_dir.iterdir():
         text = path.read_bytes()
         if path.name == "images.csv":
-            text = text.replace(b"\ni_am1_002,", b'\n"i_am1_002\nx",')
+            text = text.replace(b"\ni_am1_002,", b"\n" + cell + b",")
         (fixture / path.name).write_bytes(text)
     commands = {argv[0]: argv for argv in pipeline_commands(fixture, tmp_path / "out")}
-    for name in ("validate", "split", "eval"):
+    for name in ("validate", "split", "eval", "sequences"):
         assert main(commands[name]) == 0, name
     assert "manifest" not in capsys.readouterr().err
 
@@ -364,11 +369,15 @@ def test_image_id_with_a_line_break_is_rejected_and_keeps_manifests_whole(
     out, golden = issue_rows(tmp_path / "out"), issue_rows(golden_dir)
     assert len(out) == len(golden) + 1
     assert [row for row in out if row not in golden] == [
-        ["missing_field", "i_am1_002\nx", "row 3: image_id contains a line break"],
+        ["missing_field", image_id, "row 3: image_id contains whitespace"],
     ]
     # one id per line: the golden ids less the rejected one
     assert manifest_ids(tmp_path / "out") == \
-        [image_id for image_id in manifest_ids(golden_dir) if image_id != "i_am1_002"]
+        [iid for iid in manifest_ids(golden_dir) if iid != "i_am1_002"]
+    with open(tmp_path / "out" / "sequences" / "sequences.csv", encoding="utf-8",
+              newline="") as handle:
+        rows = list(csv.DictReader(handle))
+    assert rows and all(int(row["n_images"]) == len(row["image_ids"].split()) for row in rows)
 
 
 # ---------------------------------------------------------------------- unify

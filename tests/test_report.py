@@ -24,14 +24,16 @@ def test_counts_cover_every_kind_and_sum_to_total():
     assert counts[IssueKind.ORPHAN_IMAGE] == 2
     assert counts[IssueKind.BAD_TIMESTAMP] == 1
     assert counts[IssueKind.UNKNOWN_LABEL] == 0
-    assert sum(counts.values()) == report.total == 3
+    assert sum(counts.values()) == len(report.issues) == 3
 
 
 def test_empty_report_flags():
     report = ValidationReport()
-    assert report.is_empty
+    assert report.issues == []
     assert not report.has_errors
-    assert report.total == 0
+    assert report.summary().splitlines() == [
+        "validation issues:", "  none", "  total" + " " * 18 + "0",
+    ]
 
 
 def test_has_errors_ignores_warnings():
@@ -39,7 +41,7 @@ def test_has_errors_ignores_warnings():
         Issue(IssueKind.BAD_TIMESTAMP, "i1", "naive", Severity.WARNING),
     ])
     assert not warn_only.has_errors
-    assert not warn_only.is_empty
+    assert warn_only.issues
 
 
 def test_csv_lines_quote_details_with_commas():

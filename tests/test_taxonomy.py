@@ -35,7 +35,7 @@ def test_level_is_totally_ordered_coarse_to_fine():
 
 def test_minimal_table_gets_synthetic_blank():
     table, report = parse(f"{HEADER}\nsp_x,Mammalia,Carnivora,Felidae,Panthera,Panthera onca,\n")
-    assert len(table) == 2
+    assert len(table.records) == 2
     assert table.blank_label_id == "blank"
     assert table.records["blank"].special_kind == "blank"
     kinds = [issue.kind for issue in report.issues]
@@ -56,7 +56,7 @@ def test_same_genus_different_family_is_reported():
 
 
 def test_fixture_parses_clean(taxonomy_table):
-    assert len(taxonomy_table) == 12
+    assert len(taxonomy_table.records) == 12
     assert taxonomy_table.blank_label_id == "blank"
     assert taxonomy_table.unknown_label_id == "unknown"
 
@@ -144,7 +144,7 @@ def test_distinct_counts_on_fixture(taxonomy_table):
 
 def test_distinct_counts_only_special_labels_is_empty():
     table, report = parse(f"{HEADER}\nblank,,,,,,blank\nunknown,,,,,,unknown\n")
-    assert report.is_empty
+    assert report.issues == []
     assert distinct_counts(table) == {}
 
 
