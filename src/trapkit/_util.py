@@ -90,4 +90,6 @@ def format_timestamp(value: datetime) -> str:
     """Canonical UTC text form, `2015-06-01T12:00:00Z`."""
     if value.tzinfo is None:
         value = value.replace(tzinfo=UTC)
-    return value.astimezone(UTC).isoformat().replace("+00:00", "Z")
+    elif value.tzinfo is not UTC:
+        value = value.astimezone(UTC)
+    return value.isoformat().replace("+00:00", "Z")

@@ -5,9 +5,13 @@ identical invocations produce byte-identical artifacts. Nothing is cached
 between runs and all intermediates are explicit files, so pipelines can
 be rebuilt or diffed at any stage.
 
-Each ``_cmd_*`` function only computes; ``_run`` does all the I/O around
-it. Every artifact is streamed into a hidden ``.NAME.partial`` file and
-renamed into place when complete, so it is either whole or absent.
+Each ``_cmd_*`` function returns its artifacts as writers and its summary
+as a callable; ``_run`` does all the I/O around them. A writer may still
+read an input as it writes (``geofilter`` and ``sequences`` stream their
+predictions), so summaries and the validation report are built only once
+every writer is done. Every artifact is streamed into a hidden
+``.NAME.partial`` file; only when all of a command's partial files are
+whole are they renamed into place, so its artifacts are all there or none.
 
 Exit status: 0 on success; 1 on runtime errors, including input that is
 not UTF-8, or (with --strict) on error-severity validation issues; 2 on
@@ -205,8 +209,14 @@ def _load_dataset(args):
     return dataset, issues
 
 
-def _write_artifacts(outdir: Path, artifacts: dict, overwrite: bool) -> None:
-    """Refuse to clobber before writing anything; then write each artifact atomically."""
+def _write_artifacts(outdir: Path, artifacts: dict, overwrite: bool, issues: list):
+    """Refuse to clobber before writing anything; then write all artifacts or none.
+
+    Each writer streams into its own partial file, and the partial files are
+    renamed into place only after every one is whole. A ``None`` writer stands
+    for the validation report. Its partial file is written last, so the report
+    holds every issue the other writers appended. Returns that report.
+    """
     if not overwrite:
         existing = [name for name in artifacts if (outdir / name).exists()]
         if existing:
@@ -214,30 +224,37 @@ def _write_artifacts(outdir: Path, artifacts: dict, overwrite: bool) -> None:
                 f"refusing to overwrite {', '.join(existing)} in {outdir} (pass --overwrite)"
             )
     outdir.mkdir(parents=True, exist_ok=True)
-    for name, write in artifacts.items():
-        partial = outdir / f".{name}.partial"
-        try:
-            with open(partial, "w", encoding="utf-8", newline="") as handle:
+    partials = {name: outdir / f".{name}.partial" for name in artifacts}
+    report = None
+    try:
+        for name, write in sorted(artifacts.items(), key=lambda item: item[1] is None):
+            if write is None:
+                report = ValidationReport.from_issues(issues)
+                write = report.write_csv
+            with open(partials[name], "w", encoding="utf-8", newline="") as handle:
                 write(handle)
+        for name, partial in partials.items():
             os.replace(partial, outdir / name)
-        except BaseException:
+    except BaseException:
+        for partial in partials.values():
             partial.unlink(missing_ok=True)
-            raise
+        raise
+    return report or ValidationReport.from_issues(issues)
 
 
 def _run(args) -> int:
     """Load the inputs, run one command, then write and print its results.
 
     A command appends its own issues and returns its artifacts as file name ->
-    ``write(handle)``, primary first, plus its summary lines. A ``None`` writer
-    stands for the validation report, which exists only once those issues are in.
+    ``write(handle)``, primary first, plus a callable that returns its summary
+    lines. A ``None`` writer stands for the validation report. Writers may
+    append issues and set counts as they go, so the report and the summary are
+    built after writing.
     """
     dataset, issues = _load_dataset(args)
-    artifacts, lines = args.func(args, dataset, issues)
-    report = ValidationReport.from_issues(issues)
-    artifacts = {name: write or report.write_csv for name, write in artifacts.items()}
+    artifacts, summary = args.func(args, dataset, issues)
     outdir = Path(args.output_dir)
-    _write_artifacts(outdir, artifacts, args.overwrite)
+    report = _write_artifacts(outdir, artifacts, args.overwrite, issues)
 
     if args.verbose:
         for issue in report.issues:
@@ -246,7 +263,7 @@ def _run(args) -> int:
     if args.format == "csv":
         print((outdir / next(iter(artifacts))).read_text(encoding="utf-8"), end="")
     else:
-        print("\n".join([*lines, report.summary()]))
+        print("\n".join([*summary(), report.summary()]))
     if args.strict and report.has_errors:
         print("strict mode: error-severity issues present", file=sys.stderr)
         return 1
@@ -260,14 +277,14 @@ def _cmd_ingest(args, dataset, issues):
         "images.csv": lambda handle: write_images(dataset.images.values(), handle),
         "provenance.txt": lambda handle: handle.writelines(f"{name}\n" for name in dataset.provenance),
     }
-    return artifacts, [
+    return artifacts, lambda: [
         f"unified {len(dataset.deployments)} deployments and {len(dataset.images)} images "
         f"from {len(dataset.provenance)} source(s)",
     ]
 
 
 def _cmd_validate(args, dataset, issues):
-    return {"issues.csv": None}, [
+    return {"issues.csv": None}, lambda: [
         f"checked {len(dataset.deployments)} deployments and {len(dataset.images)} images",
     ]
 
@@ -291,7 +308,7 @@ def _cmd_stats(args, dataset, issues):
     ]
     for source, source_rate in per_source.items():
         lines.append(f"  blank rate [{source}]  {source_rate:.4f}")
-    return {"skew.csv": lambda handle: write_skew(skew, handle)}, lines
+    return {"skew.csv": lambda handle: write_skew(skew, handle)}, lambda: lines
 
 
 def _cmd_split(args, dataset, issues):
@@ -304,7 +321,7 @@ def _cmd_split(args, dataset, issues):
         "eval.txt": lambda handle: write_manifest(eval_ids, handle),
     }
     folds = assignment.folds
-    return artifacts, [
+    return artifacts, lambda: [
         f"regions                 {len(folds)} "
         f"(train {sum(1 for f in folds.values() if f == 'train')}, "
         f"eval {sum(1 for f in folds.values() if f == 'eval')})",
@@ -330,33 +347,36 @@ def _cmd_eval(args, dataset, issues):
         level=args.level,
     ))
     artifacts = {"metrics.csv": lambda handle: write_metrics(metrics, handle)}
-    return artifacts, [summarize_metrics(metrics)]
+    return artifacts, lambda: [summarize_metrics(metrics)]
 
 
 def _cmd_geofilter(args, dataset, issues):
     range_map, range_issues = _read(args.range_map, parse_range_map)
+    issues.extend(range_issues)
     unknown_id = dataset.taxonomy.unknown_label_id or "unknown"
-    filtered = []
-    passthrough = changed = 0
+    records = passthrough = changed = 0
 
-    def filter_records(handle):
+    def filtered(handle):
         nonlocal passthrough, changed
         for record in iter_predictions(handle, issues):
             image = dataset.images.get(record.image_id)
             if image is None:
                 passthrough += 1
-                filtered.append(record)
+                yield record
                 continue
             deployment = dataset.deployments[image.deployment_id]
             result = geofilter(record, deployment.latitude, deployment.longitude,
                                range_map, unknown_id)
             changed += result.entries != record.entries
-            filtered.append(result)
+            yield result
 
-    _read(args.predictions, filter_records)
-    issues.extend(range_issues)
-    return {"predictions_filtered.txt": lambda handle: write_predictions(filtered, handle)}, [
-        f"records                 {len(filtered)}",
+    def write(handle):
+        nonlocal records
+        records = _read(args.predictions,
+                        lambda predictions: write_predictions(filtered(predictions), handle))
+
+    return {"predictions_filtered.txt": write}, lambda: [
+        f"records                 {records}",
         f"records changed         {changed}",
         f"unknown image ids       {passthrough} (passed through unfiltered)",
     ]
@@ -365,7 +385,7 @@ def _cmd_geofilter(args, dataset, issues):
 def _cmd_weights(args, dataset, issues):
     histogram = class_distribution(dataset, level=args.level)
     weights = class_weights(histogram, args.cap)
-    return {"weights.csv": lambda handle: write_weights(weights, handle)}, [
+    return {"weights.csv": lambda handle: write_weights(weights, handle)}, lambda: [
         f"labels weighted         {len(weights)} (cap {args.cap:g})",
     ]
 
@@ -374,14 +394,23 @@ def _cmd_sequences(args, dataset, issues):
     groups = group_bursts(dataset, args.max_gap_seconds)
     artifacts = {"sequences.csv": lambda handle: write_sequences(groups, handle)}
     lines = [f"sequences               {len(groups)} from {len(dataset.images)} images"]
-    if args.predictions:
-        aggregated, skipped = _read(args.predictions, lambda handle: sequence_aggregate(
-            iter_predictions(handle, issues), groups
+    if not args.predictions:
+        return artifacts, lambda: lines
+
+    aggregated = 0
+
+    def write(handle):
+        nonlocal aggregated
+        aggregated = _read(args.predictions, lambda predictions: write_predictions(
+            sequence_aggregate(iter_predictions(predictions, issues), groups), handle
         ))
-        artifacts["sequence_predictions.txt"] = lambda handle: write_predictions(aggregated, handle)
-        lines.append(f"aggregated predictions  {len(aggregated)} "
-                     f"({len(skipped)} sequence(s) had no predicted member)")
-    return artifacts, lines
+
+    artifacts["sequence_predictions.txt"] = write
+    return artifacts, lambda: [
+        *lines,
+        f"aggregated predictions  {aggregated} "
+        f"({len(groups) - aggregated} sequence(s) had no predicted member)",
+    ]
 
 
 def main(argv=None) -> int:

@@ -116,10 +116,14 @@ def _parse_prediction_line(line: str, line_number: int, issues: list[Issue]):
     return PredictionRecord(image_id, entries)
 
 
-def write_predictions(records: Iterable[PredictionRecord], stream: IO[str]) -> None:
+def write_predictions(records: Iterable[PredictionRecord], stream: IO[str]) -> int:
+    """Write one `image_id label:score ...` line per record; returns the line count."""
+    count = 0
     for record in records:
         tokens = " ".join(f"{label}:{score!r}" for label, score in record.entries)
         stream.write(f"{record.image_id} {tokens}\n")
+        count += 1
+    return count
 
 
 def evaluate(
@@ -253,16 +257,19 @@ def geofilter(
     unknown-label entry with score 0 is emitted so the record never goes
     empty.
     """
-    survivors = tuple(
-        (label, score)
-        for label, score in record.entries
-        if label not in range_map
-        or any(lat_min <= latitude <= lat_max and lon_min <= longitude <= lon_max
-               for lat_min, lat_max, lon_min, lon_max in range_map[label])
-    )
+    survivors = []
+    for entry in record.entries:
+        boxes = range_map.get(entry[0])
+        if boxes is None:
+            survivors.append(entry)
+            continue
+        for lat_min, lat_max, lon_min, lon_max in boxes:
+            if lat_min <= latitude <= lat_max and lon_min <= longitude <= lon_max:
+                survivors.append(entry)
+                break
     if not survivors:
-        survivors = ((unknown_label_id, 0.0),)
-    return PredictionRecord(record.image_id, survivors)
+        survivors.append((unknown_label_id, 0.0))
+    return PredictionRecord(record.image_id, tuple(survivors))
 
 
 def parse_range_map(stream: IO[str]) -> tuple[dict[str, list[RangeBox]], list[Issue]]:
@@ -297,28 +304,25 @@ def parse_range_map(stream: IO[str]) -> tuple[dict[str, list[RangeBox]], list[Is
 def sequence_aggregate(
     predictions: Iterable[PredictionRecord],
     groups: Sequence[SequenceGroup],
-) -> tuple[list[PredictionRecord], list[str]]:
-    """Fuse per-image predictions into one ranked record per burst group.
+) -> Iterable[PredictionRecord]:
+    """Yield one fused, ranked record per burst group, in group order.
 
     Each member record's scores are normalized by its own top score, the
     normalized scores are averaged per label across the group's predicted
     members (absent labels contribute zero), and labels are re-ranked by
-    descending mean with ties broken by label id. Groups with no predicted
-    member are skipped and returned in the second element.
+    descending mean with ties broken by label id. A group with no predicted
+    member yields nothing. Every prediction is read before the first yield.
     """
     by_image: dict[str, PredictionRecord] = {}
     for record in predictions:
         by_image.setdefault(record.image_id, record)
 
-    aggregated: list[PredictionRecord] = []
-    skipped: list[str] = []
     for group in groups:
         members = [
             by_image[iid] for iid in group.image_ids
             if iid in by_image and by_image[iid].entries
         ]
         if not members:
-            skipped.append(group.sequence_id)
             continue
         sums: dict[str, float] = {}
         for record in members:
@@ -328,8 +332,7 @@ def sequence_aggregate(
                 sums[label] = sums.get(label, 0.0) + normalized
         means = {label: value / len(members) for label, value in sums.items()}
         ranked = tuple(sorted(means.items(), key=lambda item: (-item[1], item[0])))
-        aggregated.append(PredictionRecord(group.sequence_id, ranked))
-    return aggregated, skipped
+        yield PredictionRecord(group.sequence_id, ranked)
 
 
 def _value_text(value):

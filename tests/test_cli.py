@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -282,6 +283,52 @@ def test_geofilter_drops_out_of_range_labels(tmp_path, fixture_dir, capsys):
     # the same lemur label predicted in the Amazon is excluded
     assert lines["i_am2_006"] == "blank:0.35 sp_panthera_onca:0.25"
     capsys.readouterr()
+
+
+def _predictions_with_extra_lines(fixture_dir, path, extra_lines, last_line=b""):
+    """The fixture's predictions plus ``extra_lines`` records for image ids not in the dataset."""
+    extra = "".join(f"i_extra_{n} sp_panthera_onca:0.7 blank:0.3\n" for n in range(extra_lines))
+    path.write_bytes((fixture_dir / "predictions.txt").read_bytes() + extra.encode() + last_line)
+    return path
+
+
+def _geofilter_peak_bytes(fixture_dir, tmp_path, extra_lines):
+    predictions = _predictions_with_extra_lines(
+        fixture_dir, tmp_path / f"predictions-{extra_lines}.txt", extra_lines)
+    argv = ["geofilter", *_dataset_flags(fixture_dir, tmp_path / f"out-{extra_lines}"),
+            "--predictions", str(predictions),
+            "--range-map", str(fixture_dir / "range_map.csv")]
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_geofilter_memory_does_not_grow_with_the_prediction_count(tmp_path, fixture_dir, capsys):
+    # unknown image ids pass through unfiltered; each record is written as it is
+    # read, so 18,000 more of them (about 10 MB if held) must not raise the peak
+    small = _geofilter_peak_bytes(fixture_dir, tmp_path, 2_000)
+    large = _geofilter_peak_bytes(fixture_dir, tmp_path, 20_000)
+    assert "unknown image ids       20001 (passed through unfiltered)" in capsys.readouterr().out
+    assert large - small < 1_000_000, (small, large)
+
+
+@pytest.mark.parametrize("command", ["geofilter", "sequences"])
+def test_non_utf8_prediction_found_while_writing_leaves_no_artifact(tmp_path, fixture_dir,
+                                                                     capsys, command):
+    # 20,000 lines come before the bad byte, so it is decoded only after
+    # records have been written and every other artifact of the command is whole
+    predictions = _predictions_with_extra_lines(
+        fixture_dir, tmp_path / "predictions.txt", 20_000, b"i_last sp_\xff:1.0\n")
+    out = tmp_path / "out"
+    argv = [command, *_dataset_flags(fixture_dir, out), "--predictions", str(predictions)]
+    if command == "geofilter":
+        argv += ["--range-map", str(fixture_dir / "range_map.csv")]
+    assert main(argv) == 1
+    assert f"error: {predictions} is not UTF-8 text" in capsys.readouterr().err
+    assert not out.exists() or list(out.iterdir()) == []
 
 
 def test_weights_and_sequences_outputs(tmp_path, fixture_dir, capsys):

@@ -52,7 +52,8 @@ INPUT_FILES = {
 # The commands that read each input kind; every command reads the dataset files.
 READERS = {"predictions": ("eval", "geofilter", "sequences"), "range map": ("geofilter",)}
 
-# Bytes put into the middle of the first record after the header line.
+# Bytes put into the middle of the first record after the header line, or of
+# the last line.
 INSERTED = {
     "non-UTF-8 byte": b"\xff",
     "NUL": b"\x00",
@@ -101,24 +102,32 @@ def test_any_float_flag_value_exits_cleanly(fixture_dir, command, flag, value):
         _run_and_check([*_argv(command, fixture_dir, Path(tmp)), f"{flag}={value!r}"])
 
 
-def _corrupt(data: bytes, fault: str) -> bytes:
-    header, record, rest = data.split(b"\n", 2)
+def _corrupt(data: bytes, fault: str, where: str) -> bytes:
     if fault == "wrong header":
-        return b"\n".join([b"wrong,header", record, rest])
+        return b"wrong,header\n" + data.split(b"\n", 1)[1]
+    if where == "last line":
+        head, record, end = data.rsplit(b"\n", 2)  # the file ends with a line break
+    else:
+        head, record, end = data.split(b"\n", 2)
     middle = len(record) // 2
-    return b"\n".join([header, record[:middle] + INSERTED[fault] + record[middle:], rest])
+    return b"\n".join([head, record[:middle] + INSERTED[fault] + record[middle:], end])
 
 
-@pytest.mark.parametrize("kind", INPUT_FILES)
-@pytest.mark.parametrize("fault", [*INSERTED, "wrong header"])
-def test_hostile_input_file_exits_cleanly(tmp_path, fixture_dir, kind, fault):
+@pytest.mark.parametrize("kind, fault, where", [
+    *((kind, fault, "first record") for kind in INPUT_FILES for fault in [*INSERTED, "wrong header"]),
+    # geofilter and sequences read their predictions while writing, so a fault
+    # on the last line can be found after another artifact is written
+    *(("predictions", fault, "last line") for fault in INSERTED),
+])
+def test_hostile_input_file_exits_cleanly(tmp_path, fixture_dir, kind, fault, where):
     inputs = tmp_path / "inputs"
     shutil.copytree(fixture_dir, inputs)
     path = inputs / INPUT_FILES[kind]
-    path.write_bytes(_corrupt(path.read_bytes(), fault))
-    codes = [
-        _run_and_check(_argv(command, inputs, tmp_path / "out"))
-        for command in READERS.get(kind, ARTIFACTS)
-    ]
-    if fault == "non-UTF-8 byte":
-        assert set(codes) == {1}  # a file that is not UTF-8 is fatal
+    path.write_bytes(_corrupt(path.read_bytes(), fault, where))
+    for command in READERS.get(kind, ARTIFACTS):
+        argv = _argv(command, inputs, tmp_path / "out")
+        code = _run_and_check(argv)
+        if fault == "non-UTF-8 byte":  # a file that is not UTF-8 is fatal: nothing is written
+            out = Path(argv[argv.index("-o") + 1])
+            assert code == 1, command
+            assert not out.exists() or not any(out.iterdir()), (command, sorted(out.iterdir()))

@@ -493,8 +493,8 @@ def test_identical_member_predictions_keep_their_ranking():
         _record("i1", "sp_a", "sp_b", start=0.6, step=0.2),
         _record("i2", "sp_a", "sp_b", start=0.6, step=0.2),
     ]
-    aggregated, skipped = sequence_aggregate(predictions, [_group("q1", "i1", "i2")])
-    assert skipped == []
+    aggregated = list(sequence_aggregate(predictions, [_group("q1", "i1", "i2")]))
+    assert len(aggregated) == 1  # no group skipped: one record per group
     assert [label for label, _ in aggregated[0].entries] == ["sp_a", "sp_b"]
     assert aggregated[0].image_id == "q1"
 
@@ -504,14 +504,15 @@ def test_tie_between_disjoint_top_labels_breaks_lexicographically():
         PredictionRecord("i1", (("b_label", 1.0),)),
         PredictionRecord("i2", (("a_label", 1.0),)),
     ]
-    aggregated, _ = sequence_aggregate(predictions, [_group("q1", "i1", "i2")])
+    aggregated = list(sequence_aggregate(predictions, [_group("q1", "i1", "i2")]))
     assert aggregated[0].entries == (("a_label", 0.5), ("b_label", 0.5))
 
 
 def test_group_without_predictions_is_skipped_and_reported():
-    aggregated, skipped = sequence_aggregate([], [_group("q1", "i1")])
+    groups = [_group("q1", "i1")]
+    aggregated = list(sequence_aggregate([], groups))
     assert aggregated == []
-    assert skipped == ["q1"]
+    assert len(groups) - len(aggregated) == 1  # the skipped count `sequences` reports
 
 
 def test_sequence_aggregation_matches_mean_and_sort_oracle():
@@ -524,7 +525,7 @@ def test_sequence_aggregation_matches_mean_and_sort_oracle():
             scores = sorted((round(rng.uniform(0.01, 1.0), 4) for _ in chosen), reverse=True)
             members.append(PredictionRecord(f"i{index}", tuple(zip(chosen, scores))))
         group = _group("q", *[record.image_id for record in members])
-        aggregated, _ = sequence_aggregate(members, [group])
+        aggregated = list(sequence_aggregate(members, [group]))
 
         sums = {}
         for record in members:
