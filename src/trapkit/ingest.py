@@ -92,8 +92,7 @@ def parse_deployments(stream: IO[str]) -> tuple[list[Deployment], list[Issue]]:
     reported. A bad optional timestamp is cleared, reported, and the row
     is kept. Duplicate deployment ids keep the first occurrence.
     """
-    records: list[Deployment] = []
-    seen: set[str] = set()
+    records: dict[str, Deployment] = {}
     issues: list[Issue] = []
     for row_number, row in read_rows(stream, DEPLOYMENT_COLUMNS, "deployments", issues):
         dep_id, project_id, lat_text, lon_text, camera, start_text, end_text, notes = row
@@ -101,9 +100,7 @@ def parse_deployments(stream: IO[str]) -> tuple[list[Deployment], list[Issue]]:
             issues.append(record_issue(IssueKind.MISSING_FIELD, dep_id, row_number,
                                        "deployment_id and project_id are required"))
             continue
-        if dep_id in seen:
-            issues.append(record_issue(IssueKind.DUPLICATE_ID, dep_id, row_number,
-                                       "duplicate deployment_id, first occurrence kept"))
+        if _id_rejected("deployment_id", dep_id, row_number, records, issues):
             continue
         try:
             latitude = float(lat_text)
@@ -124,8 +121,7 @@ def parse_deployments(stream: IO[str]) -> tuple[list[Deployment], list[Issue]]:
                                        "start_time after end_time, both cleared"))
             start = end = None
 
-        seen.add(dep_id)
-        records.append(Deployment(
+        records[dep_id] = Deployment(
             dep_id,
             project_id,
             latitude,
@@ -134,8 +130,25 @@ def parse_deployments(stream: IO[str]) -> tuple[list[Deployment], list[Issue]]:
             start,
             end,
             notes or None,
-        ))
-    return records, issues
+        )
+    return list(records.values()), issues
+
+
+def _id_rejected(field_name, key, row_number, records, issues):
+    """Whether a row with id ``key`` is dropped; if so, its issue is appended.
+
+    It is when the id is not one ``str.split()`` token (manifests hold one id
+    per line and prediction lines split on whitespace) or is already in ``records``.
+    """
+    if key.split() != [key]:
+        issues.append(record_issue(IssueKind.MISSING_FIELD, key, row_number,
+                                   f"{field_name} contains whitespace"))
+    elif key in records:
+        issues.append(record_issue(IssueKind.DUPLICATE_ID, key, row_number,
+                                   f"duplicate {field_name}, first occurrence kept"))
+    else:
+        return False
+    return True
 
 
 def _timestamp(text, field_name, key, row_number, issues, optional=True):
@@ -171,8 +184,7 @@ def parse_images(stream: IO[str]) -> tuple[list[ImageRecord], list[Issue]]:
     dropped and reported. A malformed burst_index is cleared (the record
     survives). Duplicate image ids keep the first occurrence.
     """
-    records: list[ImageRecord] = []
-    seen: set[str] = set()
+    records: dict[str, ImageRecord] = {}
     issues: list[Issue] = []
     for row_number, row in read_rows(stream, IMAGE_COLUMNS, "images", issues):
         image_id, dep_id, ts_text, label_id, burst_text, source_id = row
@@ -182,13 +194,7 @@ def parse_images(stream: IO[str]) -> tuple[list[ImageRecord], list[Issue]]:
                 "image_id, deployment_id, label_id and source_id are required",
             ))
             continue
-        if image_id.split() != [image_id]:
-            issues.append(record_issue(IssueKind.MISSING_FIELD, image_id, row_number,
-                                       "image_id contains whitespace"))
-            continue
-        if image_id in seen:
-            issues.append(record_issue(IssueKind.DUPLICATE_ID, image_id, row_number,
-                                       "duplicate image_id, first occurrence kept"))
+        if _id_rejected("image_id", image_id, row_number, records, issues):
             continue
         timestamp = _timestamp(ts_text, "timestamp", image_id, row_number, issues, optional=False)
         if timestamp is None:
@@ -207,16 +213,15 @@ def parse_images(stream: IO[str]) -> tuple[list[ImageRecord], list[Issue]]:
                 ))
                 burst_index = None
 
-        seen.add(image_id)
-        records.append(ImageRecord(
+        records[image_id] = ImageRecord(
             image_id,
             intern(dep_id),
             timestamp,
             intern(label_id),
             burst_index,
             intern(source_id),
-        ))
-    return records, issues
+        )
+    return list(records.values()), issues
 
 
 def write_deployments(records: Iterable[Deployment], stream: IO[str]) -> None:
@@ -260,33 +265,10 @@ def unify(
     as an error when the copies disagree. Images whose deployment or label
     never resolves are excluded so the result keeps referential integrity.
     """
-    deployments: dict[str, Deployment] = {}
-    images: dict[str, ImageRecord] = {}
-    dep_owner: dict[str, str] = {}
-    image_owner: dict[str, str] = {}
     issues: list[Issue] = []
-
-    for source in sources:
-        for dep in source.deployments:
-            existing = deployments.get(dep.deployment_id)
-            if existing is None:
-                deployments[dep.deployment_id] = dep
-                dep_owner[dep.deployment_id] = source.name
-            else:
-                issues.append(_duplicate_issue(
-                    dep.deployment_id, existing == dep,
-                    dep_owner[dep.deployment_id], source.name,
-                ))
-        for image in source.images:
-            existing_image = images.get(image.image_id)
-            if existing_image is None:
-                images[image.image_id] = image
-                image_owner[image.image_id] = source.name
-            else:
-                issues.append(_duplicate_issue(
-                    image.image_id, existing_image == image,
-                    image_owner[image.image_id], source.name,
-                ))
+    # one merge per kind, as deployment ids and image ids are separate namespaces
+    deployments = _merge([(source.name, source.deployments) for source in sources], issues)
+    images = _merge([(source.name, source.images) for source in sources], issues)
 
     kept: dict[str, ImageRecord] = {}
     for image_id, image in images.items():
@@ -314,16 +296,25 @@ def unify(
     return dataset, issues
 
 
-def _duplicate_issue(key: str, identical: bool, first_source: str, second_source: str) -> Issue:
-    if identical:
-        return Issue(
-            IssueKind.DUPLICATE_ID,
-            key,
-            f"identical duplicate in {second_source!r}, kept copy from {first_source!r}",
-            Severity.WARNING,
-        )
-    return Issue(
-        IssueKind.DUPLICATE_ID,
-        key,
-        f"conflicting duplicate: {first_source!r} kept, {second_source!r} differs",
-    )
+def _merge(parts, issues):
+    """Merge ``(source name, records)`` pairs into one dict keyed by each record's id.
+
+    A record's id is its first field. A record whose id is already taken is
+    not added but reported, naming the source of the kept copy.
+    """
+    merged: dict = {}
+    owner: dict[str, str] = {}
+    for name, records in parts:
+        for record in records:
+            key = record[0]
+            kept = merged.get(key)
+            if kept is None:
+                merged[key] = record
+                owner[key] = name
+            elif kept == record:
+                issues.append(Issue(IssueKind.DUPLICATE_ID, key, f"identical duplicate in "
+                                    f"{name!r}, kept copy from {owner[key]!r}", Severity.WARNING))
+            else:
+                issues.append(Issue(IssueKind.DUPLICATE_ID, key, f"conflicting duplicate: "
+                                    f"{owner[key]!r} kept, {name!r} differs"))
+    return merged

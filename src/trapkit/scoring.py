@@ -72,48 +72,41 @@ def iter_predictions(stream: IO[str], issues: list[Issue]) -> Iterable[Predictio
     and are flagged.
     """
     for line_number, line in enumerate(stream, start=1):
-        parsed = _parse_prediction_line(line, line_number, issues)
-        if parsed is not None:
-            yield parsed
-
-
-def _parse_prediction_line(line: str, line_number: int, issues: list[Issue]):
-    parts = line.split()
-    if not parts:
-        return None
-    image_id = parts[0]
-    if len(parts) < 2:
-        issues.append(record_issue(IssueKind.MALFORMED_PREDICTION, image_id, line_number,
-                                   "no ranked entries", unit="line"))
-        return None
-    scores: dict[str, float] = {}
-    for token in parts[1:]:
-        label, sep, score_text = token.rpartition(":")
-        if not sep or not label:
+        parts = line.split()
+        if not parts:
+            continue
+        image_id = parts[0]
+        malformed = None if len(parts) > 1 else "no ranked entries"
+        scores: dict[str, float] = {}
+        for token in parts[1:]:
+            label, sep, score_text = token.rpartition(":")
+            if not sep or not label:
+                malformed = f"bad entry {token!r}"
+                break
+            try:
+                score = float(score_text)
+            except ValueError:
+                score = math.nan
+            if not math.isfinite(score):
+                malformed = f"bad score in {token!r}"
+                break
+            scores.setdefault(label, score)
+        if malformed is not None:
             issues.append(record_issue(IssueKind.MALFORMED_PREDICTION, image_id, line_number,
-                                       f"bad entry {token!r}", unit="line"))
-            return None
-        try:
-            score = float(score_text)
-        except ValueError:
-            score = math.nan
-        if not math.isfinite(score):
-            issues.append(record_issue(IssueKind.MALFORMED_PREDICTION, image_id, line_number,
-                                       f"bad score in {token!r}", unit="line"))
-            return None
-        scores.setdefault(label, score)
-    if len(scores) < len(parts) - 1:
-        issues.append(record_issue(IssueKind.DUPLICATE_ID, image_id, line_number,
-                                   "duplicate labels in record, highest rank kept",
-                                   Severity.WARNING, unit="line"))
-    entries = tuple(scores.items())
-    values = list(scores.values())
-    if values != sorted(values, reverse=True):
-        issues.append(record_issue(IssueKind.UNSORTED_SCORES, image_id, line_number,
-                                   "scores not nonincreasing, re-sorted",
-                                   Severity.WARNING, unit="line"))
-        entries = tuple(sorted(entries, key=lambda entry: -entry[1]))
-    return PredictionRecord(image_id, entries)
+                                       malformed, unit="line"))
+            continue
+        if len(scores) < len(parts) - 1:
+            issues.append(record_issue(IssueKind.DUPLICATE_ID, image_id, line_number,
+                                       "duplicate labels in record, highest rank kept",
+                                       Severity.WARNING, unit="line"))
+        entries = tuple(scores.items())
+        values = list(scores.values())
+        if values != sorted(values, reverse=True):
+            issues.append(record_issue(IssueKind.UNSORTED_SCORES, image_id, line_number,
+                                       "scores not nonincreasing, re-sorted",
+                                       Severity.WARNING, unit="line"))
+            entries = tuple(sorted(entries, key=lambda entry: -entry[1]))
+        yield PredictionRecord(image_id, entries)
 
 
 def write_predictions(records: Iterable[PredictionRecord], stream: IO[str]) -> int:

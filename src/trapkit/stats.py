@@ -14,6 +14,7 @@ from itertools import chain
 from typing import IO, NamedTuple
 
 from ._util import format_timestamp, write_rows
+from .errors import LabelNotFoundError
 from .ingest import UnifiedDataset
 from .taxonomy import BLANK, Level, rollup
 
@@ -57,28 +58,19 @@ def class_distribution(
     ``include_special=False`` blank and unknown images are not counted.
     """
     table = dataset.taxonomy
-    key_cache: dict[str, str | None] = {}
+    keys = {  # label id -> histogram key, for every label that is counted
+        label_id: label_id if level is None else rollup(label_id, level, table).name
+        for label_id, record in table.records.items()
+        if record.special_kind is None or include_special
+    }
     counts: dict[str, int] = {}
     for image in dataset.images.values():
-        label_id = image.label_id
-        if label_id in key_cache:
-            key = key_cache[label_id]
-        else:
-            key = _histogram_key(label_id, level, table, include_special)
-            key_cache[label_id] = key
-        if key is None:
-            continue
-        counts[key] = counts.get(key, 0) + 1
+        key = keys.get(image.label_id)
+        if key is not None:
+            counts[key] = counts.get(key, 0) + 1
+        elif image.label_id not in table.records:
+            raise LabelNotFoundError(f"label id {image.label_id!r} not in taxonomy")
     return counts
-
-
-def _histogram_key(label_id, level, table, include_special):
-    record = table.resolve(label_id)
-    if record.special_kind is not None and not include_special:
-        return None
-    if level is None:
-        return label_id
-    return rollup(label_id, level, table).name
 
 
 def skew_report(counts: dict[str, int], n_top: int) -> SkewReport:
@@ -112,12 +104,16 @@ def blank_rate(dataset: UnifiedDataset) -> tuple[float, dict[str, float]]:
     """
     if not dataset.images:
         raise ValueError("cannot compute blank rate of an empty dataset")
-    table = dataset.taxonomy
+    records = dataset.taxonomy.records
+    is_blank = {label_id: record.special_kind == BLANK for label_id, record in records.items()}
     totals: dict[str, int] = {}
     blanks: dict[str, int] = {}
     for image in dataset.images.values():
         totals[image.source_id] = totals.get(image.source_id, 0) + 1
-        if table.resolve(image.label_id).special_kind == BLANK:
+        blank = is_blank.get(image.label_id)
+        if blank is None:
+            raise LabelNotFoundError(f"label id {image.label_id!r} not in taxonomy")
+        if blank:
             blanks[image.source_id] = blanks.get(image.source_id, 0) + 1
     per_source = {
         source: blanks.get(source, 0) / total

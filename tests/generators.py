@@ -158,3 +158,73 @@ def random_predictions(
         entries = tuple(zip(chosen, scores))
         records.append(PredictionRecord(image_id, entries))
     return records
+
+
+BULK_IMAGES = 1_000_000
+BULK_DEPLOYMENTS = 2_000
+BULK_SPECIES = 465
+
+
+def write_bulk_corpus(root):
+    """Write criterion 7's desk-scale corpus into directory ``root``.
+
+    ``taxonomy.csv`` (BULK_SPECIES species plus blank and unknown),
+    ``deployments.csv`` (BULK_DEPLOYMENTS rows), ``images.csv`` (BULK_IMAGES rows,
+    about 30% blank) and ``predictions.txt`` (one line per image, the true label
+    ranked first on about 72% of lines), all drawn from seed 99.
+    """
+    rng = random.Random(99)
+    species = [f"sp{i}" for i in range(BULK_SPECIES)]
+
+    with open(root / "taxonomy.csv", "w") as handle:
+        handle.write("label_id,class_name,order_name,family_name,genus_name,"
+                     "species_name,special_kind\n")
+        for i in range(BULK_SPECIES):
+            genus = i % 300
+            family = genus % 120
+            order = family % 40
+            handle.write(f"sp{i},Mammalia,o{order},f{family},g{genus},s{i},\n")
+        handle.write("blank,,,,,,blank\nunknown,,,,,,unknown\n")
+
+    with open(root / "deployments.csv", "w") as handle:
+        handle.write("deployment_id,project_id,latitude,longitude,camera_model,"
+                     "start_time,end_time,notes\n")
+        for d in range(BULK_DEPLOYMENTS):
+            lat, lon = region_coordinates(d)
+            handle.write(f"d{d},proj,{lat!r},{lon!r},,,,\n")
+
+    clock = [f"2016-01-01T{s // 3600:02d}:{(s // 60) % 60:02d}:{s % 60:02d}Z"
+             for s in range(86400)]
+    pool = species + ["blank"]
+    weights = [0.7 * w for w in zipf_weights(BULK_SPECIES, 1.3)] + [0.3]
+
+    labels = []
+    with open(root / "images.csv", "w") as handle:
+        handle.write("image_id,deployment_id,timestamp,label_id,burst_index,source_id\n")
+        for chunk_start in range(0, BULK_IMAGES, 100_000):
+            size = min(100_000, BULK_IMAGES - chunk_start)
+            chunk = rng.choices(pool, weights=weights, k=size)
+            labels.extend(chunk)
+            handle.writelines(
+                f"i{chunk_start + j:07d},d{(chunk_start + j) % BULK_DEPLOYMENTS},"
+                f"{clock[(chunk_start + j) % 86400]},{chunk[j]},,bulk\n"
+                for j in range(size)
+            )
+
+    with open(root / "predictions.txt", "w") as handle:
+        lines = []
+        for index, truth in enumerate(labels):
+            alt1 = species[(index * 7 + 1) % BULK_SPECIES]
+            alt2 = species[(index * 7 + 3) % BULK_SPECIES]
+            if alt1 == truth:
+                alt1 = species[(index * 7 + 2) % BULK_SPECIES]
+            if alt2 in (truth, alt1):
+                alt2 = species[(index * 7 + 5) % BULK_SPECIES]
+            if rng.random() < 0.72:
+                lines.append(f"i{index:07d} {truth}:0.7 {alt1}:0.2 {alt2}:0.1\n")
+            else:
+                lines.append(f"i{index:07d} {alt1}:0.6 {truth}:0.3 {alt2}:0.1\n")
+            if len(lines) >= 100_000:
+                handle.writelines(lines)
+                lines = []
+        handle.writelines(lines)

@@ -7,6 +7,7 @@ no ``.partial`` file; and after exit 0 no artifact or stdout token is ``inf``,
 """
 
 import contextlib
+import csv
 import io
 import re
 import shutil
@@ -17,6 +18,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from trapkit.cli import main
+from trapkit.scoring import iter_predictions
 
 from pipeline import pipeline_commands
 
@@ -131,3 +133,45 @@ def test_hostile_input_file_exits_cleanly(tmp_path, fixture_dir, kind, fault, wh
             out = Path(argv[argv.index("-o") + 1])
             assert code == 1, command
             assert not out.exists() or not any(out.iterdir()), (command, sorted(out.iterdir()))
+
+
+def _csv_rows(path):
+    with open(path, encoding="utf-8", newline="") as handle:
+        return list(csv.reader(handle))
+
+
+@pytest.mark.parametrize("cell, dep_id", [
+    (b"d_amaz 01", "d_amaz 01"),
+    (b"d_amaz\t01", "d_amaz\t01"),
+    (b'"d_amaz\n01"', "d_amaz\n01"),
+], ids=["space", "tab", "line_break"])
+def test_deployment_id_with_whitespace_is_dropped_so_fused_predictions_parse_back(
+        tmp_path, fixture_dir, cell, dep_id):
+    # a fused record's id starts with its deployment id, and prediction lines split on whitespace
+    inputs = tmp_path / "inputs"
+    shutil.copytree(fixture_dir, inputs)
+    for name in ("deployments.csv", "images.csv"):
+        path = inputs / name
+        path.write_bytes(path.read_bytes().replace(b"d_amaz_01,", cell + b","))
+    for command in ARTIFACTS:
+        assert _run_and_check(_argv(command, inputs, tmp_path / "out")) == 0, command
+
+    golden = _csv_rows(GOLDEN_DIR / "validate" / "issues.csv")
+    added = [row for row in _csv_rows(tmp_path / "out" / "validate" / "issues.csv")
+             if row not in golden]
+    orphans = sorted(row[0] for row in _csv_rows(GOLDEN_DIR / "ingest" / "images.csv")
+                     if row[1] == "d_amaz_01")
+    assert orphans
+    assert added == [
+        *(["orphan_image", image_id, f"references missing deployment {dep_id!r}, excluded"]
+          for image_id in orphans),
+        ["missing_field", dep_id, "row 2: deployment_id contains whitespace"],
+    ]
+    issues = []
+    path = tmp_path / "out" / "sequences" / "sequence_predictions.txt"
+    with open(path, encoding="utf-8", newline="") as handle:
+        records = list(iter_predictions(handle, issues))
+    assert issues == []
+    fused = (GOLDEN_DIR / "sequences" / "sequence_predictions.txt").read_text(encoding="utf-8")
+    assert [record.image_id for record in records] == \
+        [line.split()[0] for line in fused.splitlines() if not line.startswith("d_amaz_01:")]

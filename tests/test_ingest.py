@@ -1,6 +1,7 @@
 import csv
 import io
 import re
+from collections import Counter
 from datetime import datetime, timezone
 
 import pytest
@@ -21,7 +22,7 @@ from trapkit.ingest import (
     write_deployments,
     write_images,
 )
-from trapkit.report import IssueKind, Severity
+from trapkit.report import Issue, IssueKind, Severity
 from trapkit.scoring import RANGE_MAP_COLUMNS, parse_range_map
 from trapkit.taxonomy import TAXONOMY_COLUMNS, parse_taxonomy
 
@@ -450,6 +451,31 @@ def test_unify_conflicting_duplicate_is_an_error(taxonomy_table):
     assert conflict[0].severity is Severity.ERROR
     assert "'a'" in conflict[0].detail and "'b'" in conflict[0].detail
     assert dataset.images["i1"].label_id == "blank"  # first occurrence wins
+
+
+@pytest.mark.parametrize("image_id", ["i1", "d1"],
+                         ids=["own_ids", "image_id_equals_deployment_id"])
+def test_unify_duplicates_name_the_source_of_the_kept_copy(taxonomy_table, image_id):
+    # each id is in three sources: identical in the second, conflicting in the third
+    ts = datetime(2015, 6, 1, tzinfo=UTC)
+    dep = Deployment("d1", "p", 0.0, 0.0)
+    image = ImageRecord(image_id, "d1", ts, "blank", None, "x")
+    dataset, issues = unify([
+        Source("a", [dep], []),
+        Source("b", [dep], [image]),
+        Source("c", [dep._replace(project_id="q")], [image]),
+        Source("d", [], [image._replace(label_id="sp_panthera_onca")]),
+    ], taxonomy_table)
+    assert dataset.deployments == {"d1": dep}
+    assert dataset.images == {image_id: image}
+    assert Counter(issues) == Counter([
+        Issue(IssueKind.DUPLICATE_ID, "d1", "identical duplicate in 'b', kept copy from 'a'",
+              Severity.WARNING),
+        Issue(IssueKind.DUPLICATE_ID, "d1", "conflicting duplicate: 'a' kept, 'c' differs"),
+        Issue(IssueKind.DUPLICATE_ID, image_id, "identical duplicate in 'c', kept copy from 'b'",
+              Severity.WARNING),
+        Issue(IssueKind.DUPLICATE_ID, image_id, "conflicting duplicate: 'b' kept, 'd' differs"),
+    ])
 
 
 def test_unify_excludes_orphans_and_unknown_labels(taxonomy_table):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from trapkit.errors import LabelNotFoundError
-from trapkit.report import IssueKind, Severity
+from trapkit.report import Issue, IssueKind, Severity
 from trapkit.scoring import (
     PredictionRecord,
     RangeBox,
@@ -79,6 +79,23 @@ def test_malformed_lines_reported_with_line_numbers():
     assert "line 2" in issues[0].detail
     assert "line 3" in issues[1].detail
     assert "line 4" in issues[2].detail
+
+
+@pytest.mark.parametrize("line, kind, severity, detail", [
+    ("i1", IssueKind.MALFORMED_PREDICTION, Severity.ERROR, "no ranked entries"),
+    ("i1 sp_a:0.9 x", IssueKind.MALFORMED_PREDICTION, Severity.ERROR, "bad entry 'x'"),
+    ("i1 sp_a:0.9 a:nan", IssueKind.MALFORMED_PREDICTION, Severity.ERROR,
+     "bad score in 'a:nan'"),
+    ("i1 sp_a:0.9 sp_a:0.5", IssueKind.DUPLICATE_ID, Severity.WARNING,
+     "duplicate labels in record, highest rank kept"),
+    ("i1 sp_a:0.1 sp_b:0.9", IssueKind.UNSORTED_SCORES, Severity.WARNING,
+     "scores not nonincreasing, re-sorted"),
+], ids=["no_entries", "bad_entry", "bad_score", "duplicate_label", "unsorted"])
+def test_prediction_issue_texts(line, kind, severity, detail):
+    records, issues = _parse_all(io.StringIO(f"i0 sp_a:0.9\n\n{line}\n"))
+    assert issues == [Issue(kind, "i1", f"line 3: {detail}", severity)]
+    kept = ["i0", "i1"] if severity is Severity.WARNING else ["i0"]
+    assert [record.image_id for record in records] == kept
 
 
 @pytest.mark.parametrize("line", [

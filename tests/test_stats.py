@@ -5,6 +5,7 @@ from datetime import datetime, timedelta, timezone
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from trapkit.errors import LabelNotFoundError
 from trapkit.ingest import Deployment, ImageRecord, UnifiedDataset
 from trapkit.stats import (
     blank_rate,
@@ -79,6 +80,18 @@ def test_histogram_conservation_across_levels():
     dataset = _dataset(labels)
     for level in [None, *Level]:
         assert sum(class_distribution(dataset, level=level).values()) == len(labels)
+
+
+@pytest.mark.parametrize("tally", [
+    class_distribution,
+    lambda dataset: class_distribution(dataset, level=Level.GENUS),
+    lambda dataset: class_distribution(dataset, include_special=False),
+    blank_rate,
+], ids=["labels", "genus", "no_special", "blank_rate"])
+def test_label_missing_from_the_table_raises(tally):
+    # the image is not dropped: a label that no table row names is an error
+    with pytest.raises(LabelNotFoundError, match="'z' not in taxonomy"):
+        tally(_dataset(["a", "blank", "z", "b"]))
 
 
 # ----------------------------------------------------------------------- skew
