@@ -22,6 +22,24 @@ def record_issue(kind: IssueKind, key: str, number: int, text: str,
     return Issue(kind, key or where, f"{where}: {text}", severity)
 
 
+def id_rejected(field_name: str, key: str, row_number: int, records: dict,
+                issues: list[Issue]) -> bool:
+    """Whether a row with id ``key`` is dropped; if so, its issue is appended.
+
+    It is when the id is not one ``str.split()`` token (manifests hold one id
+    per line and prediction lines split on whitespace) or is already in ``records``.
+    """
+    if key.split() != [key]:
+        issues.append(record_issue(IssueKind.MISSING_FIELD, key, row_number,
+                                   f"{field_name} contains whitespace"))
+    elif key in records:
+        issues.append(record_issue(IssueKind.DUPLICATE_ID, key, row_number,
+                                   f"duplicate {field_name}, first occurrence kept"))
+    else:
+        return False
+    return True
+
+
 def coordinate_ok(latitude: float, longitude: float) -> bool:
     """Whether a point lies in the latitude and longitude ranges every deployment needs."""
     return -90.0 <= latitude <= 90.0 and -180.0 <= longitude <= 180.0
@@ -45,23 +63,21 @@ def read_rows(stream: IO[str], columns: list[str], what: str, issues: list[Issue
         raise HeaderError(f"unreadable {what} header: {exc}") from None
     if header != columns:
         raise HeaderError(f"malformed {what} header: expected {expected}, got {','.join(header)}")
+    width = len(columns)
     row_number = 1
-    while True:
-        row_number += 1
+    while True:  # a csv.Error ends the for loop; the next pass reads on after that row
         try:
-            row = next(reader)
-        except StopIteration:
+            for row in reader:
+                row_number += 1
+                if len(row) == width:
+                    yield row_number, list(map(str.strip, row))
+                elif row:
+                    issues.append(record_issue(IssueKind.MISSING_FIELD, "", row_number,
+                                               f"expected {width} columns, got {len(row)}"))
             return
         except csv.Error as exc:
-            detail = str(exc)
-        else:
-            if not row:
-                continue
-            if len(row) == len(columns):
-                yield row_number, [cell.strip() for cell in row]
-                continue
-            detail = f"expected {len(columns)} columns, got {len(row)}"
-        issues.append(record_issue(IssueKind.MISSING_FIELD, "", row_number, detail))
+            row_number += 1
+            issues.append(record_issue(IssueKind.MISSING_FIELD, "", row_number, str(exc)))
 
 
 class _LfLines:

@@ -13,9 +13,10 @@ referential integrity. Every validation rule lives in exactly one place:
 row-level checks in `parse_deployments`/`parse_images`, cross-record and
 cross-source checks in `unify`. The row-shape rules every input file
 shares (header, blank rows, column count, unreadable rows) live in
-`_util.read_rows`, and the rule that names a rejected record (its id, or
+`_util.read_rows`, the rule that names a rejected record (its id, or
 `row N` when the id is empty, and a detail starting `row N: `) lives in
-`_util.record_issue`.
+`_util.record_issue`, and the rule that rejects a record id (whitespace
+inside it, or a duplicate) lives in `_util.id_rejected`.
 """
 
 from __future__ import annotations
@@ -25,7 +26,9 @@ from itertools import chain
 from sys import intern
 from typing import IO, Iterable, NamedTuple, Sequence
 
-from ._util import UTC, coordinate_ok, format_timestamp, read_rows, record_issue, write_rows
+from ._util import (
+    UTC, coordinate_ok, format_timestamp, id_rejected, read_rows, record_issue, write_rows,
+)
 from .report import Issue, IssueKind, Severity
 from .taxonomy import TaxonomyTable
 
@@ -100,7 +103,7 @@ def parse_deployments(stream: IO[str]) -> tuple[list[Deployment], list[Issue]]:
             issues.append(record_issue(IssueKind.MISSING_FIELD, dep_id, row_number,
                                        "deployment_id and project_id are required"))
             continue
-        if _id_rejected("deployment_id", dep_id, row_number, records, issues):
+        if id_rejected("deployment_id", dep_id, row_number, records, issues):
             continue
         try:
             latitude = float(lat_text)
@@ -132,23 +135,6 @@ def parse_deployments(stream: IO[str]) -> tuple[list[Deployment], list[Issue]]:
             notes or None,
         )
     return list(records.values()), issues
-
-
-def _id_rejected(field_name, key, row_number, records, issues):
-    """Whether a row with id ``key`` is dropped; if so, its issue is appended.
-
-    It is when the id is not one ``str.split()`` token (manifests hold one id
-    per line and prediction lines split on whitespace) or is already in ``records``.
-    """
-    if key.split() != [key]:
-        issues.append(record_issue(IssueKind.MISSING_FIELD, key, row_number,
-                                   f"{field_name} contains whitespace"))
-    elif key in records:
-        issues.append(record_issue(IssueKind.DUPLICATE_ID, key, row_number,
-                                   f"duplicate {field_name}, first occurrence kept"))
-    else:
-        return False
-    return True
 
 
 def _timestamp(text, field_name, key, row_number, issues, optional=True):
@@ -186,19 +172,29 @@ def parse_images(stream: IO[str]) -> tuple[list[ImageRecord], list[Issue]]:
     """
     records: dict[str, ImageRecord] = {}
     issues: list[Issue] = []
+    fromisoformat = datetime.fromisoformat
     for row_number, row in read_rows(stream, IMAGE_COLUMNS, "images", issues):
         image_id, dep_id, ts_text, label_id, burst_text, source_id = row
-        if not image_id or not dep_id or not label_id or not source_id:
+        if not (image_id and dep_id and label_id and source_id):
             issues.append(record_issue(
                 IssueKind.MISSING_FIELD, image_id, row_number,
                 "image_id, deployment_id, label_id and source_id are required",
             ))
             continue
-        if _id_rejected("image_id", image_id, row_number, records, issues):
+        if id_rejected("image_id", image_id, row_number, records, issues):
             continue
-        timestamp = _timestamp(ts_text, "timestamp", image_id, row_number, issues, optional=False)
-        if timestamp is None:
-            continue
+        # fromisoformat alone reads the common `...Z` text on Python 3.11+. Its
+        # value is kept only when already in UTC, where _timestamp returns the
+        # same value with no issue; any other text takes the rule in _timestamp.
+        try:
+            timestamp = fromisoformat(ts_text)
+        except (ValueError, OverflowError):
+            timestamp = None
+        if timestamp is None or timestamp.tzinfo is not UTC:
+            timestamp = _timestamp(ts_text, "timestamp", image_id, row_number, issues,
+                                   optional=False)
+            if timestamp is None:
+                continue
 
         burst_index: int | None = None
         if burst_text:
@@ -270,6 +266,7 @@ def unify(
     deployments = _merge([(source.name, source.deployments) for source in sources], issues)
     images = _merge([(source.name, source.images) for source in sources], issues)
 
+    labels = taxonomy.records
     kept: dict[str, ImageRecord] = {}
     for image_id, image in images.items():
         if image.deployment_id not in deployments:
@@ -278,7 +275,7 @@ def unify(
                 image_id,
                 f"references missing deployment {image.deployment_id!r}, excluded",
             ))
-        elif image.label_id not in taxonomy:
+        elif image.label_id not in labels:
             issues.append(Issue(
                 IssueKind.UNKNOWN_LABEL,
                 image_id,

@@ -201,8 +201,8 @@ def write_sequences(groups, stream: IO[str]) -> None:
         (
             group.sequence_id,
             group.deployment_id,
-            format_timestamp(group.start_time),
-            format_timestamp(group.end_time),
+            (start := format_timestamp(group.start_time)),
+            start if group.end_time == group.start_time else format_timestamp(group.end_time),
             len(group.image_ids),
             " ".join(group.image_ids),
         )

@@ -17,7 +17,7 @@ from __future__ import annotations
 from enum import IntEnum
 from typing import IO, Iterable, NamedTuple, Union
 
-from ._util import read_rows, record_issue
+from ._util import id_rejected, read_rows, record_issue
 from .errors import LabelNotFoundError
 from .report import Issue, IssueKind, Severity
 
@@ -101,9 +101,6 @@ class TaxonomyTable:
         self.blank_label_id = blank_label_id
         self.unknown_label_id = unknown_label_id
 
-    def __contains__(self, label_id: str) -> bool:
-        return label_id in self.records
-
     def resolve(self, label_id: str) -> TaxonRecord:
         try:
             return self.records[label_id]
@@ -114,7 +111,8 @@ class TaxonomyTable:
 def parse_taxonomy(stream: IO[str]) -> tuple[TaxonomyTable, list[Issue]]:
     """Read `taxonomy.csv` rows into a table, reporting structural defects.
 
-    Duplicate label ids keep the first occurrence. A missing blank label is
+    A label id holding whitespace is dropped, as prediction lines split on
+    it. Duplicate label ids keep the first occurrence. A missing blank label is
     synthesized so the table always designates one. Lineage gaps, special
     labels carrying taxonomic names, and cross-record ancestry conflicts are
     reported as warnings and do not abort the parse.
@@ -130,9 +128,7 @@ def parse_taxonomy(stream: IO[str]) -> tuple[TaxonomyTable, list[Issue]]:
             issues.append(record_issue(IssueKind.MISSING_FIELD, label_id, row_number,
                                        "empty label_id"))
             continue
-        if label_id in records:
-            issues.append(record_issue(IssueKind.DUPLICATE_ID, label_id, row_number,
-                                       "duplicate label_id, first occurrence kept"))
+        if id_rejected("label_id", label_id, row_number, records, issues):
             continue
 
         if special and special not in (BLANK, UNKNOWN):

@@ -5,7 +5,10 @@ loops, deliberately avoiding the library's own caching, counting, and
 grouping code paths, so agreement between the two is meaningful.
 """
 
+import csv
+import io
 import math
+from datetime import datetime, timezone
 
 EARTH_RADIUS_M = 6371000.0
 
@@ -171,3 +174,55 @@ def duplicate_count(keys):
             duplicates += 1
         seen.add(key)
     return duplicates
+
+
+def timestamp_rule(text, field_name, optional=True):
+    """The ISO-8601 timestamp rule as one plain sequence of steps, for any text.
+
+    Returns ``(value, problem)``: an aware UTC datetime or None, and None or
+    the ``(detail, is_warning)`` of the issue the row gets. A trailing ``Z``
+    or ``z`` means UTC, a naive value is assumed UTC with a warning, and an
+    empty optional field is None without an issue.
+    """
+    if optional and not text:
+        return None, None
+    iso = text[:-1] + "+00:00" if text.endswith(("Z", "z")) else text
+    try:
+        value = datetime.fromisoformat(iso)
+        naive = value.tzinfo is None
+        value = value.replace(tzinfo=timezone.utc) if naive else value.astimezone(timezone.utc)
+    except (ValueError, OverflowError):
+        cleared = ", cleared" if optional else ""
+        return None, (f"unparseable {field_name} {text!r}{cleared}", False)
+    if naive:
+        return value, (f"{field_name} has no timezone, assumed UTC", True)
+    return value, None
+
+
+def csv_rows(text, width):
+    """``(rows, problems)`` of a CSV text after its header, one ``next()`` at a time.
+
+    ``rows`` holds ``(row_number, stripped cells)`` for each record of
+    ``width`` cells, ``problems`` holds ``(row_number, detail)`` for each
+    record csv cannot read or that has another non-zero width. The header is
+    row 1 and every later record counts; blank ones are skipped.
+    """
+    reader = csv.reader(io.StringIO(text))
+    next(reader)
+    rows, problems = [], []
+    row_number = 1
+    while True:
+        row_number += 1
+        try:
+            row = next(reader)
+        except StopIteration:
+            return rows, problems
+        except csv.Error as exc:
+            problems.append((row_number, str(exc)))
+            continue
+        if not row:
+            continue
+        if len(row) == width:
+            rows.append((row_number, [cell.strip() for cell in row]))
+        else:
+            problems.append((row_number, f"expected {width} columns, got {len(row)}"))

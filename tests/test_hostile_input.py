@@ -175,3 +175,39 @@ def test_deployment_id_with_whitespace_is_dropped_so_fused_predictions_parse_bac
     fused = (GOLDEN_DIR / "sequences" / "sequence_predictions.txt").read_text(encoding="utf-8")
     assert [record.image_id for record in records] == \
         [line.split()[0] for line in fused.splitlines() if not line.startswith("d_amaz_01:")]
+
+
+@pytest.mark.parametrize("cell, label_id", [
+    (b"un known", "un known"),
+    (b"un\tknown", "un\tknown"),
+    (b'"un\nknown"', "un\nknown"),
+], ids=["space", "tab", "line_break"])
+def test_label_id_with_whitespace_is_dropped_so_filtered_predictions_parse_back(
+        tmp_path, fixture_dir, cell, label_id):
+    # geofilter writes the unknown label into a record whose every label it excludes
+    inputs = tmp_path / "inputs"
+    shutil.copytree(fixture_dir, inputs)
+    path = inputs / "taxonomy.csv"
+    path.write_bytes(path.read_bytes().replace(b"\nunknown,", b"\n" + cell + b","))
+    (inputs / "predictions.txt").write_text("i_am1_001 sp_canis_lupus:0.9\n", encoding="utf-8")
+    for command in ("validate", "geofilter"):
+        assert _run_and_check(_argv(command, inputs, tmp_path / "out")) == 0, command
+
+    golden = _csv_rows(GOLDEN_DIR / "validate" / "issues.csv")
+    added = [row for row in _csv_rows(tmp_path / "out" / "validate" / "issues.csv")
+             if row not in golden]
+    unknowns = sorted(row[0] for row in _csv_rows(GOLDEN_DIR / "ingest" / "images.csv")
+                      if row[3] == "unknown")
+    assert unknowns
+    assert added == [
+        *(["unknown_label", image_id, "label 'unknown' not in taxonomy, excluded"]
+          for image_id in unknowns),
+        ["missing_field", label_id, "row 13: label_id contains whitespace"],
+    ]
+    issues = []
+    path = tmp_path / "out" / "geofilter" / "predictions_filtered.txt"
+    with open(path, encoding="utf-8", newline="") as handle:
+        records = list(iter_predictions(handle, issues))
+    assert issues == []
+    assert [(record.image_id, record.entries) for record in records] == \
+        [("i_am1_001", (("unknown", 0.0),))]

@@ -5,9 +5,9 @@ from collections import Counter
 from datetime import datetime, timezone
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from trapkit._util import write_rows
+from trapkit._util import read_rows, write_rows
 from trapkit.cli import main
 from trapkit.errors import HeaderError
 from trapkit.ingest import (
@@ -26,7 +26,7 @@ from trapkit.report import Issue, IssueKind, Severity
 from trapkit.scoring import RANGE_MAP_COLUMNS, parse_range_map
 from trapkit.taxonomy import TAXONOMY_COLUMNS, parse_taxonomy
 
-from oracles import duplicate_count
+from oracles import csv_rows, duplicate_count, timestamp_rule
 from pipeline import pipeline_commands
 
 UTC = timezone.utc
@@ -136,6 +136,52 @@ def test_timestamp_out_of_range_in_utc_is_a_bad_timestamp():
     records, issues = parse_dep(f"{DEP_HEADER}\nd1,p1,0.0,0.0,,,9999-12-31T23:59:59-05:00,\n")
     assert records[0].end_time is None
     assert [(issue.kind, issue.key) for issue in issues] == [(IssueKind.BAD_TIMESTAMP, "d1")]
+
+
+_TIMESTAMP_TEXTS = st.one_of(
+    st.builds(
+        lambda value, suffix: value.isoformat() + suffix,
+        st.datetimes(min_value=datetime(1, 1, 1), max_value=datetime(9999, 12, 31, 23, 59, 59)),
+        st.sampled_from(["", "Z", "z", "+00:00", "-00:00", "+05:00", "-05:00", "+23:59",
+                         "+00:00:00.000001", "-00:00:00", " Z", "ZZ", "Zz"]),
+    ),
+    st.sampled_from([
+        "", "Z", "z", "2015-06-01T12:00:00Z", "2015-06-01T12:00:00z", "2015-06-01T12:00:00",
+        "20160101T000000Z", "20160101T000000z", "2015-06-01Z", "2015-06-01T12Z",
+        "0001-01-01T00:00:00Z", "0001-01-01T00:00:00+05:00", "0001-01-01T00:00:00-00:00",
+        "9999-12-31T23:59:59Z", "9999-12-31T23:59:59-05:00", "9999-12-31T23:59:59+00:00",
+        "2015-06-01T12:00:00\ud800Z", "\udc80", "2015-06-01T24:00:00Z", "2015-W23-1T12:00Z",
+    ]),
+    st.text(alphabet="0123456789-:T+Zz.W ,\ud800", max_size=30),
+    st.text(max_size=30),
+)
+
+
+@given(text=_TIMESTAMP_TEXTS)
+@settings(max_examples=300, deadline=None)
+def test_timestamps_follow_the_reference_rule_for_any_text(text):
+    cell = text.strip()  # parsing strips every cell
+    expected = {}
+    for name, optional in (("timestamp", False), ("start_time", True)):
+        value, problem = timestamp_rule(cell, name, optional)
+        expected[name] = (value, [] if problem is None else [
+            (IssueKind.BAD_TIMESTAMP, f"row 2: {problem[0]}",
+             Severity.WARNING if problem[1] else Severity.ERROR),
+        ])
+
+    buffer = io.StringIO()
+    write_rows(buffer, [IMAGE_COLUMNS, ["i1", "d1", text, "sp_x", "", "teamA"]])
+    records, issues = parse_img(buffer.getvalue())
+    value, problems = expected["timestamp"]
+    assert [(issue.kind, issue.detail, issue.severity) for issue in issues] == problems
+    assert [repr(record.timestamp) for record in records] == ([] if value is None else [repr(value)])
+
+    buffer = io.StringIO()
+    write_rows(buffer, [DEPLOYMENT_COLUMNS, ["d1", "p1", "0", "0", "", text, "", ""]])
+    records, issues = parse_dep(buffer.getvalue())
+    value, problems = expected["start_time"]
+    assert [(issue.kind, issue.detail, issue.severity) for issue in issues] == problems
+    assert repr(records[0].start_time) == repr(value)
 
 
 def test_ten_rows_two_invalid_gives_eight_records():
@@ -560,3 +606,31 @@ def test_any_text_after_a_good_header_parses_and_names_its_rows(parse, columns, 
         assert match, issue.detail
         assert 2 <= int(match[1]) <= last_row
         assert issue.key
+
+
+_WIDE_ROW = "x" * 140_000  # over csv's 131072-character field limit
+_ROW_BODIES = st.builds(
+    lambda rows, newline, end: newline.join(rows) + end,
+    st.lists(st.one_of(
+        st.sampled_from([_WIDE_ROW, _WIDE_ROW + ",a,b", "", " ", "a,b,c", "a,b", "a", '"a,b",c',
+                         '"open', "a,\x00,c"]),
+        st.lists(_CELLS, max_size=4).map(",".join),
+    ), max_size=8),
+    st.sampled_from(["\n", "\r\n", "\r"]),
+    st.sampled_from(["", "\n"]),
+)
+
+
+@given(body=st.one_of(_BODIES, _ROW_BODIES))
+@example(body="\n".join([_WIDE_ROW, _WIDE_ROW, "a,b,c", _WIDE_ROW, _WIDE_ROW]))
+@example(body="\n".join(["a,b,c", _WIDE_ROW, "", _WIDE_ROW]) + "\n")
+@settings(max_examples=150, deadline=None)
+def test_read_rows_matches_the_reference_loop_for_any_body(body):
+    columns = ["a", "b", "c"]
+    text = ",".join(columns) + "\n" + body
+    issues = []
+    rows = list(read_rows(io.StringIO(text), columns, "test", issues))
+    expected_rows, problems = csv_rows(text, len(columns))
+    assert rows == expected_rows
+    assert issues == [Issue(IssueKind.MISSING_FIELD, f"row {number}", f"row {number}: {detail}")
+                      for number, detail in problems]

@@ -70,6 +70,22 @@ def test_duplicate_label_id_keeps_first():
     )
     assert len(report.of_kind(IssueKind.DUPLICATE_ID)) == 1
     assert table.records["sp_a"].species_name == "Panthera onca"
+    assert report.issues[0].detail == "row 3: duplicate label_id, first occurrence kept"
+
+
+@pytest.mark.parametrize("label_id", ["sp a", "sp\ta", "sp\na", "sp\u2028a"],
+                         ids=["space", "tab", "line_break", "line_separator"])
+def test_label_id_with_whitespace_is_dropped(label_id):
+    # a prediction line splits on whitespace, so such a label could never be read back
+    table, report = parse(
+        f"{HEADER}\n"
+        f'"{label_id}",Mammalia,Carnivora,Felidae,Panthera,Panthera onca,\n'
+        "blank,,,,,,blank\n"
+    )
+    assert list(table.records) == ["blank"]
+    assert [(issue.kind, issue.key, issue.detail) for issue in report.issues] == [
+        (IssueKind.MISSING_FIELD, label_id, "row 2: label_id contains whitespace"),
+    ]
 
 
 def test_malformed_header_is_fatal():
