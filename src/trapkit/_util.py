@@ -56,7 +56,7 @@ def read_rows(stream: IO[str], columns: list[str], what: str, issues: list[Issue
     reader = csv.reader(stream)
     expected = ",".join(columns)
     try:
-        header = [cell.strip().lstrip("\ufeff") for cell in next(reader)]
+        header = [cell.strip() for cell in next(reader)]
     except StopIteration:
         raise HeaderError(f"{what} file is empty, expected header {expected}") from None
     except csv.Error as exc:

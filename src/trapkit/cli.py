@@ -174,10 +174,11 @@ def _require_inputs(args):
 def _read(path, parse):
     """Return ``parse(handle)`` on one input; bytes that are not UTF-8 are fatal.
 
-    Line endings reach ``parse`` untranslated, so csv keeps a ``\r\n`` inside a
+    A leading UTF-8 byte order mark is dropped here, for every input. Line
+    endings reach ``parse`` untranslated, so csv keeps a ``\r\n`` inside a
     quoted field; line-based parsers strip the ``\r`` with the other whitespace.
     """
-    with open(path, encoding="utf-8", newline="") as handle:
+    with open(path, encoding="utf-8-sig", newline="") as handle:
         try:
             return parse(handle)
         except UnicodeDecodeError as exc:

@@ -17,6 +17,7 @@ coerced to zero.
 from __future__ import annotations
 
 import math
+from array import array
 from typing import IO, Iterable, Mapping, NamedTuple, Sequence
 
 from ._util import read_rows, record_issue, write_rows
@@ -300,28 +301,41 @@ def sequence_aggregate(
 ) -> Iterable[PredictionRecord]:
     """Yield one fused, ranked record per burst group, in group order.
 
-    Each member record's scores are normalized by its own top score, the
-    normalized scores are averaged per label across the group's predicted
-    members (absent labels contribute zero), and labels are re-ranked by
-    descending mean with ties broken by label id. A group with no predicted
-    member yields nothing. Every prediction is read before the first yield.
+    Each member record's scores are normalized by its own top score (0.0
+    each when that is not > 0), the normalized scores are averaged per
+    label across the group's predicted members (absent labels contribute
+    zero), and labels are re-ranked by descending mean with ties broken by
+    label id. A group with no predicted member yields nothing.
+
+    Every prediction is read before the first yield, but only the first
+    record of each group member is kept, and only as its labels (one tuple,
+    each label string shared with every other record's) and its normalized
+    scores (an ``array('d')``). A record for an image in no group, or for a
+    member already read, is dropped as soon as it is read.
     """
-    by_image: dict[str, PredictionRecord] = {}
-    for record in predictions:
-        by_image.setdefault(record.image_id, record)
+    held: dict[str, tuple | None] = dict.fromkeys(
+        image_id for group in groups for image_id in group.image_ids)
+    shared_labels: dict[str, str] = {}
+    for image_id, entries in predictions:
+        if held.get(image_id, ()) is not None:
+            continue  # in no group, or its first record is already held
+        if not entries:
+            held[image_id] = ()  # an empty ranking still blocks later records
+            continue
+        top_score = entries[0][1]
+        held[image_id] = (
+            tuple([shared_labels.setdefault(label, label) for label, _ in entries]),
+            array("d", [score / top_score for _, score in entries] if top_score > 0
+                  else [0.0] * len(entries)),
+        )
 
     for group in groups:
-        members = [
-            by_image[iid] for iid in group.image_ids
-            if iid in by_image and by_image[iid].entries
-        ]
+        members = [held[image_id] for image_id in group.image_ids if held[image_id]]
         if not members:
             continue
         sums: dict[str, float] = {}
-        for record in members:
-            top_score = record.entries[0][1]
-            for label, score in record.entries:
-                normalized = score / top_score if top_score > 0 else 0.0
+        for labels, normalized_scores in members:
+            for label, normalized in zip(labels, normalized_scores):
                 sums[label] = sums.get(label, 0.0) + normalized
         means = {label: value / len(members) for label, value in sums.items()}
         ranked = tuple(sorted(means.items(), key=lambda item: (-item[1], item[0])))

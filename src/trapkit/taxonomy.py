@@ -162,7 +162,9 @@ def parse_taxonomy(stream: IO[str]) -> tuple[TaxonomyTable, list[Issue]]:
         records[label_id] = record
 
     if blank_id is None:
-        blank_id = BLANK if BLANK not in records else "__blank__"
+        blank_id = BLANK
+        while blank_id in records:  # never replace a label of the input
+            blank_id = f"__{blank_id}__"
         records[blank_id] = TaxonRecord(blank_id, special_kind=BLANK)
         issues.append(Issue(
             IssueKind.MISSING_FIELD,

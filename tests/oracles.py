@@ -226,3 +226,32 @@ def csv_rows(text, width):
             rows.append((row_number, [cell.strip() for cell in row]))
         else:
             problems.append((row_number, f"expected {width} columns, got {len(row)}"))
+
+
+def sequence_fusion(records, groups):
+    """``(sequence_id, ranked entries)`` per group with a predicted member, holding every record.
+
+    The first record of each image id wins, even one with no entries, which
+    leaves that member unpredicted. Each member's scores are divided by its
+    first entry's score (0.0 when that is not > 0) and summed per label in
+    member order, then in entry order; the sums are divided by the member
+    count and ranked by descending mean, ties by label.
+    """
+    by_image = {}
+    for image_id, entries in records:
+        by_image.setdefault(image_id, entries)
+    fused = []
+    for group in groups:
+        members = [by_image[iid] for iid in group.image_ids if by_image.get(iid)]
+        if not members:
+            continue
+        sums = {}
+        for entries in members:
+            top_score = entries[0][1]
+            for label, score in entries:
+                normalized = score / top_score if top_score > 0 else 0.0
+                sums[label] = sums.get(label, 0.0) + normalized
+        means = {label: value / len(members) for label, value in sums.items()}
+        fused.append((group.sequence_id,
+                      tuple(sorted(means.items(), key=lambda item: (-item[1], item[0])))))
+    return fused

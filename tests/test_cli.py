@@ -292,12 +292,11 @@ def _predictions_with_extra_lines(fixture_dir, path, extra_lines, last_line=b"")
     return path
 
 
-def _geofilter_peak_bytes(fixture_dir, tmp_path, extra_lines):
+def _peak_bytes(command, fixture_dir, tmp_path, extra_lines, flags=()):
     predictions = _predictions_with_extra_lines(
-        fixture_dir, tmp_path / f"predictions-{extra_lines}.txt", extra_lines)
-    argv = ["geofilter", *_dataset_flags(fixture_dir, tmp_path / f"out-{extra_lines}"),
-            "--predictions", str(predictions),
-            "--range-map", str(fixture_dir / "range_map.csv")]
+        fixture_dir, tmp_path / f"predictions-{command}-{extra_lines}.txt", extra_lines)
+    argv = [command, *_dataset_flags(fixture_dir, tmp_path / f"out-{command}-{extra_lines}"),
+            "--predictions", str(predictions), *flags]
     tracemalloc.start()
     try:
         assert main(argv) == 0
@@ -309,9 +308,19 @@ def _geofilter_peak_bytes(fixture_dir, tmp_path, extra_lines):
 def test_geofilter_memory_does_not_grow_with_the_prediction_count(tmp_path, fixture_dir, capsys):
     # unknown image ids pass through unfiltered; each record is written as it is
     # read, so 18,000 more of them (about 10 MB if held) must not raise the peak
-    small = _geofilter_peak_bytes(fixture_dir, tmp_path, 2_000)
-    large = _geofilter_peak_bytes(fixture_dir, tmp_path, 20_000)
+    flags = ["--range-map", str(fixture_dir / "range_map.csv")]
+    small = _peak_bytes("geofilter", fixture_dir, tmp_path, 2_000, flags)
+    large = _peak_bytes("geofilter", fixture_dir, tmp_path, 20_000, flags)
     assert "unknown image ids       20001 (passed through unfiltered)" in capsys.readouterr().out
+    assert large - small < 1_000_000, (small, large)
+
+
+def test_sequences_memory_does_not_grow_with_the_prediction_count(tmp_path, fixture_dir, capsys):
+    # a record for an image in no burst is dropped as it is read, so 18,000
+    # more of them (about 9 MB if held) must not raise the peak
+    small = _peak_bytes("sequences", fixture_dir, tmp_path, 2_000)
+    large = _peak_bytes("sequences", fixture_dir, tmp_path, 20_000)
+    assert capsys.readouterr().out.count("aggregated predictions  31 (1 sequence(s) had") == 2
     assert large - small < 1_000_000, (small, large)
 
 
@@ -528,3 +537,22 @@ def test_crlf_fixture_reproduces_golden_outputs(tmp_path, fixture_dir, golden_di
     for relative in artifact_files(golden_dir):
         assert (tmp_path / "out" / relative).read_bytes() == \
             (golden_dir / relative).read_bytes(), f"{relative} differs from golden copy"
+
+
+def test_byte_order_mark_on_every_input_reproduces_golden_outputs(tmp_path, fixture_dir,
+                                                                  golden_dir, capsys):
+    # a mark read as text made the first id of a line-based input unknown
+    bom = b"\xef\xbb\xbf"
+    fixture = _copy_fixture(fixture_dir, tmp_path / "fixture", lambda text: bom + text)
+    out = tmp_path / "out"
+    manifest = tmp_path / "eval.txt"
+    for argv in pipeline_commands(fixture, out):
+        if argv[0] == "eval":
+            manifest.write_bytes(bom + (out / "split" / "eval.txt").read_bytes())
+            argv[argv.index("--split") + 1] = str(manifest)
+        assert main(argv) == 0, argv[0]
+    capsys.readouterr()
+    assert artifact_files(out) == artifact_files(golden_dir)
+    for relative in artifact_files(golden_dir):
+        assert (out / relative).read_bytes() == (golden_dir / relative).read_bytes(), \
+            f"{relative} differs from golden copy"

@@ -2,10 +2,11 @@ import io
 import math
 import random
 import re
+import tracemalloc
 from datetime import datetime, timedelta, timezone
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from trapkit.errors import LabelNotFoundError
 from trapkit.report import Issue, IssueKind, Severity
@@ -25,7 +26,7 @@ from trapkit.stats import SequenceGroup
 from trapkit.taxonomy import Level, TaxonRecord, TaxonomyTable
 
 from generators import random_predictions, random_taxonomy, random_truth
-from oracles import per_class_counts, point_in_any_box, topk_hits
+from oracles import per_class_counts, point_in_any_box, sequence_fusion, topk_hits
 
 UTC = timezone.utc
 
@@ -543,12 +544,79 @@ def test_sequence_aggregation_matches_mean_and_sort_oracle():
             members.append(PredictionRecord(f"i{index}", tuple(zip(chosen, scores))))
         group = _group("q", *[record.image_id for record in members])
         aggregated = list(sequence_aggregate(members, [group]))
+        assert aggregated == [PredictionRecord(*fused)
+                              for fused in sequence_fusion(members, [group])]
 
-        sums = {}
-        for record in members:
-            top = record.entries[0][1]
-            for label, score in record.entries:
-                sums[label] = sums.get(label, 0.0) + (score / top if top > 0 else 0.0)
-        means = {label: value / len(members) for label, value in sums.items()}
-        expected = tuple(sorted(means.items(), key=lambda item: (-item[1], item[0])))
-        assert aggregated[0].entries == expected
+
+_FUSION_MEMBERS = [f"i{n}" for n in range(8)]
+# 0.1-style values make float sums depend on member order; -0.0, 0.0 and
+# negative top scores take the "not > 0" branch
+_FUSION_SCORES = st.one_of(
+    st.sampled_from([0.0, -0.0, -0.5, 0.1, 0.2, 0.3, 0.7, 1.0]),
+    st.floats(min_value=-2.0, max_value=2.0, allow_nan=False),
+)
+
+
+@st.composite
+def _fusion_case(draw):
+    """Groups over a shuffle of eight member ids, and records for them and two outsiders."""
+    members = draw(st.permutations(_FUSION_MEMBERS))
+    cuts = sorted(draw(st.sets(st.integers(1, len(members) - 1), max_size=3)))
+    bounds = [0, *cuts, len(members)]
+    groups = [_group(f"q{n}", *members[start:stop])
+              for n, (start, stop) in enumerate(zip(bounds, bounds[1:]))]
+    # duplicate labels within a record are drawn on purpose
+    entries = st.lists(st.tuples(st.sampled_from("abcd"), _FUSION_SCORES), max_size=5)
+    records = draw(st.lists(
+        st.builds(PredictionRecord, st.sampled_from([*_FUSION_MEMBERS, "x0", "x1"]),
+                  entries.map(tuple)),
+        max_size=24,
+    ))
+    return records, groups
+
+
+def _fused_bytes(records):
+    out = io.StringIO()
+    write_predictions(records, out)
+    return out.getvalue()
+
+
+@settings(max_examples=400, deadline=None)
+@given(_fusion_case())
+@example(([  # i1's first record has no entries, so it blocks the next one; i3's top is -0.0
+    PredictionRecord("i1", ()),
+    PredictionRecord("i1", (("a", 1.0),)),
+    PredictionRecord("i2", (("a", 0.5), ("b", 0.25), ("a", 0.1))),
+    PredictionRecord("i2", (("c", 1.0),)),
+    PredictionRecord("x0", (("d", 1.0),)),
+    PredictionRecord("i3", (("b", -0.0), ("a", -0.0))),
+], [_group("q0", "i1", "i2", "i3")]))
+def test_sequence_aggregate_writes_the_bytes_of_the_hold_every_record_oracle(case):
+    # bytes, not tuples: 0.0 == -0.0, but the two are written differently
+    records, groups = case
+    expected = [PredictionRecord(*fused) for fused in sequence_fusion(records, groups)]
+    assert _fused_bytes(sequence_aggregate(iter(records), groups)) == _fused_bytes(expected)
+
+
+def _twenty_entry_records(count):
+    # fresh label strings per record, as the prediction parser makes them
+    for n in range(count):
+        yield PredictionRecord(f"m{n}", tuple(
+            (f"sp{(n * 7 + rank * 13) % 300}", 0.9 - rank * 0.04) for rank in range(20)))
+
+
+def test_sequence_aggregate_holds_under_a_kilobyte_per_member():
+    count = 5_000
+    groups = [_group(f"q{n}", *(f"m{m}" for m in range(n, n + 10)))
+              for n in range(0, count, 10)]
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        fused = sum(1 for _ in sequence_aggregate(_twenty_entry_records(count), groups))
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert fused == len(groups)
+    # labels share their strings across records and the scores sit in an
+    # array('d'); a held record of tuples and floats takes about 3 kB
+    assert peak / count < 1_000, peak / count

@@ -43,6 +43,15 @@ def test_minimal_table_gets_synthetic_blank():
     assert report.issues[0].severity is Severity.WARNING
 
 
+def test_synthetic_blank_takes_an_id_no_input_label_holds():
+    table, report = parse(f"{HEADER}\nblank,Mammalia,,,,,\n__blank__,Mammalia,Carnivora,,,,\n")
+    assert table.records["blank"] == TaxonRecord("blank", "Mammalia")
+    assert table.records["__blank__"] == TaxonRecord("__blank__", "Mammalia", "Carnivora")
+    assert table.blank_label_id == "____blank____"
+    assert table.records["____blank____"] == TaxonRecord("____blank____", special_kind="blank")
+    assert [issue.key for issue in report.issues] == ["____blank____"]
+
+
 def test_same_genus_different_family_is_reported():
     table, report = parse(
         f"{HEADER}\n"
