@@ -66,7 +66,8 @@ def _positive(kind, below=math.inf):
     limit = "" if below == math.inf else f" and < {below:g}"
     def convert(text: str):
         value = kind(text)
-        if not (math.isfinite(value) and 0 < value < below):
+        # comparisons, not math.isfinite, which overflows on a 400-digit int
+        if not (0 < value <= sys.float_info.max and value < below):
             raise argparse.ArgumentTypeError(f"must be a finite number > 0{limit}, got {text!r}")
         return value
     convert.__name__ = kind.__name__  # argparse names it in "invalid float value"

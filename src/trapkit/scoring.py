@@ -22,8 +22,9 @@ from typing import IO, Iterable, Mapping, NamedTuple, Sequence
 
 from ._util import read_rows, record_issue, write_rows
 from .errors import LabelNotFoundError
+from .ingest import ImageRecord
 from .report import Issue, IssueKind, Severity
-from .stats import SequenceGroup
+from .stats import sequence_id
 from .taxonomy import BLANK, Level, RolledLabel, TaxonomyTable, rollup
 
 RANGE_MAP_COLUMNS = ["label_id", "lat_min", "lat_max", "lon_min", "lon_max"]
@@ -297,7 +298,7 @@ def parse_range_map(stream: IO[str]) -> tuple[dict[str, list[RangeBox]], list[Is
 
 def sequence_aggregate(
     predictions: Iterable[PredictionRecord],
-    groups: Sequence[SequenceGroup],
+    groups: Sequence[Sequence[ImageRecord]],
 ) -> Iterable[PredictionRecord]:
     """Yield one fused, ranked record per burst group, in group order.
 
@@ -314,7 +315,7 @@ def sequence_aggregate(
     member already read, is dropped as soon as it is read.
     """
     held: dict[str, tuple | None] = dict.fromkeys(
-        image_id for group in groups for image_id in group.image_ids)
+        image.image_id for group in groups for image in group)
     shared_labels: dict[str, str] = {}
     for image_id, entries in predictions:
         if held.get(image_id, ()) is not None:
@@ -330,16 +331,16 @@ def sequence_aggregate(
         )
 
     for group in groups:
-        members = [held[image_id] for image_id in group.image_ids if held[image_id]]
+        members = [member for image in group if (member := held[image.image_id])]
         if not members:
             continue
         sums: dict[str, float] = {}
         for labels, normalized_scores in members:
             for label, normalized in zip(labels, normalized_scores):
                 sums[label] = sums.get(label, 0.0) + normalized
-        means = {label: value / len(members) for label, value in sums.items()}
-        ranked = tuple(sorted(means.items(), key=lambda item: (-item[1], item[0])))
-        yield PredictionRecord(group.sequence_id, ranked)
+        ranked = sorted([(-value / len(members), label) for label, value in sums.items()])
+        yield PredictionRecord(sequence_id(group),
+                               tuple([(label, -negated) for negated, label in ranked]))
 
 
 def _value_text(value):

@@ -9,13 +9,13 @@ export class weights that counteract the imbalance.
 from __future__ import annotations
 
 import math
-from datetime import datetime
 from itertools import chain
-from typing import IO, NamedTuple
+from operator import attrgetter
+from typing import IO, NamedTuple, Sequence
 
 from ._util import format_timestamp, write_rows
 from .errors import LabelNotFoundError
-from .ingest import UnifiedDataset
+from .ingest import ImageRecord, UnifiedDataset
 from .taxonomy import BLANK, Level, rollup
 
 SKEW_COLUMNS = ["rank", "label_id", "count", "cumulative_fraction"]
@@ -34,14 +34,6 @@ class SkewReport(NamedTuple):
     coverage_fraction: float
     # (rank, label key, count, cumulative fraction), sorted by descending count
     curve: tuple[tuple[int, str, int, float], ...]
-
-
-class SequenceGroup(NamedTuple):
-    sequence_id: str
-    deployment_id: str
-    image_ids: tuple[str, ...]
-    start_time: datetime
-    end_time: datetime
 
 
 def class_distribution(
@@ -135,39 +127,36 @@ def labeling_effort(n_images: int, rate_images_per_hour: float) -> float:
     return hours
 
 
-def group_bursts(dataset: UnifiedDataset, max_gap_seconds: float = 60.0) -> list[SequenceGroup]:
-    """Cut each deployment's time-sorted images into burst groups.
+def group_bursts(dataset: UnifiedDataset,
+                 max_gap_seconds: float = 60.0) -> list[tuple[ImageRecord, ...]]:
+    """Cut the images, sorted by deployment id, time and image id, into burst groups.
 
-    A new group starts wherever the gap between consecutive images exceeds
-    ``max_gap_seconds``. Ties in timestamp are broken by image id, and
-    images from different deployments never share a group.
+    A group is the tuple of its member records. A new group starts at each
+    new deployment and wherever the gap between consecutive images exceeds
+    ``max_gap_seconds``.
     """
     if not (math.isfinite(max_gap_seconds) and max_gap_seconds > 0):
         raise ValueError(f"max_gap_seconds must be a finite number > 0, got {max_gap_seconds}")
-    by_deployment: dict[str, list] = {}
-    for image in dataset.images.values():
-        by_deployment.setdefault(image.deployment_id, []).append(image)
-
-    groups: list[SequenceGroup] = []
-    for dep_id in sorted(by_deployment):
-        members = sorted(by_deployment[dep_id], key=lambda im: (im.timestamp, im.image_id))
-        start = 0
-        for index in range(1, len(members) + 1):
-            is_cut = index == len(members) or (
-                (members[index].timestamp - members[index - 1].timestamp).total_seconds()
-                > max_gap_seconds
-            )
-            if is_cut:
-                chunk = members[start:index]
-                groups.append(SequenceGroup(
-                    sequence_id=f"{dep_id}:{format_timestamp(chunk[0].timestamp)}",
-                    deployment_id=dep_id,
-                    image_ids=tuple(im.image_id for im in chunk),
-                    start_time=chunk[0].timestamp,
-                    end_time=chunk[-1].timestamp,
-                ))
-                start = index
+    images = tuple(sorted(dataset.images.values(),
+                          key=attrgetter("deployment_id", "timestamp", "image_id")))
+    groups = []
+    start = 0
+    for index in range(1, len(images) + 1):
+        is_cut = index == len(images) or (
+            images[index].deployment_id != images[index - 1].deployment_id
+            or (images[index].timestamp - images[index - 1].timestamp).total_seconds()
+            > max_gap_seconds
+        )
+        if is_cut:
+            groups.append(images[start:index])
+            start = index
     return groups
+
+
+def sequence_id(group: Sequence[ImageRecord], start: str = "") -> str:
+    """A burst group's id, `deployment_id:start_time`; ``start`` is that time, if formatted."""
+    first = group[0]
+    return f"{first.deployment_id}:{start or format_timestamp(first.timestamp)}"
 
 
 def class_weights(counts: dict[str, int], cap: float) -> dict[str, float]:
@@ -199,12 +188,13 @@ def write_weights(weights: dict[str, float], stream: IO[str]) -> None:
 def write_sequences(groups, stream: IO[str]) -> None:
     write_rows(stream, chain([SEQUENCE_COLUMNS], (
         (
-            group.sequence_id,
-            group.deployment_id,
-            (start := format_timestamp(group.start_time)),
-            start if group.end_time == group.start_time else format_timestamp(group.end_time),
-            len(group.image_ids),
-            " ".join(group.image_ids),
+            sequence_id(group, start := format_timestamp(group[0].timestamp)),
+            group[0].deployment_id,
+            start,
+            start if group[-1].timestamp == group[0].timestamp
+            else format_timestamp(group[-1].timestamp),
+            len(group),
+            " ".join([image.image_id for image in group]),
         )
         for group in groups
     )))

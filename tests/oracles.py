@@ -158,6 +158,41 @@ def burst_components(images, max_gap_seconds):
     return components
 
 
+def burst_rows(images, max_gap_seconds):
+    """The text of ``sequences.csv`` for ``images``, grouped one deployment at a time.
+
+    Images are gathered per deployment, deployments taken in sorted id
+    order, and each deployment's images sorted by time, then id. A group is
+    cut wherever the gap to the previous image exceeds the gap bound; its
+    id is its deployment id, a colon and its start time.
+    """
+    def text(value):
+        return value.astimezone(timezone.utc).isoformat().replace("+00:00", "Z")
+
+    by_deployment = {}
+    for image in images:
+        by_deployment.setdefault(image.deployment_id, []).append(image)
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["sequence_id", "deployment_id", "start_time", "end_time",
+                     "n_images", "image_ids"])
+    for dep_id in sorted(by_deployment):
+        members = sorted(by_deployment[dep_id], key=lambda im: (im.timestamp, im.image_id))
+        start = 0
+        for index in range(1, len(members) + 1):
+            is_cut = index == len(members) or (
+                (members[index].timestamp - members[index - 1].timestamp).total_seconds()
+                > max_gap_seconds
+            )
+            if is_cut:
+                chunk = members[start:index]
+                writer.writerow([f"{dep_id}:{text(chunk[0].timestamp)}", dep_id,
+                                 text(chunk[0].timestamp), text(chunk[-1].timestamp),
+                                 len(chunk), " ".join(im.image_id for im in chunk)])
+                start = index
+    return out.getvalue()
+
+
 def point_in_any_box(latitude, longitude, boxes):
     for box in boxes:
         if (box.lat_min <= latitude <= box.lat_max
@@ -231,18 +266,19 @@ def csv_rows(text, width):
 def sequence_fusion(records, groups):
     """``(sequence_id, ranked entries)`` per group with a predicted member, holding every record.
 
-    The first record of each image id wins, even one with no entries, which
-    leaves that member unpredicted. Each member's scores are divided by its
-    first entry's score (0.0 when that is not > 0) and summed per label in
-    member order, then in entry order; the sums are divided by the member
-    count and ranked by descending mean, ties by label.
+    ``groups`` holds ``(sequence_id, image_ids)`` pairs. The first record of
+    each image id wins, even one with no entries, which leaves that member
+    unpredicted. Each member's scores are divided by its first entry's score
+    (0.0 when that is not > 0) and summed per label in member order, then in
+    entry order; the sums are divided by the member count and ranked by
+    descending mean, ties by label.
     """
     by_image = {}
     for image_id, entries in records:
         by_image.setdefault(image_id, entries)
     fused = []
-    for group in groups:
-        members = [by_image[iid] for iid in group.image_ids if by_image.get(iid)]
+    for sequence_id, image_ids in groups:
+        members = [by_image[iid] for iid in image_ids if by_image.get(iid)]
         if not members:
             continue
         sums = {}
@@ -252,6 +288,6 @@ def sequence_fusion(records, groups):
                 normalized = score / top_score if top_score > 0 else 0.0
                 sums[label] = sums.get(label, 0.0) + normalized
         means = {label: value / len(members) for label, value in sums.items()}
-        fused.append((group.sequence_id,
+        fused.append((sequence_id,
                       tuple(sorted(means.items(), key=lambda item: (-item[1], item[0])))))
     return fused

@@ -141,7 +141,7 @@ def test_format_csv_echoes_primary_artifact(tmp_path, fixture_dir, capsys,
     ("weights", "--cap"),
     ("sequences", "--max-gap-seconds"),
 ])
-@pytest.mark.parametrize("value", ["nan", "inf", "0"])
+@pytest.mark.parametrize("value", ["nan", "inf", "0", pytest.param("1" + "0" * 400, id="1e400")])
 def test_numeric_flag_must_be_finite_and_positive(tmp_path, fixture_dir, capsys,
                                                   command, flag, value):
     out = tmp_path / "out"
@@ -154,6 +154,7 @@ def test_numeric_flag_must_be_finite_and_positive(tmp_path, fixture_dir, capsys,
     ("eval", "--k", "0"),
     ("eval", "--k", "-2"),
     ("eval", "--k", "nan"),
+    pytest.param("eval", "--k", "1" + "0" * 400, id="eval---k-1e400"),
     ("split", "--train-fraction", "0"),
     ("split", "--train-fraction", "1"),
     ("split", "--train-fraction", "1.5"),
@@ -508,6 +509,10 @@ def test_traced_benchmark_run_of_every_pipeline_command(tmp_path, fixture_dir):
             # binned once to assign, once more by the independent leakage check
             assert trace["counts"]["geosplit.region_id.calls"] == \
                 2 * trace["counts"]["ingest.unify.deployments"] == 8
+        if argv[0] == "sequences":
+            # the counter is len() of what group_bursts returns: one per written group
+            rows = (tmp_path / "sequences" / "sequences.csv").read_text(encoding="utf-8")
+            assert trace["counts"]["stats.group_bursts.groups"] == len(rows.splitlines()) - 1
 
 
 def _copy_fixture(fixture_dir, target, edit):

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from trapkit.errors import LabelNotFoundError
+from trapkit.ingest import ImageRecord
 from trapkit.report import Issue, IssueKind, Severity
 from trapkit.scoring import (
     PredictionRecord,
@@ -22,7 +23,6 @@ from trapkit.scoring import (
     write_metrics,
     write_predictions,
 )
-from trapkit.stats import SequenceGroup
 from trapkit.taxonomy import Level, TaxonRecord, TaxonomyTable
 
 from generators import random_predictions, random_taxonomy, random_truth
@@ -501,9 +501,17 @@ def test_parse_range_map_reports_bad_rows():
 # ----------------------------------------------------------------- sequences
 
 
-def _group(sequence_id, *image_ids):
+def _group(deployment_id, *image_ids):
+    """The burst group `deployment_id:2016-01-01T00:00:00Z` of ``image_ids``, a second apart."""
     t0 = datetime(2016, 1, 1, tzinfo=UTC)
-    return SequenceGroup(sequence_id, "d1", tuple(image_ids), t0, t0 + timedelta(seconds=5))
+    return tuple(ImageRecord(image_id, deployment_id, t0 + timedelta(seconds=n), "sp_a", None, "s")
+                 for n, image_id in enumerate(image_ids))
+
+
+def _pairs(groups):
+    """The ``(sequence_id, image_ids)`` of each group, as the fusion oracle takes them."""
+    return [(f"{group[0].deployment_id}:2016-01-01T00:00:00Z", [im.image_id for im in group])
+            for group in groups]
 
 
 def test_identical_member_predictions_keep_their_ranking():
@@ -514,7 +522,7 @@ def test_identical_member_predictions_keep_their_ranking():
     aggregated = list(sequence_aggregate(predictions, [_group("q1", "i1", "i2")]))
     assert len(aggregated) == 1  # no group skipped: one record per group
     assert [label for label, _ in aggregated[0].entries] == ["sp_a", "sp_b"]
-    assert aggregated[0].image_id == "q1"
+    assert aggregated[0].image_id == "q1:2016-01-01T00:00:00Z"
 
 
 def test_tie_between_disjoint_top_labels_breaks_lexicographically():
@@ -545,7 +553,7 @@ def test_sequence_aggregation_matches_mean_and_sort_oracle():
         group = _group("q", *[record.image_id for record in members])
         aggregated = list(sequence_aggregate(members, [group]))
         assert aggregated == [PredictionRecord(*fused)
-                              for fused in sequence_fusion(members, [group])]
+                              for fused in sequence_fusion(members, _pairs([group]))]
 
 
 _FUSION_MEMBERS = [f"i{n}" for n in range(8)]
@@ -594,7 +602,7 @@ def _fused_bytes(records):
 def test_sequence_aggregate_writes_the_bytes_of_the_hold_every_record_oracle(case):
     # bytes, not tuples: 0.0 == -0.0, but the two are written differently
     records, groups = case
-    expected = [PredictionRecord(*fused) for fused in sequence_fusion(records, groups)]
+    expected = [PredictionRecord(*fused) for fused in sequence_fusion(records, _pairs(groups))]
     assert _fused_bytes(sequence_aggregate(iter(records), groups)) == _fused_bytes(expected)
 
 

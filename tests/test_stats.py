@@ -1,9 +1,10 @@
 import io
 import random
+import tracemalloc
 from datetime import datetime, timedelta, timezone
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from trapkit.errors import LabelNotFoundError
 from trapkit.ingest import Deployment, ImageRecord, UnifiedDataset
@@ -13,13 +14,14 @@ from trapkit.stats import (
     class_weights,
     group_bursts,
     labeling_effort,
+    sequence_id,
     skew_report,
     write_sequences,
     write_skew,
 )
 from trapkit.taxonomy import Level, TaxonRecord, TaxonomyTable
 
-from oracles import burst_components, skew_curve
+from oracles import burst_components, burst_rows, skew_curve
 
 UTC = timezone.utc
 T0 = datetime(2016, 1, 1, tzinfo=UTC)
@@ -175,12 +177,12 @@ def test_burst_cut_at_the_single_large_gap():
              T0 + timedelta(seconds=300)]
     dataset = _dataset(["a", "a", "a", "a"], times=times)
     groups = group_bursts(dataset, max_gap_seconds=60)
-    assert [group.image_ids for group in groups] == [
-        ("i000", "i001", "i002"), ("i003",),
+    assert [[image.image_id for image in group] for group in groups] == [
+        ["i000", "i001", "i002"], ["i003"],
     ]
-    assert groups[0].sequence_id == "d1:2016-01-01T00:00:00Z"
-    assert groups[0].start_time == T0
-    assert groups[0].end_time == T0 + timedelta(seconds=2)
+    assert groups[0] == tuple(dataset.images[iid] for iid in ("i000", "i001", "i002"))
+    assert sequence_id(groups[0]) == "d1:2016-01-01T00:00:00Z"
+    assert sequence_id(groups[1], "given") == "d1:given"
 
 
 @pytest.mark.parametrize("gap", [0.0, -1.0, float("nan"), float("inf")])
@@ -194,7 +196,7 @@ def test_images_from_two_deployments_never_share_a_group():
     dataset = _dataset(["a"] * 4, times=times, deployments=("d1", "d2"))
     groups = group_bursts(dataset, max_gap_seconds=60)
     for group in groups:
-        deployments = {dataset.images[iid].deployment_id for iid in group.image_ids}
+        deployments = {image.deployment_id for image in group}
         assert len(deployments) == 1
 
 
@@ -208,7 +210,7 @@ def test_grouping_matches_pairwise_closure_oracle(seed):
     gap = rng.choice([5, 30, 60, 120])
     groups = group_bursts(dataset, max_gap_seconds=gap)
     expected = burst_components(dataset.images.values(), gap)
-    assert sorted([list(g.image_ids) for g in groups]) == sorted(expected)
+    assert sorted([[image.image_id for image in g] for g in groups]) == sorted(expected)
 
 
 def test_groups_partition_the_time_sorted_deployment_list():
@@ -225,10 +227,62 @@ def test_groups_partition_the_time_sorted_deployment_list():
             if img.deployment_id == dep_id
         ]
         concatenated = [
-            iid for group in groups if group.deployment_id == dep_id
-            for iid in group.image_ids
+            image.image_id for group in groups if group[0].deployment_id == dep_id
+            for image in group
         ]
         assert concatenated == expected
+
+
+def _burst_dataset(cells):
+    """A dataset with one image per ``(deployment_id, microseconds after T0)`` cell."""
+    images = {}
+    for n, (dep_id, offset) in enumerate(cells):
+        image_id = f"i:{n}" if n % 2 else f"i{n}"  # "i:10" sorts before "i:3"
+        images[image_id] = ImageRecord(image_id, dep_id, T0 + timedelta(microseconds=offset),
+                                       "a", None, "s")
+    return UnifiedDataset({}, images, _table(), ("s",))
+
+
+@st.composite
+def _burst_case(draw):
+    """Images over ids whose string order is not numeric, some holding ``:``.
+
+    Times fall on multiples of the gap (equal times, gaps exactly at the
+    bound) or anywhere to the microsecond.
+    """
+    gap_us = draw(st.sampled_from([1, 250_000, 1_500_000, 60_000_000]))
+    offsets = st.one_of(st.integers(0, 6).map(lambda k: k * gap_us), st.integers(0, 10 * gap_us))
+    deployments = st.sampled_from(["d1", "d9", "d10", "a:b", "d1:0"])
+    cells = draw(st.lists(st.tuples(deployments, offsets), max_size=30))
+    return _burst_dataset(cells), gap_us / 1_000_000
+
+
+@settings(max_examples=300, deadline=None)
+@given(_burst_case())
+@example((_burst_dataset([  # d9: i:1 and i2 tie at T0, so i2 comes first; i0 is exactly
+    ("d9", 60_000_000), ("d9", 0), ("d9", 0), ("d9", 120_000_001),  # 60 s on, i:3 just over
+    ("d10", 123_456), ("d:1", 7), ("d:1", 60_000_008),
+]), 60.0))
+def test_write_sequences_writes_the_bytes_of_the_per_deployment_oracle(case):
+    dataset, gap = case
+    out = io.StringIO()
+    write_sequences(group_bursts(dataset, gap), out)
+    assert out.getvalue() == burst_rows(dataset.images.values(), gap)
+
+
+def test_group_bursts_holds_under_a_hundred_bytes_per_group():
+    count = 20_000
+    dataset = _burst_dataset((f"d{n % 50}", n * 120_000_000) for n in range(count))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        groups = group_bursts(dataset, max_gap_seconds=60)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(groups) == count  # each image 100 minutes after its deployment's last one
+    # the member records are the dataset's own; a group adds only its tuple
+    assert held / count <= 100, held / count
 
 
 # -------------------------------------------------------------------- weights
