@@ -21,6 +21,7 @@ usage errors, including a numeric flag that is not a finite number > 0.
 from __future__ import annotations
 
 import argparse
+import gc
 import math
 import os
 import sys
@@ -400,32 +401,44 @@ def _cmd_sequences(args, dataset, issues):
         return artifacts, lambda: lines
 
     aggregated = 0
+    dropped = []  # the issue of each fused record with a non-finite mean
 
     def write(handle):
         nonlocal aggregated
         aggregated = _read(args.predictions, lambda predictions: write_predictions(
-            sequence_aggregate(iter_predictions(predictions, issues), groups), handle
+            sequence_aggregate(iter_predictions(predictions, issues), groups, dropped), handle
         ))
+        issues.extend(dropped)
 
     artifacts["sequence_predictions.txt"] = write
     return artifacts, lambda: [
         *lines,
         f"aggregated predictions  {aggregated} "
-        f"({len(groups) - aggregated} sequence(s) had no predicted member)",
+        f"({len(groups) - aggregated - len(dropped)} sequence(s) had no predicted member)",
+        *([f"dropped predictions     {len(dropped)} (a fused mean score is not finite)"]
+          if dropped else []),
     ]
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    """Run one command with the cyclic garbage collector off; return its exit status.
+
+    A command builds millions of small objects that all live until it ends,
+    so the collector's passes over them free almost nothing. It is turned
+    back on at return only if it was on when ``main`` was called.
+    """
+    collecting = gc.isenabled()
+    gc.disable()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
+        return _run(build_parser().parse_args(argv))
+    except SystemExit as exc:  # argparse's usage error, or --help
         return exc.code if isinstance(exc.code, int) else 2
-    try:
-        return _run(args)
     except (TrapkitError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        if collecting:
+            gc.enable()
 
 
 if __name__ == "__main__":

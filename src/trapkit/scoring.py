@@ -299,6 +299,7 @@ def parse_range_map(stream: IO[str]) -> tuple[dict[str, list[RangeBox]], list[Is
 def sequence_aggregate(
     predictions: Iterable[PredictionRecord],
     groups: Sequence[Sequence[ImageRecord]],
+    issues: list[Issue],
 ) -> Iterable[PredictionRecord]:
     """Yield one fused, ranked record per burst group, in group order.
 
@@ -306,7 +307,10 @@ def sequence_aggregate(
     each when that is not > 0), the normalized scores are averaged per
     label across the group's predicted members (absent labels contribute
     zero), and labels are re-ranked by descending mean with ties broken by
-    label id. A group with no predicted member yields nothing.
+    label id. A group with no predicted member yields nothing. Nor does a
+    group whose normalizing or summing overflows, leaving a mean that is
+    not finite: it is appended to ``issues`` as one ``malformed_prediction``
+    keyed by its sequence id and naming each such label.
 
     Every prediction is read before the first yield, but only the first
     record of each group member is kept, and only as its labels (one tuple,
@@ -338,6 +342,12 @@ def sequence_aggregate(
         for labels, normalized_scores in members:
             for label, normalized in zip(labels, normalized_scores):
                 sums[label] = sums.get(label, 0.0) + normalized
+        if not all(map(math.isfinite, sums.values())):
+            overflowed = sorted(label for label, value in sums.items() if not math.isfinite(value))
+            issues.append(Issue(IssueKind.MALFORMED_PREDICTION, sequence_id(group),
+                                f"mean score of {', '.join(map(repr, overflowed))} is not finite, "
+                                "fused record dropped"))
+            continue
         ranked = sorted([(-value / len(members), label) for label, value in sums.items()])
         yield PredictionRecord(sequence_id(group),
                                tuple([(label, -negated) for negated, label in ranked]))

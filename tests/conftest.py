@@ -1,3 +1,4 @@
+import gc
 import sys
 from pathlib import Path
 
@@ -10,6 +11,15 @@ from trapkit.taxonomy import parse_taxonomy
 
 FIXTURE_DIR = Path(__file__).parent / "data" / "fixture"
 GOLDEN_DIR = Path(__file__).parent / "data" / "golden"
+
+
+@pytest.fixture(autouse=True)
+def collector_left_on():
+    """Fail a test that leaves the cyclic garbage collector off for the tests after it."""
+    yield
+    if not gc.isenabled():
+        gc.enable()
+        pytest.fail("the test left the cyclic garbage collector disabled")
 
 
 @pytest.fixture(scope="session")

@@ -1,4 +1,5 @@
 import csv
+import gc
 import json
 import os
 import subprocess
@@ -9,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from trapkit import cli
 from trapkit.cli import main
 
 from pipeline import artifact_files, pipeline_commands, run_pipeline
@@ -54,6 +56,29 @@ def test_missing_input_file_exits_one(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "error:" in err and "not found" in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("collecting", [True, False], ids=["caller_collecting", "caller_not"])
+@pytest.mark.parametrize("case, status", [("ok", 0), ("missing_input", 1), ("usage_error", 2)])
+def test_main_runs_with_the_collector_off_and_gives_back_the_callers_state(
+        tmp_path, fixture_dir, monkeypatch, capsys, collecting, case, status):
+    seen = []
+    run = cli._run
+    monkeypatch.setattr(cli, "_run", lambda args: seen.append(gc.isenabled()) or run(args))
+    argv = {
+        "ok": ["validate", *_dataset_flags(fixture_dir, tmp_path / "out")],
+        "missing_input": ["validate", *_dataset_flags(tmp_path, tmp_path / "out")],
+        "usage_error": ["validate", *_dataset_flags(fixture_dir, tmp_path / "out"), "--bogus"],
+    }[case]
+    if not collecting:
+        gc.disable()
+    try:
+        assert main(argv) == status
+        assert gc.isenabled() is collecting
+    finally:
+        gc.enable()
+    assert seen == ([] if case == "usage_error" else [False])  # argparse exits before _run
+    capsys.readouterr()
 
 
 def test_multi_source_ingest_reports_cross_source_duplicates(tmp_path, fixture_dir, capsys):
@@ -370,6 +395,30 @@ def test_weights_and_sequences_outputs(tmp_path, fixture_dir, capsys):
         "sp_panthera_onca:0.96296296296296"
     )
     capsys.readouterr()
+
+
+def test_sequences_drops_a_fused_record_whose_mean_overflows(tmp_path, fixture_dir, capsys):
+    predictions = tmp_path / "predictions.txt"
+    predictions.write_text(
+        "i_am1_004 a:1 b:-1.7e308\n"  # one burst of two: the per-label sum overflows
+        "i_am1_005 a:1 b:-1.7e308\n"
+        "i_am1_006 a:1e-300 b:-1e300\n"  # normalizing by the top score overflows
+        "i_am1_007 a:0.5\n", encoding="utf-8")
+    out = tmp_path / "out"
+    argv = ["sequences", *_dataset_flags(fixture_dir, out), "--predictions", str(predictions),
+            "--verbose"]
+    assert main(argv) == 0
+    summary, stderr = capsys.readouterr()
+    # 32 bursts: one fused record written, two dropped, the other 29 unpredicted
+    assert "aggregated predictions  1 (29 sequence(s) had no predicted member)" in summary
+    assert "dropped predictions     2 (a fused mean score is not finite)" in summary
+    assert (out / "sequence_predictions.txt").read_text(encoding="utf-8") == \
+        "d_amaz_01:2015-06-01T23:10:00Z a:1.0\n"
+    assert [line for line in stderr.splitlines() if "malformed_prediction" in line] == [
+        f"error: malformed_prediction: d_amaz_01:{start}: "
+        "mean score of 'b' is not finite, fused record dropped"
+        for start in ("2015-06-01T15:30:00Z", "2015-06-01T18:45:10Z")
+    ]
 
 
 def test_stats_summary_reports_blank_rate(tmp_path, fixture_dir, capsys):

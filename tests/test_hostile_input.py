@@ -3,11 +3,15 @@
 Whatever the flag values or input bytes, ``main`` returns 0, 1 or 2 and lets
 no exception escape; ``-o`` holds all of the command's artifacts or none, and
 no ``.partial`` file; and after exit 0 no artifact or stdout token is ``inf``,
-``-inf`` or ``nan`` in any case.
+``-inf`` or ``nan`` in any case. ``main`` runs with the cyclic garbage
+collector off, so a hostile input file must leave it no more cyclic garbage
+than a clean run of the same command, and ten times the input no more either.
 """
 
 import contextlib
 import csv
+import functools
+import gc
 import io
 import re
 import shutil
@@ -90,6 +94,51 @@ def _run_and_check(argv):
     return code
 
 
+def _cyclic_garbage(call):
+    """``call()`` run with the collector off, and the count ``gc.collect()`` then finds.
+
+    Objects made before the call are frozen, so the count is only the call's.
+    """
+    gc.disable()
+    gc.freeze()
+    try:
+        return call(), gc.collect()
+    finally:
+        gc.unfreeze()
+        gc.enable()
+
+
+@functools.cache
+def _clean_garbage(command):
+    """The cyclic garbage a run of ``command`` on the bundled fixture leaves."""
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = _argv(command, Path(__file__).parent / "data" / "fixture", Path(tmp))
+        code, garbage = _cyclic_garbage(lambda: _run_and_check(argv))
+    assert code == 0, command
+    return garbage
+
+
+def _repeat_records(lines, separator, copies):
+    """``lines`` ``copies`` times over, each copy's leading id suffixed with its number."""
+    return "".join(f"{key}_{n}{separator}{rest}"
+                   for n in range(copies)
+                   for key, rest in (line.split(separator, 1) for line in lines))
+
+
+def test_cyclic_garbage_does_not_grow_with_the_input(tmp_path, fixture_dir):
+    large = tmp_path / "large"
+    shutil.copytree(fixture_dir, large)
+    header, *rows = (fixture_dir / "images.csv").read_text(encoding="utf-8").splitlines(True)
+    (large / "images.csv").write_text(header + _repeat_records(rows, ",", 10), encoding="utf-8")
+    predictions = (fixture_dir / "predictions.txt").read_text(encoding="utf-8")
+    (large / "predictions.txt").write_text(
+        _repeat_records(predictions.splitlines(True), " ", 10), encoding="utf-8")
+    for command in ARTIFACTS:
+        code, garbage = _cyclic_garbage(lambda: _run_and_check(_argv(command, large, tmp_path)))
+        assert code == 0, command
+        assert garbage == _clean_garbage(command), command
+
+
 @pytest.mark.parametrize("command, flag", NUMERIC_FLAGS)
 @pytest.mark.parametrize("value", EXTREME_VALUES)
 def test_extreme_flag_value_exits_cleanly(tmp_path, fixture_dir, command, flag, value):
@@ -128,7 +177,8 @@ def test_hostile_input_file_exits_cleanly(tmp_path, fixture_dir, kind, fault, wh
     path.write_bytes(_corrupt(path.read_bytes(), fault, where))
     for command in READERS.get(kind, ARTIFACTS):
         argv = _argv(command, inputs, tmp_path / "out")
-        code = _run_and_check(argv)
+        code, garbage = _cyclic_garbage(lambda: _run_and_check(argv))
+        assert garbage <= _clean_garbage(command), command
         if fault == "non-UTF-8 byte":  # a file that is not UTF-8 is fatal: nothing is written
             out = Path(argv[argv.index("-o") + 1])
             assert code == 1, command

@@ -519,7 +519,7 @@ def test_identical_member_predictions_keep_their_ranking():
         _record("i1", "sp_a", "sp_b", start=0.6, step=0.2),
         _record("i2", "sp_a", "sp_b", start=0.6, step=0.2),
     ]
-    aggregated = list(sequence_aggregate(predictions, [_group("q1", "i1", "i2")]))
+    aggregated = list(sequence_aggregate(predictions, [_group("q1", "i1", "i2")], []))
     assert len(aggregated) == 1  # no group skipped: one record per group
     assert [label for label, _ in aggregated[0].entries] == ["sp_a", "sp_b"]
     assert aggregated[0].image_id == "q1:2016-01-01T00:00:00Z"
@@ -530,13 +530,13 @@ def test_tie_between_disjoint_top_labels_breaks_lexicographically():
         PredictionRecord("i1", (("b_label", 1.0),)),
         PredictionRecord("i2", (("a_label", 1.0),)),
     ]
-    aggregated = list(sequence_aggregate(predictions, [_group("q1", "i1", "i2")]))
+    aggregated = list(sequence_aggregate(predictions, [_group("q1", "i1", "i2")], []))
     assert aggregated[0].entries == (("a_label", 0.5), ("b_label", 0.5))
 
 
 def test_group_without_predictions_is_skipped_and_reported():
     groups = [_group("q1", "i1")]
-    aggregated = list(sequence_aggregate([], groups))
+    aggregated = list(sequence_aggregate([], groups, []))
     assert aggregated == []
     assert len(groups) - len(aggregated) == 1  # the skipped count `sequences` reports
 
@@ -551,9 +551,25 @@ def test_sequence_aggregation_matches_mean_and_sort_oracle():
             scores = sorted((round(rng.uniform(0.01, 1.0), 4) for _ in chosen), reverse=True)
             members.append(PredictionRecord(f"i{index}", tuple(zip(chosen, scores))))
         group = _group("q", *[record.image_id for record in members])
-        aggregated = list(sequence_aggregate(members, [group]))
+        aggregated = list(sequence_aggregate(members, [group], []))
         assert aggregated == [PredictionRecord(*fused)
                               for fused in sequence_fusion(members, _pairs([group]))]
+
+
+@pytest.mark.parametrize("members", [
+    # the per-label sum overflows
+    ["i1 a:1 b:-1.7e308", "i2 a:1 b:-1.7e308"],
+    # normalizing by the top score overflows
+    ["i1 a:1e-300 b:-1e300"],
+], ids=["sum", "normalize"])
+def test_fused_record_with_a_non_finite_mean_is_dropped_as_an_issue(members):
+    issues = []
+    records = list(iter_predictions(io.StringIO("\n".join(members)), issues))
+    group = _group("q1", *(record.image_id for record in records))
+    assert issues == []  # every input score is finite
+    assert list(sequence_aggregate(records, [group, _group("q2", "i9")], issues)) == []
+    assert issues == [Issue(IssueKind.MALFORMED_PREDICTION, "q1:2016-01-01T00:00:00Z",
+                            "mean score of 'b' is not finite, fused record dropped")]
 
 
 _FUSION_MEMBERS = [f"i{n}" for n in range(8)]
@@ -599,11 +615,20 @@ def _fused_bytes(records):
     PredictionRecord("x0", (("d", 1.0),)),
     PredictionRecord("i3", (("b", -0.0), ("a", -0.0))),
 ], [_group("q0", "i1", "i2", "i3")]))
+@example(([  # a subnormal first score: dividing by it overflows
+    PredictionRecord("i1", (("a", 5e-324), ("b", -2.0))),
+    PredictionRecord("i2", (("a", 1.0),)),
+], [_group("q0", "i1"), _group("q1", "i2")]))
 def test_sequence_aggregate_writes_the_bytes_of_the_hold_every_record_oracle(case):
     # bytes, not tuples: 0.0 == -0.0, but the two are written differently
     records, groups = case
-    expected = [PredictionRecord(*fused) for fused in sequence_fusion(records, _pairs(groups))]
-    assert _fused_bytes(sequence_aggregate(iter(records), groups)) == _fused_bytes(expected)
+    # the oracle keeps a record with a non-finite mean; the fusion drops it as an issue
+    fused = sequence_fusion(records, _pairs(groups))
+    finite = [record for record in fused if all(math.isfinite(score) for _, score in record[1])]
+    issues = []
+    assert _fused_bytes(sequence_aggregate(iter(records), groups, issues)) == \
+        _fused_bytes(PredictionRecord(*record) for record in finite)
+    assert [issue.key for issue in issues] == [record[0] for record in fused if record not in finite]
 
 
 def _twenty_entry_records(count):
@@ -620,7 +645,7 @@ def test_sequence_aggregate_holds_under_a_kilobyte_per_member():
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        fused = sum(1 for _ in sequence_aggregate(_twenty_entry_records(count), groups))
+        fused = sum(1 for _ in sequence_aggregate(_twenty_entry_records(count), groups, []))
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
