@@ -395,7 +395,8 @@ def _cmd_weights(args, dataset, issues):
 
 def _cmd_sequences(args, dataset, issues):
     groups = group_bursts(dataset, args.max_gap_seconds)
-    artifacts = {"sequences.csv": lambda handle: write_sequences(groups, handle)}
+    ids = [] if args.predictions else None  # each group's id, as sequences.csv holds it
+    artifacts = {"sequences.csv": lambda handle: write_sequences(groups, handle, ids)}
     lines = [f"sequences               {len(groups)} from {len(dataset.images)} images"]
     if not args.predictions:
         return artifacts, lambda: lines
@@ -406,7 +407,8 @@ def _cmd_sequences(args, dataset, issues):
     def write(handle):
         nonlocal aggregated
         aggregated = _read(args.predictions, lambda predictions: write_predictions(
-            sequence_aggregate(iter_predictions(predictions, issues), groups, dropped), handle
+            sequence_aggregate(iter_predictions(predictions, issues), groups, dropped, ids),
+            handle
         ))
         issues.extend(dropped)
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from array import array
+from itertools import chain
 from typing import IO, Iterable, Mapping, NamedTuple, Sequence
 
 from ._util import read_rows, record_issue, write_rows
@@ -115,7 +116,7 @@ def write_predictions(records: Iterable[PredictionRecord], stream: IO[str]) -> i
     """Write one `image_id label:score ...` line per record; returns the line count."""
     count = 0
     for record in records:
-        tokens = " ".join(f"{label}:{score!r}" for label, score in record.entries)
+        tokens = " ".join([f"{label}:{score!r}" for label, score in record.entries])
         stream.write(f"{record.image_id} {tokens}\n")
         count += 1
     return count
@@ -300,6 +301,7 @@ def sequence_aggregate(
     predictions: Iterable[PredictionRecord],
     groups: Sequence[Sequence[ImageRecord]],
     issues: list[Issue],
+    ids: Iterable[str] | None = None,
 ) -> Iterable[PredictionRecord]:
     """Yield one fused, ranked record per burst group, in group order.
 
@@ -310,47 +312,58 @@ def sequence_aggregate(
     label id. A group with no predicted member yields nothing. Nor does a
     group whose normalizing or summing overflows, leaving a mean that is
     not finite: it is appended to ``issues`` as one ``malformed_prediction``
-    keyed by its sequence id and naming each such label.
+    keyed by its sequence id and naming each such label. ``ids`` holds each
+    group's sequence id, as ``stats.write_sequences`` hands them on; without
+    it, each is built by ``stats.sequence_id``.
 
     Every prediction is read before the first yield, but only the first
-    record of each group member is kept, and only as its labels (one tuple,
-    each label string shared with every other record's) and its normalized
-    scores (an ``array('d')``). A record for an image in no group, or for a
-    member already read, is dropped as soon as it is read.
+    record of each group member is kept, and only as columns: its labels as
+    codes (numbered in first-seen order) in one ``array('I')``, its
+    normalized scores in one ``array('d')``, and where they start and stop
+    in two offset arrays indexed by the member's ordinal. A record for an
+    image in no group, or for a member already read, is dropped as soon as
+    it is read.
     """
-    held: dict[str, tuple | None] = dict.fromkeys(
-        image.image_id for group in groups for image in group)
-    shared_labels: dict[str, str] = {}
+    # image id -> member ordinal, until the member's first record is read
+    ordinal = {image.image_id: n for n, image in enumerate(chain.from_iterable(groups))}
+    starts = array("I", [0]) * len(ordinal)  # 2**32 held entries would take 51 GB
+    stops = array("Q", starts)  # start == stop: unpredicted, or an empty record
+    codes = array("I")
+    scores = array("d")
+    label_codes: dict[str, int] = {}
     for image_id, entries in predictions:
-        if held.get(image_id, ()) is not None:
-            continue  # in no group, or its first record is already held
-        if not entries:
-            held[image_id] = ()  # an empty ranking still blocks later records
-            continue
+        member = ordinal.pop(image_id, None)
+        if member is None or not entries:
+            continue  # in no group or already read; an empty ranking still blocks later records
         top_score = entries[0][1]
-        held[image_id] = (
-            tuple([shared_labels.setdefault(label, label) for label, _ in entries]),
-            array("d", [score / top_score for _, score in entries] if top_score > 0
-                  else [0.0] * len(entries)),
-        )
+        starts[member] = len(codes)
+        codes.fromlist([label_codes.setdefault(label, len(label_codes)) for label, _ in entries])
+        scores.fromlist([score / top_score for _, score in entries] if top_score > 0
+                        else [0.0] * len(entries))
+        stops[member] = len(codes)
 
-    for group in groups:
-        members = [member for image in group if (member := held[image.image_id])]
-        if not members:
+    labels = list(label_codes)
+    bounds = zip(starts, stops)  # each member's slice of codes and scores, in member order
+    for group, key in zip(groups, map(sequence_id, groups) if ids is None else ids):
+        sums: dict[int, float] = {}
+        predicted = 0
+        # the group is zipped first, so its last member pulls no bounds of the next group
+        for _, (start, stop) in zip(group, bounds):
+            if start != stop:
+                predicted += 1
+                for code, normalized in zip(codes[start:stop], scores[start:stop]):
+                    sums[code] = sums.get(code, 0.0) + normalized
+        if not predicted:
             continue
-        sums: dict[str, float] = {}
-        for labels, normalized_scores in members:
-            for label, normalized in zip(labels, normalized_scores):
-                sums[label] = sums.get(label, 0.0) + normalized
         if not all(map(math.isfinite, sums.values())):
-            overflowed = sorted(label for label, value in sums.items() if not math.isfinite(value))
-            issues.append(Issue(IssueKind.MALFORMED_PREDICTION, sequence_id(group),
+            overflowed = sorted(labels[code] for code, value in sums.items()
+                                if not math.isfinite(value))
+            issues.append(Issue(IssueKind.MALFORMED_PREDICTION, key,
                                 f"mean score of {', '.join(map(repr, overflowed))} is not finite, "
                                 "fused record dropped"))
             continue
-        ranked = sorted([(-value / len(members), label) for label, value in sums.items()])
-        yield PredictionRecord(sequence_id(group),
-                               tuple([(label, -negated) for negated, label in ranked]))
+        ranked = sorted([(-value / predicted, labels[code]) for code, value in sums.items()])
+        yield PredictionRecord(key, tuple([(label, -negated) for negated, label in ranked]))
 
 
 def _value_text(value):

@@ -185,16 +185,29 @@ def write_weights(weights: dict[str, float], stream: IO[str]) -> None:
     write_rows(stream, chain([WEIGHTS_COLUMNS], sorted(weights.items())))
 
 
-def write_sequences(groups, stream: IO[str]) -> None:
-    write_rows(stream, chain([SEQUENCE_COLUMNS], (
-        (
-            sequence_id(group, start := format_timestamp(group[0].timestamp)),
-            group[0].deployment_id,
-            start,
-            start if group[-1].timestamp == group[0].timestamp
-            else format_timestamp(group[-1].timestamp),
-            len(group),
-            " ".join([image.image_id for image in group]),
-        )
-        for group in groups
-    )))
+def write_sequences(groups, stream: IO[str], ids: list[str] | None = None) -> None:
+    """Write one `sequences.csv` row per burst group.
+
+    A group's id is `deployment_id:start_time`. Its start time is formatted
+    once, for both. When ``ids`` is a list, each group's id is appended to
+    it, so fused predictions reuse the text.
+    """
+    def rows():
+        yield SEQUENCE_COLUMNS
+        for group in groups:
+            first = group[0]
+            start = format_timestamp(first.timestamp)
+            key = sequence_id(group, start)
+            if ids is not None:
+                ids.append(key)
+            yield (
+                key,
+                first.deployment_id,
+                start,
+                start if group[-1].timestamp == first.timestamp
+                else format_timestamp(group[-1].timestamp),
+                len(group),
+                " ".join([image.image_id for image in group]),
+            )
+
+    write_rows(stream, rows())

@@ -67,13 +67,8 @@ class TaxonRecord(NamedTuple):
         Names after a gap are ignored; the gap itself is reported at parse
         time as a tree inconsistency.
         """
-        names: list[str] = []
-        for name in (self.class_name, self.order_name, self.family_name,
-                     self.genus_name, self.species_name):
-            if name is None:
-                break
-            names.append(name)
-        return tuple(names)
+        names = self[1:6]
+        return names[:names.index(None)] if None in names else names
 
 
 class RolledLabel(NamedTuple):

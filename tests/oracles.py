@@ -32,13 +32,18 @@ def rolled_tuple(record, level_index, table):
         return ("#special", "blank", table.blank_label_id)
     if record.special_kind == "unknown":
         return ("#special", "unknown", table.unknown_label_id or record.label_id)
+    return lineage(record)[: level_index + 1]
+
+
+def lineage(record):
+    """A TaxonRecord's names from class down, up to the first missing one."""
     names = []
     for name in (record.class_name, record.order_name, record.family_name,
                  record.genus_name, record.species_name):
         if name is None:
             break
         names.append(name)
-    return tuple(names[: level_index + 1])
+    return tuple(names)
 
 
 def display_name(rolled):

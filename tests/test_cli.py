@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from trapkit import cli
+from trapkit import cli, stats
 from trapkit.cli import main
 
 from pipeline import artifact_files, pipeline_commands, run_pipeline
@@ -419,6 +419,42 @@ def test_sequences_drops_a_fused_record_whose_mean_overflows(tmp_path, fixture_d
         "mean score of 'b' is not finite, fused record dropped"
         for start in ("2015-06-01T15:30:00Z", "2015-06-01T18:45:10Z")
     ]
+
+
+def _one_image_bursts(fixture_dir, data_dir, count=30):
+    """The fixture's deployments and taxonomy, with ``count`` images ten minutes apart."""
+    data_dir.mkdir()
+    for name in ("deployments.csv", "taxonomy.csv"):
+        (data_dir / name).write_bytes((fixture_dir / name).read_bytes())
+    (data_dir / "images.csv").write_text(
+        "image_id,deployment_id,timestamp,label_id,burst_index,source_id\n" + "".join(
+            f"i{n},d_amaz_01,2015-06-01T{n // 6:02d}:{n % 6}0:00Z,sp_panthera_onca,0,teamA\n"
+            for n in range(count)), encoding="utf-8")
+    (data_dir / "predictions.txt").write_text("".join(
+        f"i{n} sp_panthera_onca:0.7 blank:0.3\n" for n in range(count)), encoding="utf-8")
+    return data_dir
+
+
+@pytest.mark.parametrize("case", ["fixture", "one_image_bursts"])
+def test_sequences_formats_each_burst_start_once(tmp_path, fixture_dir, monkeypatch, capsys,
+                                                 case):
+    data_dir = fixture_dir if case == "fixture" else _one_image_bursts(fixture_dir,
+                                                                       tmp_path / "data")
+    calls = []
+    format_timestamp = stats.format_timestamp
+    monkeypatch.setattr(stats, "format_timestamp",
+                        lambda value: calls.append(value) or format_timestamp(value))
+    out = tmp_path / "out"
+    argv = ["sequences", *_dataset_flags(data_dir, out),
+            "--predictions", str(data_dir / "predictions.txt")]
+    assert main(argv) == 0
+    capsys.readouterr()
+    rows = list(csv.reader(open(out / "sequences.csv", encoding="utf-8")))[1:]
+    fused = (out / "sequence_predictions.txt").read_text(encoding="utf-8").splitlines()
+    assert len(fused) == (31 if case == "fixture" else 30)
+    # the fused ids are the first column's texts: each start is formatted for
+    # its row only, and each end only where it is another time
+    assert len(calls) == len(rows) + sum(row[2] != row[3] for row in rows)
 
 
 def test_stats_summary_reports_blank_rate(tmp_path, fixture_dir, capsys):

@@ -1,3 +1,4 @@
+import csv
 import io
 import random
 import tracemalloc
@@ -266,8 +267,12 @@ def _burst_case(draw):
 def test_write_sequences_writes_the_bytes_of_the_per_deployment_oracle(case):
     dataset, gap = case
     out = io.StringIO()
-    write_sequences(group_bursts(dataset, gap), out)
-    assert out.getvalue() == burst_rows(dataset.images.values(), gap)
+    ids = []
+    write_sequences(group_bursts(dataset, gap), out, ids)
+    expected = burst_rows(dataset.images.values(), gap)
+    assert out.getvalue() == expected
+    # the ids handed on to the fusion are the texts of the first column
+    assert ids == [row[0] for row in csv.reader(io.StringIO(expected))][1:]
 
 
 def test_group_bursts_holds_under_a_hundred_bytes_per_group():

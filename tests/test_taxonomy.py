@@ -16,6 +16,7 @@ from trapkit.taxonomy import (
 )
 
 from generators import random_taxonomy
+from oracles import lineage as oracle_lineage
 
 HEADER = "label_id,class_name,order_name,family_name,genus_name,species_name,special_kind"
 
@@ -112,6 +113,16 @@ def test_lineage_gap_is_flagged_and_prefix_survives():
     table, report = parse(f"{HEADER}\nsp_a,Mammalia,,Felidae,Panthera,,\nblank,,,,,,blank\n")
     assert len(report.of_kind(IssueKind.TREE_INCONSISTENCY)) == 1
     assert table.records["sp_a"].lineage() == ("Mammalia",)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(st.none(), st.just(""), st.text(max_size=2)), min_size=5, max_size=5),
+       st.sampled_from([None, "blank", "unknown"]))
+def test_lineage_is_the_names_before_the_first_gap(names, special):
+    # an empty name is a name: only None cuts the lineage
+    record = TaxonRecord("x", *names, special)
+    assert record.lineage() == oracle_lineage(record)
+    assert type(record.lineage()) is tuple
 
 
 def test_rollup_identity_at_finest_level(taxonomy_table):
