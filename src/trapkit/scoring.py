@@ -326,7 +326,7 @@ def sequence_aggregate(
     """
     # image id -> member ordinal, until the member's first record is read
     ordinal = {image.image_id: n for n, image in enumerate(chain.from_iterable(groups))}
-    starts = array("I", [0]) * len(ordinal)  # 2**32 held entries would take 51 GB
+    starts = array("I", [0]) * len(ordinal)  # 32 bits: 2**32 held entries take 51 GB
     stops = array("Q", starts)  # start == stop: unpredicted, or an empty record
     codes = array("I")
     scores = array("d")
