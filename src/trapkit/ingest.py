@@ -97,13 +97,15 @@ def parse_deployments(stream: IO[str]) -> tuple[list[Deployment], list[Issue]]:
     """
     records: dict[str, Deployment] = {}
     issues: list[Issue] = []
+    new_record = tuple.__new__
     for row_number, row in read_rows(stream, DEPLOYMENT_COLUMNS, "deployments", issues):
         dep_id, project_id, lat_text, lon_text, camera, start_text, end_text, notes = row
         if not dep_id or not project_id:
             issues.append(record_issue(IssueKind.MISSING_FIELD, dep_id, row_number,
                                        "deployment_id and project_id are required"))
             continue
-        if id_rejected("deployment_id", dep_id, row_number, records, issues):
+        if (dep_id in records or " " in dep_id or not dep_id.isprintable()) \
+                and id_rejected("deployment_id", dep_id, row_number, records, issues):
             continue
         try:
             latitude = float(lat_text)
@@ -124,7 +126,7 @@ def parse_deployments(stream: IO[str]) -> tuple[list[Deployment], list[Issue]]:
                                        "start_time after end_time, both cleared"))
             start = end = None
 
-        records[dep_id] = Deployment(
+        records[dep_id] = new_record(Deployment, (
             dep_id,
             project_id,
             latitude,
@@ -133,7 +135,7 @@ def parse_deployments(stream: IO[str]) -> tuple[list[Deployment], list[Issue]]:
             start,
             end,
             notes or None,
-        )
+        ))
     return list(records.values()), issues
 
 
@@ -146,6 +148,15 @@ def _timestamp(text, field_name, key, row_number, issues, optional=True):
     """
     if optional and not text:
         return None
+    # fromisoformat alone reads the common `...Z` text on Python 3.11+. Its value
+    # is kept only when already in UTC, where the rule below gives the same value
+    # with no issue; any other text takes that rule.
+    try:
+        value = datetime.fromisoformat(text)
+        if value.tzinfo is UTC:
+            return value
+    except (ValueError, OverflowError):
+        pass
     iso = text[:-1] + "+00:00" if text.endswith(("Z", "z")) else text
     try:
         value = datetime.fromisoformat(iso)
@@ -173,6 +184,7 @@ def parse_images(stream: IO[str]) -> tuple[list[ImageRecord], list[Issue]]:
     records: dict[str, ImageRecord] = {}
     issues: list[Issue] = []
     fromisoformat = datetime.fromisoformat
+    new_record = tuple.__new__
     for row_number, row in read_rows(stream, IMAGE_COLUMNS, "images", issues):
         image_id, dep_id, ts_text, label_id, burst_text, source_id = row
         if not (image_id and dep_id and label_id and source_id):
@@ -181,11 +193,10 @@ def parse_images(stream: IO[str]) -> tuple[list[ImageRecord], list[Issue]]:
                 "image_id, deployment_id, label_id and source_id are required",
             ))
             continue
-        if id_rejected("image_id", image_id, row_number, records, issues):
+        if (image_id in records or " " in image_id or not image_id.isprintable()) \
+                and id_rejected("image_id", image_id, row_number, records, issues):
             continue
-        # fromisoformat alone reads the common `...Z` text on Python 3.11+. Its
-        # value is kept only when already in UTC, where _timestamp returns the
-        # same value with no issue; any other text takes the rule in _timestamp.
+        # _timestamp's first step, inlined
         try:
             timestamp = fromisoformat(ts_text)
         except (ValueError, OverflowError):
@@ -209,14 +220,14 @@ def parse_images(stream: IO[str]) -> tuple[list[ImageRecord], list[Issue]]:
                 ))
                 burst_index = None
 
-        records[image_id] = ImageRecord(
+        records[image_id] = new_record(ImageRecord, (
             image_id,
             intern(dep_id),
             timestamp,
             intern(label_id),
             burst_index,
             intern(source_id),
-        )
+        ))
     return list(records.values()), issues
 
 
@@ -260,6 +271,9 @@ def unify(
     as a warning when it is field-for-field identical (benign duplicate),
     as an error when the copies disagree. Images whose deployment or label
     never resolves are excluded so the result keeps referential integrity.
+    The result holds the one dict per record kind that the merge built:
+    excluded images are deleted from it in place, not copied out of it, and
+    no input sequence is changed.
     """
     issues: list[Issue] = []
     # one merge per kind, as deployment ids and image ids are separate namespaces
@@ -267,7 +281,7 @@ def unify(
     images = _merge([(source.name, source.images) for source in sources], issues)
 
     labels = taxonomy.records
-    kept: dict[str, ImageRecord] = {}
+    excluded = []
     for image_id, image in images.items():
         if image.deployment_id not in deployments:
             issues.append(Issue(
@@ -275,18 +289,20 @@ def unify(
                 image_id,
                 f"references missing deployment {image.deployment_id!r}, excluded",
             ))
+            excluded.append(image_id)
         elif image.label_id not in labels:
             issues.append(Issue(
                 IssueKind.UNKNOWN_LABEL,
                 image_id,
                 f"label {image.label_id!r} not in taxonomy, excluded",
             ))
-        else:
-            kept[image_id] = image
+            excluded.append(image_id)
+    for image_id in excluded:
+        del images[image_id]
 
     dataset = UnifiedDataset(
         deployments,
-        kept,
+        images,
         taxonomy,
         tuple(source.name for source in sources),
     )
@@ -294,24 +310,28 @@ def unify(
 
 
 def _merge(parts, issues):
-    """Merge ``(source name, records)`` pairs into one dict keyed by each record's id.
+    """Merge ``(source name, records)`` pairs into one new dict keyed by each record's id.
 
     A record's id is its first field. A record whose id is already taken is
-    not added but reported, naming the source of the kept copy.
+    not added but reported, naming the source of the kept copy. That source
+    is held only for ids first added by a later part; any other kept copy
+    comes from the first part.
     """
     merged: dict = {}
     owner: dict[str, str] = {}
-    for name, records in parts:
+    for index, (name, records) in enumerate(parts):
         for record in records:
             key = record[0]
             kept = merged.get(key)
             if kept is None:
                 merged[key] = record
-                owner[key] = name
+                if index:
+                    owner[key] = name
             elif kept == record:
                 issues.append(Issue(IssueKind.DUPLICATE_ID, key, f"identical duplicate in "
-                                    f"{name!r}, kept copy from {owner[key]!r}", Severity.WARNING))
+                                    f"{name!r}, kept copy from {owner.get(key, parts[0][0])!r}",
+                                    Severity.WARNING))
             else:
                 issues.append(Issue(IssueKind.DUPLICATE_ID, key, f"conflicting duplicate: "
-                                    f"{owner[key]!r} kept, {name!r} differs"))
+                                    f"{owner.get(key, parts[0][0])!r} kept, {name!r} differs"))
     return merged

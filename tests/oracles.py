@@ -239,6 +239,24 @@ def timestamp_rule(text, field_name, optional=True):
     return value, None
 
 
+def burst_rule(text):
+    """The burst_index rule as one plain sequence of steps, for any stripped cell text.
+
+    Returns ``(value, detail)``: the index or None, and None or the detail
+    of the issue the row gets. An empty cell is None without an issue; text
+    ``int`` cannot read, or a negative value, is cleared with an issue.
+    """
+    if not text:
+        return None, None
+    try:
+        value = int(text)
+    except ValueError:
+        value = None
+    if value is None or value < 0:
+        return None, f"burst_index {text!r} is not a nonnegative integer, cleared"
+    return value, None
+
+
 def csv_rows(text, width):
     """``(rows, problems)`` of a CSV text after its header, one ``next()`` at a time.
 

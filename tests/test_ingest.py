@@ -1,6 +1,8 @@
 import csv
 import io
 import re
+import sys
+import tracemalloc
 from collections import Counter
 from datetime import datetime, timezone
 
@@ -26,7 +28,7 @@ from trapkit.report import Issue, IssueKind, Severity
 from trapkit.scoring import RANGE_MAP_COLUMNS, parse_range_map
 from trapkit.taxonomy import TAXONOMY_COLUMNS, parse_taxonomy
 
-from oracles import csv_rows, duplicate_count, timestamp_rule
+from oracles import burst_rule, csv_rows, duplicate_count, timestamp_rule
 from pipeline import pipeline_commands
 
 UTC = timezone.utc
@@ -208,6 +210,62 @@ def test_empty_burst_column_is_none_without_issue():
     records, issues = parse_img(f"{IMG_HEADER}\ni1,d1,2015-06-01T12:00:00Z,sp_x,,teamA\n")
     assert records[0].burst_index is None
     assert issues == []
+
+
+@given(text=st.one_of(
+    st.text(alphabet="0123456789+-_ .\u0663\u00b2", max_size=8),
+    st.sampled_from(["00", "+3", "-0", "\u0663", "\u00b2", "1_0", "3.0"]),
+))
+@example(text="1" * 5000)  # over int()'s default digit limit
+@settings(max_examples=300, deadline=None)
+def test_burst_index_follows_the_reference_rule_for_any_text(text):
+    value, detail = burst_rule(text.strip())  # parsing strips every cell
+    buffer = io.StringIO()
+    write_rows(buffer, [IMAGE_COLUMNS, ["i1", "d1", "2015-06-01T12:00:00Z", "sp_x", text, "teamA"]])
+    records, issues = parse_img(buffer.getvalue())
+    assert [record.burst_index for record in records] == [value]
+    assert [(issue.kind, issue.key, issue.detail) for issue in issues] == \
+        ([] if detail is None else [(IssueKind.MISSING_FIELD, "i1", f"row 2: {detail}")])
+
+
+# ----------------------------------------------------------------- id rules
+
+_SPLIT_CHARACTERS = [chr(point) for point in range(sys.maxunicode + 1)
+                     if chr(point).split() != [chr(point)]]
+
+
+def test_every_character_split_on_but_space_is_not_printable():
+    # the guard in front of id_rejected relies on this
+    assert " " in _SPLIT_CHARACTERS and "\t" in _SPLIT_CHARACTERS
+    assert [c for c in _SPLIT_CHARACTERS if c != " " and c.isprintable()] == []
+
+
+@pytest.mark.parametrize("char", _SPLIT_CHARACTERS, ids=lambda c: f"U+{ord(c):04X}")
+def test_an_id_holding_any_character_split_on_is_rejected(char):
+    record_id = "a" + char + "b"
+    buffer = io.StringIO()
+    write_rows(buffer, [IMAGE_COLUMNS, [record_id, "d1", "2015-06-01T12:00:00Z", "sp_x", "", "t"]])
+    records, issues = parse_img(buffer.getvalue())
+    assert records == []
+    assert [(issue.kind, issue.key, issue.detail) for issue in issues] == [
+        (IssueKind.MISSING_FIELD, record_id, "row 2: image_id contains whitespace")]
+    buffer = io.StringIO()
+    write_rows(buffer, [DEPLOYMENT_COLUMNS, [record_id, "p1", "0", "0", "", "", "", ""]])
+    records, issues = parse_dep(buffer.getvalue())
+    assert records == []
+    assert [(issue.kind, issue.key, issue.detail) for issue in issues] == [
+        (IssueKind.MISSING_FIELD, record_id, "row 2: deployment_id contains whitespace")]
+
+
+@pytest.mark.parametrize("parse, header, row, field_name", [
+    (parse_img, IMG_HEADER, "x\u00e9_1,d1,2015-06-01T12:00:00Z,sp_x,,t", "image_id"),
+    (parse_dep, DEP_HEADER, "x\u00e9_1,p1,0,0,,,,", "deployment_id"),
+], ids=["images", "deployments"])
+def test_a_printable_duplicate_id_is_a_duplicate(parse, header, row, field_name):
+    records, issues = parse(f"{header}\n{row}\n{row}\n")
+    assert len(records) == 1
+    assert [(issue.kind, issue.key, issue.detail) for issue in issues] == [
+        (IssueKind.DUPLICATE_ID, "x\u00e9_1", f"row 3: duplicate {field_name}, first occurrence kept")]
 
 
 # ---------------------------------------------------------------- round trips
@@ -522,6 +580,64 @@ def test_unify_duplicates_name_the_source_of_the_kept_copy(taxonomy_table, image
               Severity.WARNING),
         Issue(IssueKind.DUPLICATE_ID, image_id, "conflicting duplicate: 'b' kept, 'd' differs"),
     ])
+
+
+def test_unify_duplicate_in_the_first_source_names_it_as_the_kept_copy(taxonomy_table):
+    # parsing drops a duplicate inside one file, but a hand-built source can hold one
+    ts = datetime(2015, 6, 1, tzinfo=UTC)
+    dep = Deployment("d1", "p", 0.0, 0.0)
+    image = ImageRecord("i1", "d1", ts, "blank", None, "x")
+    dataset, issues = unify([
+        Source("a", [dep], [image, image, image._replace(label_id="sp_panthera_onca")]),
+        Source("b", [dep], []),
+    ], taxonomy_table)
+    assert dataset.images == {"i1": image}
+    assert issues == [
+        Issue(IssueKind.DUPLICATE_ID, "d1", "identical duplicate in 'b', kept copy from 'a'",
+              Severity.WARNING),
+        Issue(IssueKind.DUPLICATE_ID, "i1", "identical duplicate in 'a', kept copy from 'a'",
+              Severity.WARNING),
+        Issue(IssueKind.DUPLICATE_ID, "i1", "conflicting duplicate: 'a' kept, 'a' differs"),
+    ]
+
+
+def test_unify_leaves_its_input_sequences_unchanged(taxonomy_table):
+    ts = datetime(2015, 6, 1, tzinfo=UTC)
+    a = Source("a", [Deployment("d1", "p", 0.0, 0.0)], [
+        ImageRecord("ok", "d1", ts, "blank", None, "a"),
+        ImageRecord("orphan", "dX", ts, "blank", None, "a"),
+        ImageRecord("mystery", "d1", ts, "sp_bogus", None, "a"),
+    ])
+    b = Source("b", [Deployment("d1", "q", 0.0, 0.0), Deployment("d2", "p", 1.0, 1.0)], [
+        ImageRecord("ok", "d2", ts, "blank", None, "b"),
+        ImageRecord("late", "d2", ts, "blank", None, "b"),
+        ImageRecord("late_orphan", "dY", ts, "blank", None, "b"),
+    ])
+    sources = [a, b]
+    before = [(source.name, list(source.deployments), list(source.images)) for source in sources]
+    dataset, _ = unify(sources, taxonomy_table)
+    assert set(dataset.images) == {"ok", "late"}
+    assert sources == [a, b]
+    assert [(source.name, source.deployments, source.images) for source in sources] == before
+
+
+def test_unify_holds_one_image_dict(taxonomy_table):
+    # bulk-clean's shape: one clean source, 24,000 images on 2,000 deployments
+    ts = datetime(2016, 1, 1, tzinfo=UTC)
+    deployments = [Deployment(f"d{n}", "proj", 0.0, 0.0) for n in range(2000)]
+    images = [ImageRecord(f"i{n:07d}", f"d{n % 2000}", ts, "blank", None, "bulk")
+              for n in range(24_000)]
+    sources = [Source("bulk", deployments, images)]
+    tracemalloc.start()
+    try:
+        dataset, issues = unify(sources, taxonomy_table)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(dataset.images) == len(images) and issues == []
+    # the merged image dict peaks near 60 B per image as it grows; a second
+    # dict as large (a filtered copy, or an owner per id) takes it over 90 B
+    assert peak / len(images) < 75
 
 
 def test_unify_excludes_orphans_and_unknown_labels(taxonomy_table):
