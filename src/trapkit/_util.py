@@ -28,9 +28,9 @@ def id_rejected(field_name: str, key: str, row_number: int, records: dict,
 
     It is when the id is not one ``str.split()`` token (manifests hold one id
     per line and prediction lines split on whitespace) or is already in ``records``.
-    Every character ``str.split()`` splits on but ``" "`` is non-printable, so a
-    per-row caller may skip the call unless ``key in records or " " in key or
-    not key.isprintable()``.
+    Every character ``str.split()`` splits on but ``" "`` is non-printable, so
+    ``ingest.parse_images`` skips the call unless ``key in records or " " in key
+    or not key.isprintable()``.
     """
     if key.split() != [key]:
         issues.append(record_issue(IssueKind.MISSING_FIELD, key, row_number,

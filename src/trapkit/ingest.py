@@ -16,7 +16,8 @@ shares (header, blank rows, column count, unreadable rows) live in
 `_util.read_rows`, the rule that names a rejected record (its id, or
 `row N` when the id is empty, and a detail starting `row N: `) lives in
 `_util.record_issue`, and the rule that rejects a record id (whitespace
-inside it, or a duplicate) lives in `_util.id_rejected`.
+inside it, or a duplicate) lives in `_util.id_rejected`; the guard in
+front of it in `parse_images` only skips calls that could not reject.
 """
 
 from __future__ import annotations
@@ -97,15 +98,13 @@ def parse_deployments(stream: IO[str]) -> tuple[list[Deployment], list[Issue]]:
     """
     records: dict[str, Deployment] = {}
     issues: list[Issue] = []
-    new_record = tuple.__new__
     for row_number, row in read_rows(stream, DEPLOYMENT_COLUMNS, "deployments", issues):
         dep_id, project_id, lat_text, lon_text, camera, start_text, end_text, notes = row
         if not dep_id or not project_id:
             issues.append(record_issue(IssueKind.MISSING_FIELD, dep_id, row_number,
                                        "deployment_id and project_id are required"))
             continue
-        if (dep_id in records or " " in dep_id or not dep_id.isprintable()) \
-                and id_rejected("deployment_id", dep_id, row_number, records, issues):
+        if id_rejected("deployment_id", dep_id, row_number, records, issues):
             continue
         try:
             latitude = float(lat_text)
@@ -126,7 +125,7 @@ def parse_deployments(stream: IO[str]) -> tuple[list[Deployment], list[Issue]]:
                                        "start_time after end_time, both cleared"))
             start = end = None
 
-        records[dep_id] = new_record(Deployment, (
+        records[dep_id] = Deployment(
             dep_id,
             project_id,
             latitude,
@@ -135,7 +134,7 @@ def parse_deployments(stream: IO[str]) -> tuple[list[Deployment], list[Issue]]:
             start,
             end,
             notes or None,
-        ))
+        )
     return list(records.values()), issues
 
 
@@ -148,15 +147,6 @@ def _timestamp(text, field_name, key, row_number, issues, optional=True):
     """
     if optional and not text:
         return None
-    # fromisoformat alone reads the common `...Z` text on Python 3.11+. Its value
-    # is kept only when already in UTC, where the rule below gives the same value
-    # with no issue; any other text takes that rule.
-    try:
-        value = datetime.fromisoformat(text)
-        if value.tzinfo is UTC:
-            return value
-    except (ValueError, OverflowError):
-        pass
     iso = text[:-1] + "+00:00" if text.endswith(("Z", "z")) else text
     try:
         value = datetime.fromisoformat(iso)
@@ -196,7 +186,9 @@ def parse_images(stream: IO[str]) -> tuple[list[ImageRecord], list[Issue]]:
         if (image_id in records or " " in image_id or not image_id.isprintable()) \
                 and id_rejected("image_id", image_id, row_number, records, issues):
             continue
-        # _timestamp's first step, inlined
+        # fromisoformat alone reads the common `...Z` text on Python 3.11+. Its
+        # value is kept only when already in UTC, where _timestamp returns the
+        # same value with no issue; any other text takes the rule in _timestamp.
         try:
             timestamp = fromisoformat(ts_text)
         except (ValueError, OverflowError):
