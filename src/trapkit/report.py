@@ -50,8 +50,8 @@ class ValidationReport:
     two runs over the same input produce byte-identical reports.
     """
 
-    def __init__(self, issues: list[Issue] | None = None):
-        self.issues = [] if issues is None else issues
+    def __init__(self, issues: list[Issue]):
+        self.issues = issues
 
     @classmethod
     def from_issues(cls, issues: Iterable[Issue]) -> "ValidationReport":

@@ -23,9 +23,7 @@ from typing import IO, Iterable, Mapping, NamedTuple, Sequence
 
 from ._util import read_rows, record_issue, write_rows
 from .errors import LabelNotFoundError
-from .ingest import ImageRecord
 from .report import Issue, IssueKind, Severity
-from .stats import sequence_id
 from .taxonomy import BLANK, Level, RolledLabel, TaxonomyTable, rollup
 
 RANGE_MAP_COLUMNS = ["label_id", "lat_min", "lat_max", "lon_min", "lon_max"]
@@ -299,9 +297,9 @@ def parse_range_map(stream: IO[str]) -> tuple[dict[str, list[RangeBox]], list[Is
 
 def sequence_aggregate(
     predictions: Iterable[PredictionRecord],
-    groups: Sequence[Sequence[ImageRecord]],
+    groups: Sequence[Sequence],
     issues: list[Issue],
-    ids: Iterable[str] | None = None,
+    ids: Sequence[str],
 ) -> Iterable[PredictionRecord]:
     """Yield one fused, ranked record per burst group, in group order.
 
@@ -313,8 +311,8 @@ def sequence_aggregate(
     group whose normalizing or summing overflows, leaving a mean that is
     not finite: it is appended to ``issues`` as one ``malformed_prediction``
     keyed by its sequence id and naming each such label. ``ids`` holds each
-    group's sequence id, as ``stats.write_sequences`` hands them on; without
-    it, each is built by ``stats.sequence_id``.
+    group's sequence id, one per group, as ``stats.write_sequences`` hands
+    them on; any other count raises ``ValueError``.
 
     Every prediction is read before the first yield, but only the first
     record of each group member is kept, and only as columns: its labels as
@@ -327,7 +325,7 @@ def sequence_aggregate(
     # image id -> member ordinal, until the member's first record is read
     ordinal = {image.image_id: n for n, image in enumerate(chain.from_iterable(groups))}
     starts = array("I", [0]) * len(ordinal)  # 32 bits: 2**32 held entries take 51 GB
-    stops = array("Q", starts)  # start == stop: unpredicted, or an empty record
+    stops = array("I", starts)  # start == stop: unpredicted, or an empty record
     codes = array("I")
     scores = array("d")
     label_codes: dict[str, int] = {}
@@ -344,7 +342,7 @@ def sequence_aggregate(
 
     labels = list(label_codes)
     bounds = zip(starts, stops)  # each member's slice of codes and scores, in member order
-    for group, key in zip(groups, map(sequence_id, groups) if ids is None else ids):
+    for group, key in zip(groups, ids, strict=True):
         sums: dict[int, float] = {}
         predicted = 0
         # the group is zipped first, so its last member pulls no bounds of the next group

@@ -9,9 +9,10 @@ export class weights that counteract the imbalance.
 from __future__ import annotations
 
 import math
+import sys
 from itertools import chain
 from operator import attrgetter
-from typing import IO, NamedTuple, Sequence
+from typing import IO, NamedTuple
 
 from ._util import format_timestamp, write_rows
 from .errors import LabelNotFoundError
@@ -116,7 +117,7 @@ def blank_rate(dataset: UnifiedDataset) -> tuple[float, dict[str, float]]:
 
 def labeling_effort(n_images: int, rate_images_per_hour: float) -> float:
     """Hours of expert time to hand-label ``n_images`` at the given rate."""
-    if not (math.isfinite(rate_images_per_hour) and rate_images_per_hour > 0):
+    if not 0 < rate_images_per_hour <= sys.float_info.max:
         raise ValueError(f"rate must be a finite number > 0, got {rate_images_per_hour}")
     if n_images < 0:
         raise ValueError(f"n_images must be nonnegative, got {n_images}")
@@ -135,7 +136,7 @@ def group_bursts(dataset: UnifiedDataset,
     new deployment and wherever the gap between consecutive images exceeds
     ``max_gap_seconds``.
     """
-    if not (math.isfinite(max_gap_seconds) and max_gap_seconds > 0):
+    if not 0 < max_gap_seconds <= sys.float_info.max:
         raise ValueError(f"max_gap_seconds must be a finite number > 0, got {max_gap_seconds}")
     images = tuple(sorted(dataset.images.values(),
                           key=attrgetter("deployment_id", "timestamp", "image_id")))
@@ -153,19 +154,13 @@ def group_bursts(dataset: UnifiedDataset,
     return groups
 
 
-def sequence_id(group: Sequence[ImageRecord], start: str = "") -> str:
-    """A burst group's id, `deployment_id:start_time`; ``start`` is that time, if formatted."""
-    first = group[0]
-    return f"{first.deployment_id}:{start or format_timestamp(first.timestamp)}"
-
-
 def class_weights(counts: dict[str, int], cap: float) -> dict[str, float]:
     """Inverse-frequency class weights, capped to tame ultra-rare labels.
 
     weight(c) = min(cap, N / (K * n_c)) with N total images and K distinct
     labels; a perfectly uniform histogram therefore weighs every class 1.0.
     """
-    if not (math.isfinite(cap) and cap > 0):
+    if not 0 < cap <= sys.float_info.max:
         raise ValueError(f"cap must be a finite number > 0, got {cap}")
     total = sum(counts.values())
     if total == 0:
@@ -197,7 +192,7 @@ def write_sequences(groups, stream: IO[str], ids: list[str] | None = None) -> No
         for group in groups:
             first = group[0]
             start = format_timestamp(first.timestamp)
-            key = sequence_id(group, start)
+            key = f"{first.deployment_id}:{start}"
             if ids is not None:
                 ids.append(key)
             yield (

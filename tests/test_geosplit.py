@@ -68,7 +68,7 @@ def test_invalid_inputs_raise():
         region_id(91.0, 0.0, 10.0)
     with pytest.raises(ValueError):
         region_id(0.0, 200.0, 10.0)
-    for cell_size_m in (0.0, float("nan"), float("inf")):
+    for cell_size_m in (0.0, float("nan"), float("inf"), 10**400):
         with pytest.raises(ValueError, match="cell_size_m"):
             region_id(0.0, 0.0, cell_size_m)
         with pytest.raises(ValueError):

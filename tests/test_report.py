@@ -28,7 +28,7 @@ def test_counts_cover_every_kind_and_sum_to_total():
 
 
 def test_empty_report_flags():
-    report = ValidationReport()
+    report = ValidationReport([])
     assert report.issues == []
     assert not report.has_errors
     assert report.summary().splitlines() == [

@@ -514,12 +514,18 @@ def _pairs(groups):
             for group in groups]
 
 
+def _ids(groups):
+    """Each group's sequence id, as `write_sequences` hands them on."""
+    return [sequence_id for sequence_id, _ in _pairs(groups)]
+
+
 def test_identical_member_predictions_keep_their_ranking():
     predictions = [
         _record("i1", "sp_a", "sp_b", start=0.6, step=0.2),
         _record("i2", "sp_a", "sp_b", start=0.6, step=0.2),
     ]
-    aggregated = list(sequence_aggregate(predictions, [_group("q1", "i1", "i2")], []))
+    groups = [_group("q1", "i1", "i2")]
+    aggregated = list(sequence_aggregate(predictions, groups, [], _ids(groups)))
     assert len(aggregated) == 1  # no group skipped: one record per group
     assert [label for label, _ in aggregated[0].entries] == ["sp_a", "sp_b"]
     assert aggregated[0].image_id == "q1:2016-01-01T00:00:00Z"
@@ -530,13 +536,14 @@ def test_tie_between_disjoint_top_labels_breaks_lexicographically():
         PredictionRecord("i1", (("b_label", 1.0),)),
         PredictionRecord("i2", (("a_label", 1.0),)),
     ]
-    aggregated = list(sequence_aggregate(predictions, [_group("q1", "i1", "i2")], []))
+    groups = [_group("q1", "i1", "i2")]
+    aggregated = list(sequence_aggregate(predictions, groups, [], _ids(groups)))
     assert aggregated[0].entries == (("a_label", 0.5), ("b_label", 0.5))
 
 
 def test_group_without_predictions_is_skipped_and_reported():
     groups = [_group("q1", "i1")]
-    aggregated = list(sequence_aggregate([], groups, []))
+    aggregated = list(sequence_aggregate([], groups, [], _ids(groups)))
     assert aggregated == []
     assert len(groups) - len(aggregated) == 1  # the skipped count `sequences` reports
 
@@ -551,7 +558,7 @@ def test_sequence_aggregation_matches_mean_and_sort_oracle():
             scores = sorted((round(rng.uniform(0.01, 1.0), 4) for _ in chosen), reverse=True)
             members.append(PredictionRecord(f"i{index}", tuple(zip(chosen, scores))))
         group = _group("q", *[record.image_id for record in members])
-        aggregated = list(sequence_aggregate(members, [group], []))
+        aggregated = list(sequence_aggregate(members, [group], [], _ids([group])))
         assert aggregated == [PredictionRecord(*fused)
                               for fused in sequence_fusion(members, _pairs([group]))]
 
@@ -567,7 +574,8 @@ def test_fused_record_with_a_non_finite_mean_is_dropped_as_an_issue(members):
     records = list(iter_predictions(io.StringIO("\n".join(members)), issues))
     group = _group("q1", *(record.image_id for record in records))
     assert issues == []  # every input score is finite
-    assert list(sequence_aggregate(records, [group, _group("q2", "i9")], issues)) == []
+    groups = [group, _group("q2", "i9")]
+    assert list(sequence_aggregate(records, groups, issues, _ids(groups))) == []
     assert issues == [Issue(IssueKind.MALFORMED_PREDICTION, "q1:2016-01-01T00:00:00Z",
                             "mean score of 'b' is not finite, fused record dropped")]
 
@@ -626,15 +634,18 @@ def test_sequence_aggregate_writes_the_bytes_of_the_hold_every_record_oracle(cas
     fused = sequence_fusion(records, _pairs(groups))
     finite = [record for record in fused if all(math.isfinite(score) for _, score in record[1])]
     issues = []
-    assert _fused_bytes(sequence_aggregate(iter(records), groups, issues)) == \
+    assert _fused_bytes(sequence_aggregate(iter(records), groups, issues, _ids(groups))) == \
         _fused_bytes(PredictionRecord(*record) for record in finite)
     assert [issue.key for issue in issues] == [record[0] for record in fused if record not in finite]
-    # ids handed on by the caller, as `sequences` passes those of sequences.csv
-    given = []
-    ids = [sequence_id for sequence_id, _ in _pairs(groups)]
-    assert _fused_bytes(sequence_aggregate(iter(records), groups, given, ids)) == \
-        _fused_bytes(PredictionRecord(*record) for record in finite)
-    assert given == issues
+
+
+@pytest.mark.parametrize("n_ids", [1, 3], ids=["one_id_fewer", "one_id_more"])
+def test_sequence_aggregate_needs_one_id_per_group(n_ids):
+    groups = [_group(f"q{n}", f"i{n}") for n in range(3)]
+    predictions = [_record(f"i{n}", "sp_a") for n in range(3)]
+    # every group is predicted, so a miscount would otherwise pass unseen
+    with pytest.raises(ValueError):
+        list(sequence_aggregate(predictions, groups[:2], [], _ids(groups[:n_ids])))
 
 
 def _member_records(count, entries):
@@ -652,10 +663,12 @@ def test_sequence_aggregate_holds_under_a_kilobyte_per_member(entries, group_siz
     count = 5_000
     groups = [_group(f"q{n}", *(f"m{m}" for m in range(n, n + group_size)))
               for n in range(0, count, group_size)]
+    ids = _ids(groups)  # built outside the traced window: `sequences` holds them anyway
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        fused = sum(1 for _ in sequence_aggregate(_member_records(count, entries), groups, []))
+        fused = sum(1 for _ in sequence_aggregate(_member_records(count, entries), groups, [],
+                                                  ids))
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
