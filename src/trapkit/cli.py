@@ -13,15 +13,23 @@ every writer is done. Every artifact is streamed into a hidden
 ``.NAME.partial`` file; only when all of a command's partial files are
 whole are they renamed into place, so its artifacts are all there or none.
 
+``--jobs N`` splits ``geofilter`` only: ``_fan_out`` works its prediction
+lines in up to N processes, at most one per usable CPU, and its output is
+byte-identical for any N. Where ``os.fork`` is missing it runs in one
+process. Every other command ignores ``--jobs``; ``$TRAPKIT_JOBS`` has no
+effect.
+
 Exit status: 0 on success; 1 on runtime errors, including input that is
-not UTF-8, or (with --strict) on error-severity validation issues; 2 on
-usage errors, including a numeric flag that is not a finite number > 0.
+not UTF-8 and running out of memory, or (with --strict) on error-severity
+validation issues; 2 on usage errors, including a numeric flag that is not
+a finite number > 0.
 """
 
 from __future__ import annotations
 
 import argparse
 import gc
+import io
 import math
 import os
 import sys
@@ -99,7 +107,9 @@ def _add_command(commands, name: str, func, help: str) -> argparse.ArgumentParse
     sub.add_argument("--strict", action="store_true",
                      help="exit 1 when any error-severity validation issue is found")
     sub.add_argument("--jobs", type=int, default=1, metavar="N",
-                     help="accepted for compatibility and ignored: every command runs in one thread")
+                     help="geofilter only: work prediction lines in up to N processes, at most "
+                          "one per usable CPU, with byte-identical output for any N (one "
+                          "process where os.fork is missing); $TRAPKIT_JOBS has no effect")
     sub.add_argument("--format", choices=["csv", "summary"], default="summary",
                      help="what to print on stdout: human summary or the primary csv artifact")
     sub.add_argument("-v", "--verbose", action="store_true",
@@ -173,18 +183,173 @@ def _require_inputs(args):
         raise TrapkitError(f"input file(s) not found: {', '.join(missing)}")
 
 
-def _read(path, parse):
+class _ByteRange(io.RawIOBase):
+    """The next ``size`` bytes of a binary file opened unbuffered, as a raw stream."""
+
+    def __init__(self, file, size: int):
+        super().__init__()
+        self._file = file
+        self._left = size
+
+    def readable(self):
+        return True
+
+    def readinto(self, buffer):
+        count = self._file.readinto(memoryview(buffer)[:self._left])
+        self._left -= count
+        return count
+
+    def close(self):
+        self._file.close()
+        super().close()
+
+
+def _read(path, parse, start=0, stop=None):
     """Return ``parse(handle)`` on one input; bytes that are not UTF-8 are fatal.
 
     A leading UTF-8 byte order mark is dropped here, for every input. Line
     endings reach ``parse`` untranslated, so csv keeps a ``\r\n`` inside a
     quoted field; line-based parsers strip the ``\r`` with the other whitespace.
+    With ``stop`` given, ``parse`` reads only bytes ``start`` up to ``stop``;
+    a range that starts past byte 0 is plain UTF-8, so a mark there is text.
     """
-    with open(path, encoding="utf-8-sig", newline="") as handle:
+    if stop is None:
+        handle = open(path, encoding="utf-8-sig", newline="")
+    else:
+        file = open(path, "rb", buffering=0)
+        file.seek(start)
+        handle = io.TextIOWrapper(io.BufferedReader(_ByteRange(file, stop - start)),
+                                  encoding="utf-8" if start else "utf-8-sig", newline="")
+    with handle:
         try:
             return parse(handle)
         except UnicodeDecodeError as exc:
             raise TrapkitError(f"{path} is not UTF-8 text ({exc.reason})") from None
+
+
+def _line_ranges(path, workers: int) -> list[tuple[int, int, int]]:
+    r"""Cut a file into at most ``workers`` byte ranges of whole lines.
+
+    Returns ``(start, stop, first_line)`` per range, in file order. Each
+    range after the first starts just after the first ``\n`` at or past its
+    equal share of the file, and none is empty. ``first_line`` is 1 plus the
+    line ends before ``start``, counted as text read with ``newline=""``
+    splits lines: at ``\n``, at ``\r\n`` once, and at a lone ``\r``.
+    """
+    with open(path, "rb") as handle:
+        size = handle.seek(0, os.SEEK_END)
+        starts = [0]
+        for share in range(1, workers):
+            position = max(size * share // workers - 1, starts[-1])
+            handle.seek(position)
+            while (chunk := handle.read(1 << 16)) and b"\n" not in chunk:
+                position += len(chunk)
+            cut = position + chunk.find(b"\n") + 1
+            if not chunk or cut == size:
+                break
+            starts.append(cut)
+
+        firsts = [1]
+        handle.seek(0)
+        line_ends = position = 0
+        last = b""
+        for cut in starts[1:]:
+            while position < cut and (chunk := handle.read(min(cut - position, 1 << 20))):
+                line_ends += chunk.count(b"\n") - (last == b"\r" and chunk[:1] == b"\n")
+                if b"\r" in chunk:
+                    line_ends += chunk.count(b"\r") - chunk.count(b"\r\n")
+                position += len(chunk)
+                last = chunk[-1:]
+            firsts.append(line_ends + 1)
+    return list(zip(starts, [*starts[1:], size], firsts))
+
+
+def _fan_out(path, jobs: int, work, out, issues: list) -> list:
+    """Run ``work(handle, first_line, out, issues)`` on a file in up to ``jobs`` processes.
+
+    ``work`` reads the lines of ``handle``, numbering them from
+    ``first_line``, writes its text to ``out``, appends its issues to
+    ``issues`` and returns a picklable result. Given ``jobs`` >= 2,
+    ``os.fork`` and more than one usable CPU, ``_line_ranges`` cuts the
+    file into one range per worker. This process works the first range
+    straight into ``out``; a forked child works each later one, spilling
+    its text into an unnamed temporary file beside ``out`` and piping back
+    its result and issues, or its exception, which is raised here. Their
+    text and issues are appended in range order, so ``out`` and ``issues``
+    end as one run over the whole file leaves them. A child leaves only
+    through ``os._exit``, so it flushes nothing it inherited. Every child
+    is reaped before this returns or raises, and one still working when
+    this raises is killed first. Returns each range's result, in order.
+    """
+    workers = 1
+    if jobs > 1 and hasattr(os, "fork"):
+        cpus = (os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity")
+                else range(os.cpu_count() or 1))
+        workers = min(jobs, len(cpus))
+    ranges = _line_ranges(path, workers) if workers > 1 else []
+    if len(ranges) < 2:
+        return [_read(path, lambda handle: work(handle, 1, out, issues))]
+
+    # imported here, so the commands that never fork do not pay for them
+    import contextlib
+    import pickle
+    import signal
+    import tempfile
+
+    children = []  # (pid, result pipe, spill file) per later range, in range order
+    with contextlib.ExitStack() as files:  # closed once every child is reaped
+        try:
+            for start, stop, first_line in ranges[1:]:
+                spill = files.enter_context(tempfile.TemporaryFile(dir=os.path.dirname(out.name)))
+                reader, writer = os.pipe()
+                pipe = files.enter_context(open(reader, "rb"))
+                sink = files.enter_context(open(writer, "wb"))
+                pid = os.fork()
+                if pid == 0:
+                    status = 1
+                    try:
+                        found = []
+                        with open(spill.fileno(), "w", encoding="utf-8", newline="",
+                                  closefd=False) as text:
+                            try:
+                                message = (_read(path, lambda handle: work(
+                                    handle, first_line, text, found), start, stop), found)
+                            except Exception as exc:  # the parent raises it again
+                                import traceback
+                                exc.add_note(f"raised in the worker for bytes {start}-{stop} "
+                                             f"of {path}:\n{traceback.format_exc()}")
+                                message = exc.with_traceback(None)  # frees the frames' memory
+                        pickle.dump(message, sink)
+                        sink.flush()
+                        status = 0
+                    finally:
+                        os._exit(status)
+                sink.close()  # only the child writes to the pipe
+                children.append((pid, pipe, spill))
+
+            results = [_read(path, lambda handle: work(handle, 1, out, issues),
+                             0, ranges[0][1])]
+            out.flush()
+            for pid, pipe, spill in children:
+                message = pipe.read()
+                pipe.close()
+                if not message:
+                    raise TrapkitError(f"a worker process reading {path} ended with no result")
+                message = pickle.loads(message)
+                if isinstance(message, BaseException):
+                    raise message
+                result, found = message
+                spill.seek(0)
+                while chunk := spill.read(1 << 20):
+                    out.buffer.write(chunk)
+                results.append(result)
+                issues.extend(found)
+            return results
+        finally:
+            for pid, pipe, _ in children:
+                if not pipe.closed:  # its result was never read: it may still be working
+                    os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
 
 
 def _load_dataset(args):
@@ -357,31 +522,35 @@ def _cmd_geofilter(args, dataset, issues):
     range_map, range_issues = _read(args.range_map, parse_range_map)
     issues.extend(range_issues)
     unknown_id = dataset.taxonomy.unknown_label_id or "unknown"
-    records = passthrough = changed = 0
+    totals = [0, 0, 0]  # records written, changed, passed through
 
-    def filtered(handle):
-        nonlocal passthrough, changed
-        for record in iter_predictions(handle, issues):
-            image = dataset.images.get(record.image_id)
-            if image is None:
-                passthrough += 1
-                yield record
-                continue
-            deployment = dataset.deployments[image.deployment_id]
-            result = geofilter(record, deployment.latitude, deployment.longitude,
-                               range_map, unknown_id)
-            changed += result.entries != record.entries
-            yield result
+    def filter_lines(predictions, first_line, out, found):
+        passthrough = changed = 0
+
+        def filtered():
+            nonlocal passthrough, changed
+            for record in iter_predictions(predictions, found, first_line):
+                image = dataset.images.get(record.image_id)
+                if image is None:
+                    passthrough += 1
+                    yield record
+                    continue
+                deployment = dataset.deployments[image.deployment_id]
+                result = geofilter(record, deployment.latitude, deployment.longitude,
+                                   range_map, unknown_id)
+                changed += result.entries != record.entries
+                yield result
+
+        return write_predictions(filtered(), out), changed, passthrough
 
     def write(handle):
-        nonlocal records
-        records = _read(args.predictions,
-                        lambda predictions: write_predictions(filtered(predictions), handle))
+        results = _fan_out(args.predictions, args.jobs, filter_lines, handle, issues)
+        totals[:] = map(sum, zip(*results))
 
     return {"predictions_filtered.txt": write}, lambda: [
-        f"records                 {records}",
-        f"records changed         {changed}",
-        f"unknown image ids       {passthrough} (passed through unfiltered)",
+        f"records                 {totals[0]}",
+        f"records changed         {totals[1]}",
+        f"unknown image ids       {totals[2]} (passed through unfiltered)",
     ]
 
 
@@ -437,6 +606,9 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     except (TrapkitError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError:  # the exception's frames are gone, and their memory with them
+        print("error: out of memory", file=sys.stderr)
         return 1
     finally:
         if collecting:

@@ -119,8 +119,8 @@ def labeling_effort(n_images: int, rate_images_per_hour: float) -> float:
     """Hours of expert time to hand-label ``n_images`` at the given rate."""
     if not 0 < rate_images_per_hour <= sys.float_info.max:
         raise ValueError(f"rate must be a finite number > 0, got {rate_images_per_hour}")
-    if n_images < 0:
-        raise ValueError(f"n_images must be nonnegative, got {n_images}")
+    if not 0 <= n_images <= sys.float_info.max:  # compared, as dividing a 400-digit int overflows
+        raise ValueError(f"n_images must be nonnegative and at most {sys.float_info.max:g}")
     hours = n_images / rate_images_per_hour
     if not math.isfinite(hours):
         raise ValueError(f"labeling effort for {n_images} images at "
@@ -165,6 +165,8 @@ def class_weights(counts: dict[str, int], cap: float) -> dict[str, float]:
     total = sum(counts.values())
     if total == 0:
         raise ValueError("cannot weight an empty histogram")
+    if total > sys.float_info.max:  # compared, as dividing a 400-digit total overflows
+        raise ValueError(f"histogram total must be at most {sys.float_info.max:g}")
     n_labels = len(counts)
     return {
         key: min(cap, total / (n_labels * count))

@@ -15,6 +15,7 @@ import pytest
 import trapkit
 from trapkit import cli, stats
 from trapkit.cli import main
+from trapkit.scoring import iter_predictions
 
 from pipeline import artifact_files, pipeline_commands, run_pipeline
 
@@ -544,6 +545,40 @@ def test_pipeline_outputs_identical_for_any_jobs_value(tmp_path, fixture_dir):
             (tmp_path / "j8" / relative).read_bytes()
 
 
+def test_every_artifact_reads_back(tmp_path, fixture_dir, monkeypatch, capsys):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    out = tmp_path / "pipeline"
+    run_pipeline(fixture_dir, out)
+    geofilter = next(argv for argv in pipeline_commands(fixture_dir, tmp_path / "jobs2", jobs=2)
+                     if argv[0] == "geofilter")
+    assert main(geofilter) == 0
+
+    again = tmp_path / "again"
+    assert main(["ingest", "--deployments", str(out / "ingest" / "deployments.csv"),
+                 "--images", str(out / "ingest" / "images.csv"),
+                 "--taxonomy", str(fixture_dir / "taxonomy.csv"),
+                 "--source-name", "fixture", "-o", str(again)]) == 0
+    for name in ("deployments.csv", "images.csv"):
+        assert (again / name).read_bytes() == (out / "ingest" / name).read_bytes(), name
+    assert (again / "issues.csv").read_bytes() == b""
+
+    for path in (out / "geofilter" / "predictions_filtered.txt",
+                 tmp_path / "jobs2" / "geofilter" / "predictions_filtered.txt",
+                 out / "sequences" / "sequence_predictions.txt"):
+        issues = []
+        with open(path, encoding="utf-8", newline="") as handle:
+            assert list(iter_predictions(handle, issues)), path
+        assert issues == [], path
+
+    capsys.readouterr()
+    for manifest in ("train.txt", "eval.txt"):
+        argv = ["eval", *_dataset_flags(fixture_dir, tmp_path / manifest),
+                "--predictions", str(fixture_dir / "predictions.txt"),
+                "--split", str(out / "split" / manifest)]
+        assert main(argv) == 0
+        assert "not in dataset" not in capsys.readouterr().err
+
+
 # Names no command calls, each kept for the reason given.
 UNREACHED = {
     "taxonomy.distinct_counts": "acceptance criteria 3 and 4 call it",
@@ -568,12 +603,16 @@ def _package_functions():
     return names
 
 
-def test_every_package_function_is_reached_by_a_command(tmp_path, fixture_dir, capsys):
+def test_every_package_function_is_reached_by_a_command(tmp_path, fixture_dir, monkeypatch,
+                                                        capsys):
     def flags(name):
         return _dataset_flags(fixture_dir, tmp_path / name)
 
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     runs = [
         *pipeline_commands(fixture_dir, tmp_path / "pipeline"),
+        ["geofilter", *flags("geofilter"), "--predictions", str(fixture_dir / "predictions.txt"),
+         "--range-map", str(fixture_dir / "range_map.csv"), "--jobs", "2"],
         ["validate", *flags("strict"), "--strict"],
         ["sequences", *flags("sequences")],
         ["stats", *flags("stats"), "--level", "genus", "--include-blank"],
@@ -593,7 +632,7 @@ def test_every_package_function_is_reached_by_a_command(tmp_path, fixture_dir, c
     finally:
         sys.setprofile(previous)
     capsys.readouterr()
-    assert statuses == [0] * 8 + [1, 0, 0, 0]  # the fixture's defect rows fail --strict
+    assert statuses == [0] * 9 + [1, 0, 0, 0]  # the fixture's defect rows fail --strict
     missed = sorted(name for code, name in names.items() if code not in called)
     assert missed == sorted(UNREACHED)
 
@@ -605,8 +644,10 @@ def _python(*args):
                           capture_output=True, text=True, timeout=120)
 
 
-def test_cli_import_loads_no_dataclasses_fractions_or_inspect():
-    unwanted = "{'dataclasses', 'fractions', 'inspect'}"
+def test_cli_import_loads_no_module_only_some_commands_need():
+    # pickle carries geofilter's worker results: it is imported only where workers fork
+    unwanted = ("{'dataclasses', 'fractions', 'inspect', "
+                "'pickle', 'multiprocessing', 'concurrent.futures', 'subprocess'}")
     result = _python("-c", f"import sys, trapkit.cli; print(sorted({unwanted} & set(sys.modules)))")
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "[]"

@@ -163,6 +163,11 @@ def test_labeling_effort_examples():
         labeling_effort(40, 1e-320)  # a positive rate whose effort overflows to inf
 
 
+def test_labeling_effort_of_a_count_past_the_float_range_is_a_value_error():
+    with pytest.raises(ValueError, match="n_images must be nonnegative and at most"):
+        labeling_effort(10**400, 1.0)  # not the OverflowError of dividing it
+
+
 @given(n=st.integers(0, 10**6), rate=st.floats(1.0, 1000.0))
 @settings(max_examples=50, deadline=None)
 def test_labeling_effort_is_linear(n, rate):
@@ -317,6 +322,11 @@ def test_weights_reject_bad_inputs():
             class_weights({"a": 1}, cap=cap)
     with pytest.raises(ValueError):
         class_weights({}, cap=1.0)
+
+
+def test_weights_of_a_total_past_the_float_range_are_a_value_error():
+    with pytest.raises(ValueError, match="histogram total must be at most"):
+        class_weights({"a": 10**400, "b": 1}, 2.0)  # not the OverflowError of dividing it
 
 
 # -------------------------------------------------------------------- exports
