@@ -13,11 +13,12 @@ every writer is done. Every artifact is streamed into a hidden
 ``.NAME.partial`` file; only when all of a command's partial files are
 whole are they renamed into place, so its artifacts are all there or none.
 
-``--jobs N`` splits ``geofilter`` only: ``_fan_out`` works its prediction
-lines in up to N processes, at most one per usable CPU, and its output is
-byte-identical for any N. Where ``os.fork`` is missing it runs in one
-process. Every other command ignores ``--jobs``; ``$TRAPKIT_JOBS`` has no
-effect.
+``--jobs N`` splits ``geofilter`` only: ``_fan_out`` cuts its prediction
+lines into runs of equal line count and works them in up to N processes,
+at most one per usable CPU. Every run is read as one process reads the
+whole file, so the output is byte-identical for any N. Where ``os.fork``
+is missing it runs in one process. Every other command ignores
+``--jobs``; ``$TRAPKIT_JOBS`` has no effect.
 
 Exit status: 0 on success; 1 on runtime errors, including input that is
 not UTF-8 and running out of memory, or (with --strict) on error-severity
@@ -29,14 +30,16 @@ from __future__ import annotations
 
 import argparse
 import gc
-import io
 import math
 import os
 import sys
+from itertools import islice
 from pathlib import Path
 
 from .errors import TrapkitError
 from .geosplit import (
+    EVAL,
+    TRAIN,
     SplitConfig,
     assign_regions,
     export_split,
@@ -183,111 +186,49 @@ def _require_inputs(args):
         raise TrapkitError(f"input file(s) not found: {', '.join(missing)}")
 
 
-class _ByteRange(io.RawIOBase):
-    """The next ``size`` bytes of a binary file opened unbuffered, as a raw stream."""
-
-    def __init__(self, file, size: int):
-        super().__init__()
-        self._file = file
-        self._left = size
-
-    def readable(self):
-        return True
-
-    def readinto(self, buffer):
-        count = self._file.readinto(memoryview(buffer)[:self._left])
-        self._left -= count
-        return count
-
-    def close(self):
-        self._file.close()
-        super().close()
-
-
-def _read(path, parse, start=0, stop=None):
+def _read(path, parse):
     """Return ``parse(handle)`` on one input; bytes that are not UTF-8 are fatal.
 
     A leading UTF-8 byte order mark is dropped here, for every input. Line
     endings reach ``parse`` untranslated, so csv keeps a ``\r\n`` inside a
     quoted field; line-based parsers strip the ``\r`` with the other whitespace.
-    With ``stop`` given, ``parse`` reads only bytes ``start`` up to ``stop``;
-    a range that starts past byte 0 is plain UTF-8, so a mark there is text.
     """
-    if stop is None:
-        handle = open(path, encoding="utf-8-sig", newline="")
-    else:
-        file = open(path, "rb", buffering=0)
-        file.seek(start)
-        handle = io.TextIOWrapper(io.BufferedReader(_ByteRange(file, stop - start)),
-                                  encoding="utf-8" if start else "utf-8-sig", newline="")
-    with handle:
+    with open(path, encoding="utf-8-sig", newline="") as handle:
         try:
             return parse(handle)
         except UnicodeDecodeError as exc:
             raise TrapkitError(f"{path} is not UTF-8 text ({exc.reason})") from None
 
 
-def _line_ranges(path, workers: int) -> list[tuple[int, int, int]]:
-    r"""Cut a file into at most ``workers`` byte ranges of whole lines.
-
-    Returns ``(start, stop, first_line)`` per range, in file order. Each
-    range after the first starts just after the first ``\n`` at or past its
-    equal share of the file, and none is empty. ``first_line`` is 1 plus the
-    line ends before ``start``, counted as text read with ``newline=""``
-    splits lines: at ``\n``, at ``\r\n`` once, and at a lone ``\r``.
-    """
-    with open(path, "rb") as handle:
-        size = handle.seek(0, os.SEEK_END)
-        starts = [0]
-        for share in range(1, workers):
-            position = max(size * share // workers - 1, starts[-1])
-            handle.seek(position)
-            while (chunk := handle.read(1 << 16)) and b"\n" not in chunk:
-                position += len(chunk)
-            cut = position + chunk.find(b"\n") + 1
-            if not chunk or cut == size:
-                break
-            starts.append(cut)
-
-        firsts = [1]
-        handle.seek(0)
-        line_ends = position = 0
-        last = b""
-        for cut in starts[1:]:
-            while position < cut and (chunk := handle.read(min(cut - position, 1 << 20))):
-                line_ends += chunk.count(b"\n") - (last == b"\r" and chunk[:1] == b"\n")
-                if b"\r" in chunk:
-                    line_ends += chunk.count(b"\r") - chunk.count(b"\r\n")
-                position += len(chunk)
-                last = chunk[-1:]
-            firsts.append(line_ends + 1)
-    return list(zip(starts, [*starts[1:], size], firsts))
-
-
 def _fan_out(path, jobs: int, work, out, issues: list) -> list:
-    """Run ``work(handle, first_line, out, issues)`` on a file in up to ``jobs`` processes.
+    """Run ``work(lines, first_line, out, issues)`` on a file in up to ``jobs`` processes.
 
-    ``work`` reads the lines of ``handle``, numbering them from
+    ``work`` reads the text lines ``lines``, numbering them from
     ``first_line``, writes its text to ``out``, appends its issues to
     ``issues`` and returns a picklable result. Given ``jobs`` >= 2,
-    ``os.fork`` and more than one usable CPU, ``_line_ranges`` cuts the
-    file into one range per worker. This process works the first range
-    straight into ``out``; a forked child works each later one, spilling
-    its text into an unnamed temporary file beside ``out`` and piping back
-    its result and issues, or its exception, which is raised here. Their
-    text and issues are appended in range order, so ``out`` and ``issues``
-    end as one run over the whole file leaves them. A child leaves only
-    through ``os._exit``, so it flushes nothing it inherited. Every child
-    is reaped before this returns or raises, and one still working when
-    this raises is killed first. Returns each range's result, in order.
+    ``os.fork`` and more than one usable CPU, the file's lines are counted
+    and cut into one run of equal line count per worker; every run is read
+    through ``_read``, as one process reads the whole file. This process
+    works the first run straight into ``out``; a forked child works each
+    later one, spilling its text into an unnamed temporary file beside
+    ``out`` and piping back its result and issues, or its exception, which
+    is raised here. Their text and issues are appended in run order, so
+    ``out`` and ``issues`` end as one run over the whole file leaves them.
+    A child leaves only through ``os._exit``, so it flushes nothing it
+    inherited. Every child is reaped before this returns or raises, and one
+    still working when this raises is killed first. Returns each run's
+    result, in order.
     """
     workers = 1
     if jobs > 1 and hasattr(os, "fork"):
         cpus = (os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity")
                 else range(os.cpu_count() or 1))
         workers = min(jobs, len(cpus))
-    ranges = _line_ranges(path, workers) if workers > 1 else []
-    if len(ranges) < 2:
+    cuts = []
+    if workers > 1:
+        total = _read(path, lambda handle: sum(1 for _ in handle))
+        cuts = sorted({total * share // workers for share in range(workers + 1)})
+    if len(cuts) < 3:
         return [_read(path, lambda handle: work(handle, 1, out, issues))]
 
     # imported here, so the commands that never fork do not pay for them
@@ -296,10 +237,10 @@ def _fan_out(path, jobs: int, work, out, issues: list) -> list:
     import signal
     import tempfile
 
-    children = []  # (pid, result pipe, spill file) per later range, in range order
+    children = []  # (pid, result pipe, spill file) per later run, in run order
     with contextlib.ExitStack() as files:  # closed once every child is reaped
         try:
-            for start, stop, first_line in ranges[1:]:
+            for start, stop in zip(cuts[1:], cuts[2:]):
                 spill = files.enter_context(tempfile.TemporaryFile(dir=os.path.dirname(out.name)))
                 reader, writer = os.pipe()
                 pipe = files.enter_context(open(reader, "rb"))
@@ -313,10 +254,10 @@ def _fan_out(path, jobs: int, work, out, issues: list) -> list:
                                   closefd=False) as text:
                             try:
                                 message = (_read(path, lambda handle: work(
-                                    handle, first_line, text, found), start, stop), found)
+                                    islice(handle, start, stop), start + 1, text, found)), found)
                             except Exception as exc:  # the parent raises it again
                                 import traceback
-                                exc.add_note(f"raised in the worker for bytes {start}-{stop} "
+                                exc.add_note(f"raised in the worker for lines {start + 1}-{stop} "
                                              f"of {path}:\n{traceback.format_exc()}")
                                 message = exc.with_traceback(None)  # frees the frames' memory
                         pickle.dump(message, sink)
@@ -327,8 +268,7 @@ def _fan_out(path, jobs: int, work, out, issues: list) -> list:
                 sink.close()  # only the child writes to the pipe
                 children.append((pid, pipe, spill))
 
-            results = [_read(path, lambda handle: work(handle, 1, out, issues),
-                             0, ranges[0][1])]
+            results = [_read(path, lambda handle: work(islice(handle, cuts[1]), 1, out, issues))]
             out.flush()
             for pid, pipe, spill in children:
                 message = pipe.read()
@@ -491,8 +431,8 @@ def _cmd_split(args, dataset, issues):
     folds = assignment.folds
     return artifacts, lambda: [
         f"regions                 {len(folds)} "
-        f"(train {sum(1 for f in folds.values() if f == 'train')}, "
-        f"eval {sum(1 for f in folds.values() if f == 'eval')})",
+        f"(train {sum(1 for f in folds.values() if f == TRAIN)}, "
+        f"eval {sum(1 for f in folds.values() if f == EVAL)})",
         f"train images            {assignment.train_images}",
         f"eval images             {assignment.eval_images}",
         f"realized train fraction {assignment.realized_train_fraction:.4f} "

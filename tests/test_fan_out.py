@@ -4,7 +4,6 @@ Tests that need the fan-out set the CPU probe (``os.sched_getaffinity``), so
 they hold on a host with any number of CPUs.
 """
 
-import io
 import os
 import subprocess
 import sys
@@ -45,16 +44,18 @@ def forks(monkeypatch):
     return started
 
 
-def _argv(fixture_dir, predictions, out, jobs):
-    return [
-        "geofilter",
+def _argv(fixture_dir, predictions, out, jobs, command="geofilter"):
+    argv = [
+        command,
         "--deployments", str(fixture_dir / "deployments.csv"),
         "--images", str(fixture_dir / "images.csv"),
         "--taxonomy", str(fixture_dir / "taxonomy.csv"),
         "--predictions", str(predictions),
-        "--range-map", str(fixture_dir / "range_map.csv"),
         "-o", str(out), "--jobs", str(jobs), "-v",
     ]
+    if command == "geofilter":
+        argv += ["--range-map", str(fixture_dir / "range_map.csv")]
+    return argv
 
 
 def _no_child_left():
@@ -89,9 +90,10 @@ CASES = {
     "lone CR": lambda text: text.replace(b"\n", b"\r"),
     "CR and LF": _alternate_cr,
     "byte order mark": lambda text: BOM + text,
-    # a blank line longer than the rest puts the last cut just before the mark
-    "mark opening the last range": lambda text: (
-        text + b" " * 2 * len(text) + b"\n" + BOM + b"i_am1_001 blank:1.0\n"),
+    # line 21 of 40 opens the second run of 2 workers and the fifth of 8
+    "mark opening a later run": lambda text: (
+        b"".join(text.splitlines(keepends=True)[:20]) + BOM
+        + b"".join(text.splitlines(keepends=True)[20:])),
     "no trailing newline": lambda text: text.rstrip(b"\n"),
     "one line": lambda text: text[:text.index(b"\n") + 1],
     "three lines": lambda text: b"".join(text.splitlines(keepends=True)[:3]),
@@ -104,7 +106,8 @@ CASES = {
     "non-UTF-8 byte": lambda text: text + b"i_am1_004 sp_\xff:1.0\n",
 }
 
-SINGLE_RANGE = {"lone CR", "one line", "no lines"}  # no line feed to cut after
+# one line or none is one run; a non-UTF-8 file fails in the line count, before any fork
+SINGLE_RANGE = {"one line", "no lines", "non-UTF-8 byte"}
 
 
 @pytest.mark.parametrize("case", CASES)
@@ -113,10 +116,6 @@ def test_geofilter_is_byte_identical_for_any_jobs(tmp_path, fixture_dir, capsys,
     cpus(8)
     predictions = tmp_path / "predictions.txt"
     predictions.write_bytes(CASES[case]((fixture_dir / "predictions.txt").read_bytes()))
-    if case == "mark opening the last range":
-        for workers in (2, 8):
-            start = cli._line_ranges(predictions, workers)[-1][0]
-            assert predictions.read_bytes()[start:start + 3] == BOM
     runs = {}
     for jobs in (1, 2, 8):
         forks.clear()
@@ -169,7 +168,7 @@ def test_an_exception_in_either_range_leaves_no_process_or_file(tmp_path, fixtur
             main(argv)
         notes = getattr(raised.value, "__notes__", [])  # a child's traceback travels with it
         assert len(notes) == (where == "child")
-        assert all("raised in the worker for bytes" in note and "Traceback" in note
+        assert all("raised in the worker for lines 21-40 of" in note and "Traceback" in note
                    for note in notes)
     assert len(forks) == 1
     assert _no_child_left()
@@ -179,10 +178,6 @@ def test_an_exception_in_either_range_leaves_no_process_or_file(tmp_path, fixtur
 def test_jobs_beyond_the_usable_cpus_start_one_worker_per_cpu(tmp_path, fixture_dir, capsys,
                                                              monkeypatch, cpus):
     cpus(3)
-    planned = []
-    real_ranges = cli._line_ranges
-    monkeypatch.setattr(cli, "_line_ranges", lambda path, workers: (
-        planned.append(workers) or real_ranges(path, workers)))
     started = []
     real_fork = os.fork
 
@@ -196,60 +191,50 @@ def test_jobs_beyond_the_usable_cpus_start_one_worker_per_cpu(tmp_path, fixture_
     monkeypatch.setattr(os, "fork", fork)
     predictions = fixture_dir / "predictions.txt"
     many = _run(fixture_dir, predictions, tmp_path / "many", str(10**30), capsys)
-    assert planned == [3] and len(started) == 2
+    assert len(started) == 2
     assert many == _run(fixture_dir, predictions, tmp_path / "one", 1, capsys)
 
 
-def _text_lines(data):
-    """The lines text mode with ``newline=""`` reads from ``data``."""
-    return io.TextIOWrapper(io.BytesIO(data), encoding="latin-1", newline="").readlines()
-
-
 # \x85, U+2028 and \x1c end a line for str.splitlines, but not in a text file
-PIECES = [b"a", b" ", b"\n", b"\r", b"\r\n", b"\x85", b"\xe2\x80\xa8", b"\x1c"]
+PIECES = [b"a", b" ", b"\n", b"\r", b"\r\n", "\x85".encode(), "\u2028".encode(), b"\x1c"]
 
 
-@given(pieces=st.lists(st.sampled_from(PIECES), max_size=40), workers=st.integers(1, 8))
-@settings(max_examples=300, deadline=None,
+def _numbered(lines, first_line, out, found):
+    """A trivial ``work``: each line with its number, written out and kept as an issue."""
+    for number, line in enumerate(lines, first_line):
+        out.write(f"{number} {line}")
+        found.append((number, line))
+
+
+@given(pieces=st.lists(st.sampled_from(PIECES), max_size=40), mark=st.booleans(),
+       count=st.integers(1, 8))
+@settings(max_examples=150, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-def test_ranges_cut_after_a_line_feed_and_number_lines_as_text_mode(tmp_path, pieces, workers):
-    data = b"".join(pieces)
+def test_runs_of_any_worker_count_read_as_one_process(tmp_path, cpus, pieces, mark, count):
     path = tmp_path / "lines.txt"
-    path.write_bytes(data)
-    ranges = cli._line_ranges(path, workers)
-    assert 1 <= len(ranges) <= workers
-    assert ranges[0][0] == 0 and ranges[-1][1] == len(data)
-    whole = _text_lines(data)
-    read = []
-    follow = [start for start, _, _ in ranges[1:]] + [len(data)]
-    for (start, stop, first_line), following in zip(ranges, follow):
-        assert stop == following and (start < stop or len(ranges) == 1)
-        assert start == 0 or data[start - 1:start] == b"\n"
-        lines = _text_lines(data[start:stop])
-        assert whole[first_line - 1:first_line - 1 + len(lines)] == lines
-        read += lines
-    assert read == whole
-
-
-def test_a_crlf_across_a_counting_read_is_one_line_end(tmp_path):
-    # \r is the last byte of the first 1 MiB read and \n the first of the next
-    data = b"a" * ((1 << 20) - 1) + b"\r\n" + b"b" * (1 << 20) + b"\nc\n"
-    path = tmp_path / "lines.txt"
-    path.write_bytes(data)
-    assert cli._line_ranges(path, 2) == [(0, len(data) - 2, 1), (len(data) - 2, len(data), 3)]
+    path.write_bytes(BOM * mark + b"".join(pieces))
+    runs = []
+    for jobs in (1, 8):
+        cpus(count)
+        issues = []
+        with open(tmp_path / f"out{jobs}", "w", encoding="utf-8", newline="") as out:
+            results = cli._fan_out(path, jobs, _numbered, out, issues)
+        assert _no_child_left()
+        runs.append(((tmp_path / f"out{jobs}").read_bytes(), issues))
+    assert runs[1] == runs[0]
+    assert len(results) == max(1, min(count, len(issues)))  # one run per worker, none empty
 
 
 @pytest.fixture(scope="module")
 def oversized_predictions(tmp_path_factory, fixture_dir):
-    """The fixture's lines, one 48 MiB line of spaces and one 36 MiB line of 6Mi entries.
+    """The fixture's 40 lines, then one 36 MiB line of 6Mi entries.
 
-    The blank line is larger, so two workers cut just after it and the line
-    of entries, which ``str.split`` cannot hold under 400 MB, is the child's.
+    ``str.split`` cannot hold that line's entries under 400 MB. Two workers
+    cut after line 20, so the line is the child's.
     """
     path = tmp_path_factory.mktemp("oversized") / "predictions.txt"
     with open(path, "wb") as handle:
         handle.write((fixture_dir / "predictions.txt").read_bytes())
-        handle.write(b" " * (48 << 20) + b"\n")
         handle.write(b"i_huge " + b"a:0.1 " * (6 << 20) + b"\n")
     return path
 
@@ -271,15 +256,21 @@ except ChildProcessError:
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="the worker needs os.fork")
-@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("command, jobs", [
+    pytest.param("geofilter", 1, id="1"),
+    pytest.param("geofilter", 2, id="2"),
+    pytest.param("eval", 1, id="eval"),
+    pytest.param("sequences", 1, id="sequences"),
+])
 def test_out_of_memory_exits_one_without_a_traceback_or_artifact(tmp_path, fixture_dir,
-                                                                 oversized_predictions, jobs):
+                                                                 oversized_predictions,
+                                                                 command, jobs):
     out = tmp_path / "out"
-    argv = _argv(fixture_dir, oversized_predictions, out, jobs)
+    argv = _argv(fixture_dir, oversized_predictions, out, jobs, command)
     env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
     result = subprocess.run([sys.executable, "-c", OUT_OF_MEMORY, *argv], cwd=REPO, env=env,
                             capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
     assert result.stdout == f"status 1, {jobs - 1} fork(s), no child left\n"
     assert result.stderr == "error: out of memory\n"
-    assert _files(out) == {}
+    assert not _files(out)  # eval fails before it makes the directory, sequences after
