@@ -13,12 +13,15 @@ every writer is done. Every artifact is streamed into a hidden
 ``.NAME.partial`` file; only when all of a command's partial files are
 whole are they renamed into place, so its artifacts are all there or none.
 
-``--jobs N`` splits ``geofilter`` only: ``_fan_out`` cuts its prediction
-lines into runs of equal line count and works them in up to N processes,
-at most one per usable CPU. Every run is read as one process reads the
-whole file, so the output is byte-identical for any N. Where ``os.fork``
-is missing it runs in one process. Every other command ignores
-``--jobs``; ``$TRAPKIT_JOBS`` has no effect.
+``--jobs N`` splits two commands: ``_fan_out`` cuts ``geofilter``'s
+prediction lines, and the bursts ``sequences --predictions`` fuses, into
+runs of equal count and works them in up to N processes, at most one per
+usable CPU. A ``geofilter`` run reads the whole file as one process does
+and skips the lines before its own; a ``sequences`` run reads and parses
+every line, so the first record it keeps of each of its bursts' members
+is the one a single process keeps. The output is byte-identical for any
+N. Where ``os.fork`` is missing they run in one process. Every other
+command ignores ``--jobs``; ``$TRAPKIT_JOBS`` has no effect.
 
 Exit status: 0 on success; 1 on runtime errors, including input that is
 not UTF-8 and running out of memory, or (with --strict) on error-severity
@@ -110,9 +113,10 @@ def _add_command(commands, name: str, func, help: str) -> argparse.ArgumentParse
     sub.add_argument("--strict", action="store_true",
                      help="exit 1 when any error-severity validation issue is found")
     sub.add_argument("--jobs", type=int, default=1, metavar="N",
-                     help="geofilter only: work prediction lines in up to N processes, at most "
-                          "one per usable CPU, with byte-identical output for any N (one "
-                          "process where os.fork is missing); $TRAPKIT_JOBS has no effect")
+                     help="geofilter and sequences --predictions only: work prediction lines "
+                          "or bursts in up to N processes, at most one per usable CPU, with "
+                          "byte-identical output for any N (one process where os.fork is "
+                          "missing); $TRAPKIT_JOBS has no effect")
     sub.add_argument("--format", choices=["csv", "summary"], default="summary",
                      help="what to print on stdout: human summary or the primary csv artifact")
     sub.add_argument("-v", "--verbose", action="store_true",
@@ -200,20 +204,20 @@ def _read(path, parse):
             raise TrapkitError(f"{path} is not UTF-8 text ({exc.reason})") from None
 
 
-def _fan_out(path, jobs: int, work, out, issues: list) -> list:
-    """Run ``work(lines, first_line, out, issues)`` on a file in up to ``jobs`` processes.
+def _fan_out(jobs: int, count, work, out, issues: list, span) -> list:
+    """Run ``work(start, stop, out, issues)`` over units of input in up to ``jobs`` processes.
 
-    ``work`` reads the text lines ``lines``, numbering them from
-    ``first_line``, writes its text to ``out``, appends its issues to
-    ``issues`` and returns a picklable result. Given ``jobs`` >= 2,
-    ``os.fork`` and more than one usable CPU, the file's lines are counted
-    and cut into one run of equal line count per worker; every run is read
-    through ``_read``, as one process reads the whole file. This process
-    works the first run straight into ``out``; a forked child works each
-    later one, spilling its text into an unnamed temporary file beside
-    ``out`` and piping back its result and issues, or its exception, which
-    is raised here. Their text and issues are appended in run order, so
-    ``out`` and ``issues`` end as one run over the whole file leaves them.
+    ``work`` works units ``start`` to ``stop - 1`` of its input, or all of
+    it when ``stop`` is None, writes its text to ``out``, appends its
+    issues to ``issues`` and returns a picklable result. Given ``jobs`` >=
+    2, ``os.fork`` and more than one usable CPU, ``count()`` units are cut
+    into one run of equal unit count per worker. This process works the
+    first run straight into ``out``; a forked child works each later one,
+    spilling its text into an unnamed temporary file beside ``out`` and
+    piping back its result and issues, or its exception, which is raised
+    here with a note naming its units by ``span(first, last)``, counted
+    from 1. Their text and issues are appended in run order, so ``out``
+    and ``issues`` end as one run over the whole input leaves them.
     A child leaves only through ``os._exit``, so it flushes nothing it
     inherited. Every child is reaped before this returns or raises, and one
     still working when this raises is killed first. Returns each run's
@@ -226,10 +230,10 @@ def _fan_out(path, jobs: int, work, out, issues: list) -> list:
         workers = min(jobs, len(cpus))
     cuts = []
     if workers > 1:
-        total = _read(path, lambda handle: sum(1 for _ in handle))
+        total = count()
         cuts = sorted({total * share // workers for share in range(workers + 1)})
     if len(cuts) < 3:
-        return [_read(path, lambda handle: work(handle, 1, out, issues))]
+        return [work(0, None, out, issues)]
 
     # imported here, so the commands that never fork do not pay for them
     import contextlib
@@ -237,10 +241,11 @@ def _fan_out(path, jobs: int, work, out, issues: list) -> list:
     import signal
     import tempfile
 
-    children = []  # (pid, result pipe, spill file) per later run, in run order
+    children = []  # (units, pid, result pipe, spill file) per later run, in run order
     with contextlib.ExitStack() as files:  # closed once every child is reaped
         try:
             for start, stop in zip(cuts[1:], cuts[2:]):
+                units = span(start + 1, stop)
                 spill = files.enter_context(tempfile.TemporaryFile(dir=os.path.dirname(out.name)))
                 reader, writer = os.pipe()
                 pipe = files.enter_context(open(reader, "rb"))
@@ -253,12 +258,11 @@ def _fan_out(path, jobs: int, work, out, issues: list) -> list:
                         with open(spill.fileno(), "w", encoding="utf-8", newline="",
                                   closefd=False) as text:
                             try:
-                                message = (_read(path, lambda handle: work(
-                                    islice(handle, start, stop), start + 1, text, found)), found)
+                                message = (work(start, stop, text, found), found)
                             except Exception as exc:  # the parent raises it again
                                 import traceback
-                                exc.add_note(f"raised in the worker for lines {start + 1}-{stop} "
-                                             f"of {path}:\n{traceback.format_exc()}")
+                                exc.add_note(f"raised in the worker for {units}:\n"
+                                             f"{traceback.format_exc()}")
                                 message = exc.with_traceback(None)  # frees the frames' memory
                         pickle.dump(message, sink)
                         sink.flush()
@@ -266,15 +270,15 @@ def _fan_out(path, jobs: int, work, out, issues: list) -> list:
                     finally:
                         os._exit(status)
                 sink.close()  # only the child writes to the pipe
-                children.append((pid, pipe, spill))
+                children.append((units, pid, pipe, spill))
 
-            results = [_read(path, lambda handle: work(islice(handle, cuts[1]), 1, out, issues))]
+            results = [work(0, cuts[1], out, issues)]
             out.flush()
-            for pid, pipe, spill in children:
+            for units, pid, pipe, spill in children:
                 message = pipe.read()
                 pipe.close()
                 if not message:
-                    raise TrapkitError(f"a worker process reading {path} ended with no result")
+                    raise TrapkitError(f"a worker process for {units} ended with no result")
                 message = pickle.loads(message)
                 if isinstance(message, BaseException):
                     raise message
@@ -286,7 +290,7 @@ def _fan_out(path, jobs: int, work, out, issues: list) -> list:
                 issues.extend(found)
             return results
         finally:
-            for pid, pipe, _ in children:
+            for _, pid, pipe, _ in children:
                 if not pipe.closed:  # its result was never read: it may still be working
                     os.kill(pid, signal.SIGKILL)
                 os.waitpid(pid, 0)
@@ -323,7 +327,9 @@ def _write_artifacts(outdir: Path, artifacts: dict, overwrite: bool, issues: lis
     Each writer streams into its own partial file, and the partial files are
     renamed into place only after every one is whole. A ``None`` writer stands
     for the validation report. Its partial file is written last, so the report
-    holds every issue the other writers appended. Returns that report.
+    holds every issue the other writers appended. Returns that report. When a
+    writer fails, ``outdir`` is removed again if this call made it and it is
+    empty.
     """
     if not overwrite:
         existing = [name for name in artifacts if (outdir / name).exists()]
@@ -331,6 +337,7 @@ def _write_artifacts(outdir: Path, artifacts: dict, overwrite: bool, issues: lis
             raise TrapkitError(
                 f"refusing to overwrite {', '.join(existing)} in {outdir} (pass --overwrite)"
             )
+    made = not outdir.exists()
     outdir.mkdir(parents=True, exist_ok=True)
     partials = {name: outdir / f".{name}.partial" for name in artifacts}
     report = None
@@ -346,6 +353,11 @@ def _write_artifacts(outdir: Path, artifacts: dict, overwrite: bool, issues: lis
     except BaseException:
         for partial in partials.values():
             partial.unlink(missing_ok=True)
+        if made:
+            try:
+                outdir.rmdir()
+            except OSError:  # not empty: something else wrote into it meanwhile
+                pass
         raise
     return report or ValidationReport.from_issues(issues)
 
@@ -464,12 +476,14 @@ def _cmd_geofilter(args, dataset, issues):
     unknown_id = dataset.taxonomy.unknown_label_id or "unknown"
     totals = [0, 0, 0]  # records written, changed, passed through
 
-    def filter_lines(predictions, first_line, out, found):
+    def filter_lines(start, stop, out, found):
         passthrough = changed = 0
 
-        def filtered():
+        def filtered(predictions):
             nonlocal passthrough, changed
-            for record in iter_predictions(predictions, found, first_line):
+            if stop is not None:
+                predictions = islice(predictions, start, stop)
+            for record in iter_predictions(predictions, found, start + 1):
                 image = dataset.images.get(record.image_id)
                 if image is None:
                     passthrough += 1
@@ -481,10 +495,15 @@ def _cmd_geofilter(args, dataset, issues):
                 changed += result.entries != record.entries
                 yield result
 
-        return write_predictions(filtered(), out), changed, passthrough
+        written = _read(args.predictions,
+                        lambda predictions: write_predictions(filtered(predictions), out))
+        return written, changed, passthrough
 
     def write(handle):
-        results = _fan_out(args.predictions, args.jobs, filter_lines, handle, issues)
+        results = _fan_out(args.jobs,
+                           lambda: _read(args.predictions, lambda lines: sum(1 for _ in lines)),
+                           filter_lines, handle, issues,
+                           lambda first, last: f"lines {first}-{last} of {args.predictions}")
         totals[:] = map(sum, zip(*results))
 
     return {"predictions_filtered.txt": write}, lambda: [
@@ -513,12 +532,24 @@ def _cmd_sequences(args, dataset, issues):
     aggregated = 0
     dropped = []  # the issue of each fused record with a non-finite mean
 
+    def fuse(start, stop, out, found):
+        # Every run reads the whole file, so it keeps the first record of each of its
+        # members, as one process does. Only the run from burst 0 keeps the parse issues.
+        mine = []
+        whole = stop is None  # then slicing would only copy groups and ids
+        written = _read(args.predictions, lambda predictions: write_predictions(
+            sequence_aggregate(iter_predictions(predictions, found if start == 0 else []),
+                               groups if whole else groups[start:stop], mine,
+                               ids if whole else ids[start:stop]),
+            out))
+        return written, mine
+
     def write(handle):
         nonlocal aggregated
-        aggregated = _read(args.predictions, lambda predictions: write_predictions(
-            sequence_aggregate(iter_predictions(predictions, issues), groups, dropped, ids),
-            handle
-        ))
+        for written, mine in _fan_out(args.jobs, lambda: len(groups), fuse, handle, issues,
+                                      lambda first, last: f"bursts {first}-{last}"):
+            aggregated += written
+            dropped.extend(mine)
         issues.extend(dropped)
 
     artifacts["sequence_predictions.txt"] = write

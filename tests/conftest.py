@@ -1,4 +1,5 @@
 import gc
+import os
 import sys
 from pathlib import Path
 
@@ -20,6 +21,34 @@ def collector_left_on():
     if not gc.isenabled():
         gc.enable()
         pytest.fail("the test left the cyclic garbage collector disabled")
+
+
+@pytest.fixture
+def cpus(monkeypatch):
+    """``cpus(n)`` makes the CPU probe (``os.sched_getaffinity``) report ``n`` usable CPUs.
+
+    ``--jobs`` starts no more workers than that, so a test that sets it forks
+    on a host with any number of CPUs.
+    """
+    def set_count(count):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+    return set_count
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The pid of every child ``os.fork`` starts in this process, in order."""
+    started = []
+    real_fork = os.fork
+
+    def fork():
+        pid = real_fork()
+        if pid:
+            started.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    return started
 
 
 @pytest.fixture(scope="session")

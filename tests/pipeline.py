@@ -47,13 +47,19 @@ def pipeline_commands(fixture_dir, out_root, jobs=1):
     ]
 
 
-def run_pipeline(fixture_dir, out_root, jobs=1):
+def run_pipeline(fixture_dir, out_root, jobs=1, forks=()):
+    """Run every command; return those during which the list ``forks`` grew."""
     from trapkit.cli import main
 
+    forked = []
     for argv in pipeline_commands(fixture_dir, out_root, jobs=jobs):
+        started = len(forks)
         status = main(argv)
         if status != 0:
             raise RuntimeError(f"pipeline command failed ({status}): {argv}")
+        if len(forks) > started:
+            forked.append(argv[0])
+    return forked
 
 
 def artifact_files(out_root):

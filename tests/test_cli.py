@@ -535,9 +535,11 @@ def test_full_pipeline_reproduces_golden_outputs(tmp_path, fixture_dir, golden_d
         assert fresh == golden, f"{relative} differs from golden copy"
 
 
-def test_pipeline_outputs_identical_for_any_jobs_value(tmp_path, fixture_dir):
-    run_pipeline(fixture_dir, tmp_path / "j1", jobs=1)
-    run_pipeline(fixture_dir, tmp_path / "j8", jobs=8)
+def test_pipeline_outputs_identical_for_any_jobs_value(tmp_path, fixture_dir, cpus, forks):
+    cpus(2)
+    assert run_pipeline(fixture_dir, tmp_path / "j1", jobs=1, forks=forks) == []
+    assert run_pipeline(fixture_dir, tmp_path / "j8", jobs=8, forks=forks) == \
+        ["geofilter", "sequences"]
     files = artifact_files(tmp_path / "j1")
     assert files == artifact_files(tmp_path / "j8")
     for relative in files:
@@ -545,13 +547,14 @@ def test_pipeline_outputs_identical_for_any_jobs_value(tmp_path, fixture_dir):
             (tmp_path / "j8" / relative).read_bytes()
 
 
-def test_every_artifact_reads_back(tmp_path, fixture_dir, monkeypatch, capsys):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+def test_every_artifact_reads_back(tmp_path, fixture_dir, capsys, cpus, forks):
+    cpus(2)
     out = tmp_path / "pipeline"
     run_pipeline(fixture_dir, out)
-    geofilter = next(argv for argv in pipeline_commands(fixture_dir, tmp_path / "jobs2", jobs=2)
-                     if argv[0] == "geofilter")
-    assert main(geofilter) == 0
+    for argv in pipeline_commands(fixture_dir, tmp_path / "jobs2", jobs=2):
+        if argv[0] in ("geofilter", "sequences"):
+            assert main(argv) == 0
+    assert len(forks) == 2
 
     again = tmp_path / "again"
     assert main(["ingest", "--deployments", str(out / "ingest" / "deployments.csv"),
@@ -564,7 +567,8 @@ def test_every_artifact_reads_back(tmp_path, fixture_dir, monkeypatch, capsys):
 
     for path in (out / "geofilter" / "predictions_filtered.txt",
                  tmp_path / "jobs2" / "geofilter" / "predictions_filtered.txt",
-                 out / "sequences" / "sequence_predictions.txt"):
+                 out / "sequences" / "sequence_predictions.txt",
+                 tmp_path / "jobs2" / "sequences" / "sequence_predictions.txt"):
         issues = []
         with open(path, encoding="utf-8", newline="") as handle:
             assert list(iter_predictions(handle, issues)), path
@@ -603,12 +607,11 @@ def _package_functions():
     return names
 
 
-def test_every_package_function_is_reached_by_a_command(tmp_path, fixture_dir, monkeypatch,
-                                                        capsys):
+def test_every_package_function_is_reached_by_a_command(tmp_path, fixture_dir, capsys, cpus):
     def flags(name):
         return _dataset_flags(fixture_dir, tmp_path / name)
 
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    cpus(2)
     runs = [
         *pipeline_commands(fixture_dir, tmp_path / "pipeline"),
         ["geofilter", *flags("geofilter"), "--predictions", str(fixture_dir / "predictions.txt"),
