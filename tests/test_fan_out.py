@@ -274,13 +274,16 @@ def test_runs_of_any_worker_count_read_as_one_process(tmp_path, cpus, pieces, ma
                 found.append((number, line))
         cli._read(path, work)
 
+    def line_count():
+        return cli._read(path, lambda lines: sum(1 for _ in lines))
+
     runs = []
     for jobs in (1, 8):
         cpus(count)
         issues = []
         with open(tmp_path / f"out{jobs}", "w", encoding="utf-8", newline="") as out:
-            results = cli._fan_out(jobs, lambda: cli._read(path, lambda lines: sum(1 for _ in lines)),
-                                   numbered, out, issues, lambda first, last: f"lines {first}-{last}")
+            results = cli._fan_out(jobs, line_count, numbered, out, issues,
+                                   lambda first, last: f"lines {first}-{last}")
         assert _no_child_left()
         runs.append(((tmp_path / f"out{jobs}").read_bytes(), issues))
     assert runs[1] == runs[0]
