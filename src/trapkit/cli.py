@@ -25,8 +25,9 @@ command ignores ``--jobs``; ``$TRAPKIT_JOBS`` has no effect.
 
 Exit status: 0 on success; 1 on runtime errors, including input that is
 not UTF-8 and running out of memory, or (with --strict) on error-severity
-validation issues; 2 on usage errors, including a numeric flag that is not
-a finite number > 0.
+validation issues; 2 on usage errors, including a --top-n, --images-per-hour,
+--cell-size-m, --cap, --k or --max-gap-seconds value that is not a finite
+number > 0, or a --train-fraction that is not strictly between 0 and 1.
 """
 
 from __future__ import annotations
@@ -453,14 +454,14 @@ def _cmd_split(args, dataset, issues):
 
 
 def _cmd_eval(args, dataset, issues):
-    truth = {image_id: image.label_id for image_id, image in dataset.images.items()}
     if args.split:
         wanted = _read(args.split, read_manifest)
-        missing = [image_id for image_id in wanted if image_id not in truth]
+        missing = sum(image_id not in dataset.images for image_id in wanted)
         if missing:
-            print(f"warning: {len(missing)} manifest id(s) not in dataset, ignored",
-                  file=sys.stderr)
-        truth = {image_id: truth[image_id] for image_id in wanted if image_id in truth}
+            print(f"warning: {missing} manifest id(s) not in dataset, ignored", file=sys.stderr)
+        truth = {i: dataset.images[i].label_id for i in wanted if i in dataset.images}
+    else:
+        truth = {image_id: image.label_id for image_id, image in dataset.images.items()}
 
     metrics = _read(args.predictions, lambda handle: evaluate(
         iter_predictions(handle, issues), truth, dataset.taxonomy, ks=args.k or [1, 3],

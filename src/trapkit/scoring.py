@@ -146,14 +146,12 @@ def evaluate(
     level = Level(level)
 
     cache = {label_id: rollup(label_id, level, table) for label_id in table.records}
-    truth_rolled: dict[str, RolledLabel] = {}
     support: dict[str, int] = {}
     nonblank_total = 0
-    for image_id, label_id in truth.items():
+    for label_id in truth.values():
         rolled = cache.get(label_id)
         if rolled is None:
             raise LabelNotFoundError(f"truth label {label_id!r} not in taxonomy")
-        truth_rolled[image_id] = rolled
         support[rolled.name] = support.get(rolled.name, 0) + 1
         if rolled.special != BLANK:
             nonblank_total += 1
@@ -171,14 +169,15 @@ def evaluate(
         entries = record.entries
         if not entries:
             continue  # an empty ranking is no prediction at all
-        truth_label = truth_rolled.get(image_id)
-        if truth_label is None:
+        label_id = truth.get(image_id)
+        if label_id is None:
             unmatched += 1
             continue
         if image_id in seen:
             duplicates += 1
             continue
         seen.add(image_id)
+        truth_label = cache[label_id]
 
         # The rank is the number of distinct rolled labels ranked above the truth;
         # every entry the taxonomy cannot resolve counts, even after the hit.
@@ -206,7 +205,7 @@ def evaluate(
             if assigned == truth_label:
                 true_positives[truth_label.name] = true_positives.get(truth_label.name, 0) + 1
 
-    evaluated = len(truth_rolled)
+    evaluated = len(truth)
     per_class: dict[str, ClassMetrics] = {}
     for name in sorted(set(support) | set(predicted)):
         tp = true_positives.get(name, 0)
@@ -218,8 +217,7 @@ def evaluate(
             support=n_actual,
         )
 
-    blank_name = rollup(table.blank_label_id, level, table).name
-    blank = per_class.get(blank_name)
+    blank = per_class.get(cache[table.blank_label_id].name)
 
     return MetricsReport(
         level=level,

@@ -294,6 +294,67 @@ def test_eval_accepts_split_manifest_and_scores_perfect_predictions(
     capsys.readouterr()
 
 
+def _eval_metrics(fixture_dir, out, predictions, manifest):
+    argv = ["eval", *_dataset_flags(fixture_dir, out), "--predictions", str(predictions),
+            "--split", str(manifest)]
+    assert main(argv) == 0
+    return (out / "metrics.csv").read_bytes()
+
+
+def test_eval_split_warns_of_every_manifest_id_not_in_the_dataset(
+    tmp_path, fixture_dir, golden_dir, capsys
+):
+    clean = golden_dir / "split" / "eval.txt"
+    known = clean.read_text().split()
+    manifest = tmp_path / "manifest.txt"
+    # two unknown ids, one of them listed twice, and a known id listed twice
+    manifest.write_text("\n".join(["i_nope_1", *known, "i_nope_2", "i_nope_1", known[0]]) + "\n")
+    predictions = fixture_dir / "predictions.txt"
+    capsys.readouterr()
+
+    dirty = _eval_metrics(fixture_dir, tmp_path / "dirty", predictions, manifest)
+    assert "warning: 3 manifest id(s) not in dataset, ignored" in capsys.readouterr().err
+    assert dirty == _eval_metrics(fixture_dir, tmp_path / "clean", predictions, clean)
+    assert "not in dataset" not in capsys.readouterr().err
+
+
+def test_eval_scores_the_first_of_two_prediction_lines_for_an_image(
+    tmp_path, fixture_dir, golden_dir, capsys
+):
+    manifest = golden_dir / "split" / "eval.txt"
+    lines = (fixture_dir / "predictions.txt").read_text().splitlines(keepends=True)
+    assert lines[2].startswith("i_am1_003 sp_panthera_pardus:")
+    second = "i_am1_003 sp_panthera_onca:1.0\n"  # a different top-1 than the first line
+    doubled = tmp_path / "doubled.txt"
+    doubled.write_text("".join([*lines, second]))
+    replaced = tmp_path / "replaced.txt"
+    replaced.write_text("".join([*lines[:2], second, *lines[3:]]))
+    capsys.readouterr()
+
+    metrics = _eval_metrics(fixture_dir, tmp_path / "doubled", doubled, manifest)
+    assert "  duplicate predictions    1\n" in capsys.readouterr().out
+    first = fixture_dir / "predictions.txt"
+    assert metrics == _eval_metrics(fixture_dir, tmp_path / "first", first, manifest)
+    assert metrics != _eval_metrics(fixture_dir, tmp_path / "second", replaced, manifest)
+    assert "duplicate predictions" not in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("extra, message", [
+    (["--images", "more.csv"], "1 --deployments but 2 --images; sources are paired by order"),
+    (["--source-name", "a", "--source-name", "b"], "--source-name must be given once per source"),
+])
+def test_unpaired_sources_are_refused_before_any_input_is_looked_at(tmp_path, capsys,
+                                                                     extra, message):
+    # no input exists, so the run would end "not found" had it looked at one
+    out = tmp_path / "out"
+    argv = ["validate", "--deployments", str(tmp_path / "deployments.csv"),
+            "--images", str(tmp_path / "images.csv"), "--taxonomy", str(tmp_path / "taxonomy.csv"),
+            "-o", str(out), *extra]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 def test_geofilter_drops_out_of_range_labels(tmp_path, fixture_dir, capsys):
     out = tmp_path / "out"
     argv = [
@@ -325,8 +386,13 @@ def _predictions_with_extra_lines(fixture_dir, path, extra_lines, last_line=b"")
 def _peak_bytes(command, fixture_dir, tmp_path, extra_lines, flags=()):
     predictions = _predictions_with_extra_lines(
         fixture_dir, tmp_path / f"predictions-{command}-{extra_lines}.txt", extra_lines)
-    argv = [command, *_dataset_flags(fixture_dir, tmp_path / f"out-{command}-{extra_lines}"),
-            "--predictions", str(predictions), *flags]
+    out = tmp_path / f"out-{command}-{extra_lines}"
+    return _traced_peak([command, *_dataset_flags(fixture_dir, out),
+                         "--predictions", str(predictions), *flags])
+
+
+def _traced_peak(argv):
+    """The peak bytes tracemalloc sees while ``main(argv)`` runs; it must exit 0."""
     tracemalloc.start()
     try:
         assert main(argv) == 0
@@ -352,6 +418,33 @@ def test_sequences_memory_does_not_grow_with_the_prediction_count(tmp_path, fixt
     large = _peak_bytes("sequences", fixture_dir, tmp_path, 20_000)
     assert capsys.readouterr().out.count("aggregated predictions  31 (1 sequence(s) had") == 2
     assert large - small < 1_000_000, (small, large)
+
+
+def test_eval_memory_does_not_grow_with_images_outside_the_manifest(
+    tmp_path, fixture_dir, golden_dir, capsys
+):
+    # eval holds the truth of the manifest's images only; every image is
+    # loaded, so validate's peak stands for the load and is taken off
+    fixture_images = (fixture_dir / "images.csv").read_bytes()
+    eval_flags = ["--predictions", str(fixture_dir / "predictions.txt"),
+                  "--split", str(golden_dir / "split" / "eval.txt")]
+
+    def eval_over_load(extra_images):
+        images = tmp_path / f"images-{extra_images}.csv"
+        images.write_bytes(fixture_images + "".join(
+            f"i_extra_{n},d_mada_01,2016-03-01T00:00:00Z,sp_lemur_catta,,teamA\n"
+            for n in range(extra_images)).encode())
+        flags = ["--deployments", str(fixture_dir / "deployments.csv"), "--images", str(images),
+                 "--taxonomy", str(fixture_dir / "taxonomy.csv"), "--overwrite"]
+        load = _traced_peak(["validate", *flags, "-o", str(tmp_path / "validate")])
+        return _traced_peak(["eval", *flags, *eval_flags, "-o", str(tmp_path / "eval")]) - load
+
+    eval_over_load(0)  # the first run in a process also imports what it needs
+    small = eval_over_load(2_000)
+    large = eval_over_load(20_000)
+    assert capsys.readouterr().out.count("evaluated images         10\n") == 3
+    # a label for each of 18,000 more images (about 0.7 MB if held) must not raise it
+    assert abs(large - small) < 100_000, (small, large)
 
 
 @pytest.mark.parametrize("command", ["geofilter", "sequences"])
@@ -648,7 +741,8 @@ def _python(*args):
 
 
 def test_cli_import_loads_no_module_only_some_commands_need():
-    # pickle carries geofilter's worker results: it is imported only where workers fork
+    # pickle carries the worker results of geofilter and sequences: it is imported only
+    # where workers fork
     unwanted = ("{'dataclasses', 'fractions', 'inspect', "
                 "'pickle', 'multiprocessing', 'concurrent.futures', 'subprocess'}")
     result = _python("-c", f"import sys, trapkit.cli; print(sorted({unwanted} & set(sys.modules)))")
