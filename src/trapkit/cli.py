@@ -33,6 +33,7 @@ number > 0, or a --train-fraction that is not strictly between 0 and 1.
 from __future__ import annotations
 
 import argparse
+import functools
 import gc
 import math
 import os
@@ -98,47 +99,49 @@ def _level(text: str) -> Level:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def _add_command(commands, name: str, func, help: str) -> argparse.ArgumentParser:
-    """Register one subcommand with the dataset and output flags every command takes."""
-    sub = commands.add_parser(name, help=help)
-    sub.add_argument("--deployments", action="append", required=True, metavar="CSV",
-                     help="deployments file, repeat once per source")
-    sub.add_argument("--images", action="append", required=True, metavar="CSV",
-                     help="images file, repeat once per source (paired with --deployments by order)")
-    sub.add_argument("--taxonomy", required=True, metavar="CSV", help="taxonomy file")
-    sub.add_argument("--source-name", action="append", default=None, metavar="NAME",
-                     help="provenance name per source (default source0, source1, ...)")
-    sub.add_argument("-o", "--output-dir", required=True, metavar="DIR")
-    sub.add_argument("--overwrite", action="store_true",
-                     help="allow replacing existing output files")
-    sub.add_argument("--strict", action="store_true",
-                     help="exit 1 when any error-severity validation issue is found")
-    sub.add_argument("--jobs", type=int, default=1, metavar="N",
-                     help="geofilter and sequences --predictions only: work prediction lines "
-                          "or bursts in up to N processes, at most one per usable CPU, with "
-                          "byte-identical output for any N (one process where os.fork is "
-                          "missing); $TRAPKIT_JOBS has no effect")
-    sub.add_argument("--format", choices=["csv", "summary"], default="summary",
-                     help="what to print on stdout: human summary or the primary csv artifact")
-    sub.add_argument("-v", "--verbose", action="store_true",
-                     help="also print every issue to stderr")
+def _add_command(commands, shared, name: str, func, help: str) -> argparse.ArgumentParser:
+    """Register one subcommand that runs ``func`` and takes the flags of ``shared``."""
+    sub = commands.add_parser(name, help=help, parents=[shared])
     sub.set_defaults(func=func)
     return sub
 
 
 def build_parser() -> argparse.ArgumentParser:
+    shared = argparse.ArgumentParser(add_help=False)  # the flags every command takes
+    shared.add_argument("--deployments", action="append", required=True, metavar="CSV",
+                        help="deployments file, repeat once per source")
+    shared.add_argument("--images", action="append", required=True, metavar="CSV",
+                        help="images file, repeat once per source (paired with --deployments "
+                             "by order)")
+    shared.add_argument("--taxonomy", required=True, metavar="CSV", help="taxonomy file")
+    shared.add_argument("--source-name", action="append", default=None, metavar="NAME",
+                        help="provenance name per source (default source0, source1, ...)")
+    shared.add_argument("-o", "--output-dir", required=True, metavar="DIR")
+    shared.add_argument("--overwrite", action="store_true",
+                        help="allow replacing existing output files")
+    shared.add_argument("--strict", action="store_true",
+                        help="exit 1 when any error-severity validation issue is found")
+    shared.add_argument("--jobs", type=int, default=1, metavar="N",
+                        help="geofilter and sequences --predictions only: work prediction lines "
+                             "or bursts in up to N processes, at most one per usable CPU, with "
+                             "byte-identical output for any N (one process where os.fork is "
+                             "missing); $TRAPKIT_JOBS has no effect")
+    shared.add_argument("--format", choices=["csv", "summary"], default="summary",
+                        help="what to print on stdout: human summary or the primary csv artifact")
+    shared.add_argument("-v", "--verbose", action="store_true",
+                        help="also print every issue to stderr")
+
     parser = argparse.ArgumentParser(
         prog="trapkit",
         description="Camera-trap metadata unification, leakage-free splits, and classifier scoring.",
     )
     commands = parser.add_subparsers(dest="command", required=True)
+    add = functools.partial(_add_command, commands, shared)
 
-    _add_command(commands, "ingest", _cmd_ingest, "unify sources into one validated dataset")
-    _add_command(commands, "validate", _cmd_validate,
-                 "report data-quality issues without writing a dataset")
+    add("ingest", _cmd_ingest, "unify sources into one validated dataset")
+    add("validate", _cmd_validate, "report data-quality issues without writing a dataset")
 
-    sub = _add_command(commands, "stats", _cmd_stats,
-                       "class skew, blank rate, and labeling-effort diagnostics")
+    sub = add("stats", _cmd_stats, "class skew, blank rate, and labeling-effort diagnostics")
     sub.add_argument("--top-n", type=_positive(int), default=20, metavar="N",
                      help="rank cutoff for the skew coverage figure (default 20)")
     sub.add_argument("--level", type=_level, default=None, metavar="LEVEL",
@@ -148,13 +151,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--include-blank", action="store_true",
                      help="keep blank/unknown labels in the skew table")
 
-    sub = _add_command(commands, "split", _cmd_split, "leakage-free geographic train/eval split")
+    sub = add("split", _cmd_split, "leakage-free geographic train/eval split")
     sub.add_argument("--train-fraction", type=_positive(float, below=1.0), default=0.9, metavar="F")
     sub.add_argument("--cell-size-m", type=_positive(float), default=10.0, metavar="METERS")
     sub.add_argument("--seed", type=int, default=0, metavar="SEED")
 
-    sub = _add_command(commands, "eval", _cmd_eval,
-                       "score ranked predictions against ground truth")
+    sub = add("eval", _cmd_eval, "score ranked predictions against ground truth")
     sub.add_argument("--predictions", required=True, metavar="FILE")
     sub.add_argument("--k", action="append", type=_positive(int), default=None, metavar="K",
                      help="top-k cutoffs, repeatable (default 1 and 3)")
@@ -162,16 +164,15 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--split", default=None, metavar="MANIFEST",
                      help="restrict evaluation to image ids listed in this manifest")
 
-    sub = _add_command(commands, "geofilter", _cmd_geofilter,
-                       "drop predictions outside each species' range")
+    sub = add("geofilter", _cmd_geofilter, "drop predictions outside each species' range")
     sub.add_argument("--predictions", required=True, metavar="FILE")
     sub.add_argument("--range-map", required=True, metavar="CSV")
 
-    sub = _add_command(commands, "weights", _cmd_weights, "export inverse-frequency class weights")
+    sub = add("weights", _cmd_weights, "export inverse-frequency class weights")
     sub.add_argument("--cap", type=_positive(float), default=100.0, metavar="CAP")
     sub.add_argument("--level", type=_level, default=None, metavar="LEVEL")
 
-    sub = _add_command(commands, "sequences", _cmd_sequences, "group images into burst sequences")
+    sub = add("sequences", _cmd_sequences, "group images into burst sequences")
     sub.add_argument("--max-gap-seconds", type=_positive(float), default=60.0, metavar="SECONDS")
     sub.add_argument("--predictions", default=None, metavar="FILE",
                      help="also fuse these per-image predictions into one record per sequence")
@@ -568,7 +569,7 @@ def main(argv=None) -> int:
 
     A command builds millions of small objects that all live until it ends,
     so the collector's passes over them free almost nothing. It is turned
-    back on at return only if it was on when ``main`` was called.
+    back on at return if it was on at the call; only ``run`` freezes the heap.
     """
     collecting = gc.isenabled()
     gc.disable()
@@ -587,5 +588,17 @@ def main(argv=None) -> int:
             gc.enable()
 
 
+def run():
+    """The process entry: exit with the status of ``main()``, freezing the heap first.
+
+    ``gc.freeze`` moves every tracked object into the permanent generation,
+    which the interpreter's shutdown collections skip. Shutdown is otherwise
+    the normal one: the std streams are flushed and atexit handlers run.
+    """
+    status = main()
+    gc.freeze()
+    sys.exit(status)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -22,6 +22,11 @@ from pipeline import artifact_files, pipeline_commands, run_pipeline
 REPO = Path(__file__).resolve().parent.parent
 
 
+def _csv_rows(path):
+    with open(path, encoding="utf-8", newline="") as handle:
+        return list(csv.reader(handle))
+
+
 def _dataset_flags(fixture_dir, out, extra=()):
     return [
         "--deployments", str(fixture_dir / "deployments.csv"),
@@ -74,11 +79,13 @@ def test_main_runs_with_the_collector_off_and_gives_back_the_callers_state(
         "missing_input": ["validate", *_dataset_flags(tmp_path, tmp_path / "out")],
         "usage_error": ["validate", *_dataset_flags(fixture_dir, tmp_path / "out"), "--bogus"],
     }[case]
+    frozen = gc.get_freeze_count()
     if not collecting:
         gc.disable()
     try:
         assert main(argv) == status
         assert gc.isenabled() is collecting
+        assert gc.get_freeze_count() == frozen  # only the process entry freezes the heap
     finally:
         gc.enable()
     assert seen == ([] if case == "usage_error" else [False])  # argparse exits before _run
@@ -286,7 +293,7 @@ def test_eval_accepts_split_manifest_and_scores_perfect_predictions(
         "--k", "1", "--k", "3",
     ]
     assert main(argv) == 0
-    rows = list(csv.reader(open(eval_out / "metrics.csv")))
+    rows = _csv_rows(eval_out / "metrics.csv")
     values = {(row[0], row[1]): row[2] for row in rows[1:]}
     assert values[("top1_accuracy", "overall")] == "1.0"
     assert values[("top3_accuracy", "overall")] == "1.0"
@@ -466,7 +473,7 @@ def test_non_utf8_prediction_found_while_writing_leaves_no_artifact(tmp_path, fi
 def test_weights_and_sequences_outputs(tmp_path, fixture_dir, capsys):
     weights_out = tmp_path / "weights"
     assert main(["weights", *_dataset_flags(fixture_dir, weights_out), "--cap", "100"]) == 0
-    rows = list(csv.reader(open(weights_out / "weights.csv")))
+    rows = _csv_rows(weights_out / "weights.csv")
     assert rows[0] == ["label_id", "weight"]
     weights = {row[0]: float(row[1]) for row in rows[1:]}
     # 40 images over 12 observed labels; blank seen 13 times
@@ -477,7 +484,7 @@ def test_weights_and_sequences_outputs(tmp_path, fixture_dir, capsys):
     argv = ["sequences", *_dataset_flags(fixture_dir, seq_out),
             "--predictions", str(fixture_dir / "predictions.txt")]
     assert main(argv) == 0
-    rows = list(csv.reader(open(seq_out / "sequences.csv")))
+    rows = _csv_rows(seq_out / "sequences.csv")
     by_id = {row[0]: row for row in rows[1:]}
     burst = by_id["d_amaz_01:2015-06-01T12:00:00Z"]
     assert burst[5] == "i_am1_001 i_am1_002 i_am1_003"
@@ -546,7 +553,7 @@ def test_sequences_formats_each_burst_start_once(tmp_path, fixture_dir, monkeypa
             "--predictions", str(data_dir / "predictions.txt")]
     assert main(argv) == 0
     capsys.readouterr()
-    rows = list(csv.reader(open(out / "sequences.csv", encoding="utf-8")))[1:]
+    rows = _csv_rows(out / "sequences.csv")[1:]
     fused = (out / "sequence_predictions.txt").read_text(encoding="utf-8").splitlines()
     assert len(fused) == (31 if case == "fixture" else 30)
     # the fused ids are the first column's texts: each start is formatted for
@@ -563,7 +570,7 @@ def test_stats_summary_reports_blank_rate(tmp_path, fixture_dir, capsys):
 
 
 def _counts(path):
-    return [(row[1], int(row[2])) for row in list(csv.reader(open(path)))[1:]]
+    return [(row[1], int(row[2])) for row in _csv_rows(path)[1:]]
 
 
 def test_stats_level_rolls_labels_up(tmp_path, fixture_dir, capsys):
@@ -589,7 +596,7 @@ def test_stats_include_blank_counts_blank_and_unknown(tmp_path, fixture_dir, cap
 def test_weights_level_weights_genera(tmp_path, fixture_dir, capsys):
     out = tmp_path / "out"
     assert main(["weights", *_dataset_flags(fixture_dir, out), "--level", "genus"]) == 0
-    rows = list(csv.reader(open(out / "weights.csv")))
+    rows = _csv_rows(out / "weights.csv")
     assert [row[0] for row in rows[1:]] == [
         "Canis", "Lemur", "Leopardus", "Panthera", "blank", "unknown",
     ]
@@ -600,7 +607,7 @@ def test_verbose_prints_every_issue_on_stderr(tmp_path, fixture_dir, capsys):
     out = tmp_path / "out"
     assert main(["validate", *_dataset_flags(fixture_dir, out), "-v"]) == 0
     lines = capsys.readouterr().err.splitlines()
-    rows = list(csv.reader(open(out / "issues.csv")))
+    rows = _csv_rows(out / "issues.csv")
     assert len(rows) == 3 and len(lines) == len(rows)
     for line, (kind, key, detail) in zip(lines, rows):
         severity, rest = line.split(": ", 1)
@@ -617,15 +624,18 @@ def test_unknown_level_names_the_level(tmp_path, fixture_dir, capsys, command):
     assert not out.exists()
 
 
-def test_full_pipeline_reproduces_golden_outputs(tmp_path, fixture_dir, golden_dir):
-    run_pipeline(fixture_dir, tmp_path)
+def _assert_golden_outputs(out_root, golden_dir):
     golden_files = artifact_files(golden_dir)
     assert golden_files, "golden outputs are missing; run python tests/pipeline.py"
-    assert artifact_files(tmp_path) == golden_files
+    assert artifact_files(out_root) == golden_files
     for relative in golden_files:
-        fresh = (tmp_path / relative).read_bytes()
-        golden = (golden_dir / relative).read_bytes()
-        assert fresh == golden, f"{relative} differs from golden copy"
+        assert (out_root / relative).read_bytes() == (golden_dir / relative).read_bytes(), \
+            f"{relative} differs from golden copy"
+
+
+def test_full_pipeline_reproduces_golden_outputs(tmp_path, fixture_dir, golden_dir):
+    run_pipeline(fixture_dir, tmp_path)
+    _assert_golden_outputs(tmp_path, golden_dir)
 
 
 def test_pipeline_outputs_identical_for_any_jobs_value(tmp_path, fixture_dir, cpus, forks):
@@ -680,6 +690,7 @@ def test_every_artifact_reads_back(tmp_path, fixture_dir, capsys, cpus, forks):
 UNREACHED = {
     "taxonomy.distinct_counts": "acceptance criteria 3 and 4 call it",
     "report.ValidationReport.of_kind": "bench/traced_cli.py wraps it (ROADMAP item 2 drops both)",
+    "cli.run": "process entry; the subprocess tests run it",
 }
 
 
@@ -738,6 +749,57 @@ def _python(*args):
     env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
     return subprocess.run([sys.executable, *args], cwd=REPO, env=env,
                           capture_output=True, text=True, timeout=120)
+
+
+# The two ways a process enters the CLI: ``python -m trapkit.cli`` and the console script.
+ENTRIES = {"module": ["-m", "trapkit.cli"],
+           "script": ["-c", "from trapkit.cli import run; run()"]}
+
+
+def test_pipeline_through_the_process_entry_reproduces_golden_outputs(tmp_path, fixture_dir,
+                                                                      golden_dir, capsys):
+    # -X dev prints every ResourceWarning: a file left open for the shutdown collections,
+    # which skip the frozen heap, would never be flushed
+    for argv, process_argv in zip(pipeline_commands(fixture_dir, tmp_path / "in_process"),
+                                  pipeline_commands(fixture_dir, tmp_path / "process")):
+        assert main(argv) == 0
+        expected = capsys.readouterr()
+        result = _python("-X", "dev", *ENTRIES["module"], *process_argv)
+        assert result.returncode == 0, (argv[0], result.stderr)
+        assert "ResourceWarning" not in result.stderr, argv[0]
+        assert (result.stdout, result.stderr) == (expected.out, expected.err), argv[0]
+    _assert_golden_outputs(tmp_path / "process", golden_dir)
+
+
+@pytest.mark.parametrize("entry", sorted(ENTRIES))
+@pytest.mark.parametrize("case, status", [("no_arguments", 2), ("unknown_flag", 2),
+                                          ("missing_input", 1), ("strict", 1), ("help", 0)])
+def test_exit_status_and_output_through_each_process_entry(tmp_path, fixture_dir, monkeypatch,
+                                                           capsys, entry, case, status):
+    def argv(out):
+        return {
+            "no_arguments": [],
+            "unknown_flag": ["validate", *_dataset_flags(fixture_dir, out), "--bogus"],
+            "missing_input": ["validate", *_dataset_flags(tmp_path, out)],
+            "strict": ["validate", *_dataset_flags(fixture_dir, out), "--strict"],
+            "help": ["--help"],
+        }[case]
+
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps its text to the terminal's width
+    result = _python(*ENTRIES[entry], *argv(tmp_path / "process"))
+    assert result.returncode == status, result.stderr
+    assert main(argv(tmp_path / "in_process")) == status
+    expected = capsys.readouterr()
+    assert (result.stdout, result.stderr) == (expected.out, expected.err)
+
+
+def test_process_entry_freezes_the_heap_and_still_runs_atexit_handlers():
+    result = _python("-c", "import atexit, gc; from trapkit.cli import run; "
+                     "atexit.register(lambda: print('frozen', gc.get_freeze_count() > 0)); "
+                     "run()", "--help")
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.startswith("usage: trapkit")
+    assert result.stdout.endswith("\nfrozen True\n")
 
 
 def test_cli_import_loads_no_module_only_some_commands_need():
@@ -818,10 +880,7 @@ def test_crlf_fixture_reproduces_golden_outputs(tmp_path, fixture_dir, golden_di
     fixture = _copy_fixture(fixture_dir, tmp_path / "fixture",
                             lambda text: text.replace(b"\n", b"\r\n"))
     run_pipeline(fixture, tmp_path / "out")
-    assert artifact_files(tmp_path / "out") == artifact_files(golden_dir)
-    for relative in artifact_files(golden_dir):
-        assert (tmp_path / "out" / relative).read_bytes() == \
-            (golden_dir / relative).read_bytes(), f"{relative} differs from golden copy"
+    _assert_golden_outputs(tmp_path / "out", golden_dir)
 
 
 def test_byte_order_mark_on_every_input_reproduces_golden_outputs(tmp_path, fixture_dir,
@@ -837,7 +896,4 @@ def test_byte_order_mark_on_every_input_reproduces_golden_outputs(tmp_path, fixt
             argv[argv.index("--split") + 1] = str(manifest)
         assert main(argv) == 0, argv[0]
     capsys.readouterr()
-    assert artifact_files(out) == artifact_files(golden_dir)
-    for relative in artifact_files(golden_dir):
-        assert (out / relative).read_bytes() == (golden_dir / relative).read_bytes(), \
-            f"{relative} differs from golden copy"
+    _assert_golden_outputs(out, golden_dir)
