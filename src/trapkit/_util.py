@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import sys
 from datetime import datetime, timezone
 from typing import IO, Iterable
 
@@ -41,6 +42,13 @@ def id_rejected(field_name: str, key: str, row_number: int, records: dict,
     else:
         return False
     return True
+
+
+def positive(name: str, value):
+    """Return ``value`` if a finite number > 0; compared, as math.isfinite overflows on huge ints."""
+    if not 0 < value <= sys.float_info.max:
+        raise ValueError(f"{name} must be a finite number > 0, got {value}")
+    return value
 
 
 def coordinate_ok(latitude: float, longitude: float) -> bool:

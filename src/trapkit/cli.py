@@ -33,10 +33,10 @@ number > 0, or a --train-fraction that is not strictly between 0 and 1.
 from __future__ import annotations
 
 import argparse
-import functools
 import gc
 import math
 import os
+import shutil
 import sys
 from itertools import islice
 from pathlib import Path
@@ -99,13 +99,6 @@ def _level(text: str) -> Level:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def _add_command(commands, shared, name: str, func, help: str) -> argparse.ArgumentParser:
-    """Register one subcommand that runs ``func`` and takes the flags of ``shared``."""
-    sub = commands.add_parser(name, help=help, parents=[shared])
-    sub.set_defaults(func=func)
-    return sub
-
-
 def build_parser() -> argparse.ArgumentParser:
     shared = argparse.ArgumentParser(add_help=False)  # the flags every command takes
     shared.add_argument("--deployments", action="append", required=True, metavar="CSV",
@@ -136,7 +129,11 @@ def build_parser() -> argparse.ArgumentParser:
         description="Camera-trap metadata unification, leakage-free splits, and classifier scoring.",
     )
     commands = parser.add_subparsers(dest="command", required=True)
-    add = functools.partial(_add_command, commands, shared)
+
+    def add(name: str, func, help: str) -> argparse.ArgumentParser:
+        sub = commands.add_parser(name, help=help, parents=[shared])
+        sub.set_defaults(func=func)
+        return sub
 
     add("ingest", _cmd_ingest, "unify sources into one validated dataset")
     add("validate", _cmd_validate, "report data-quality issues without writing a dataset")
@@ -382,8 +379,9 @@ def _run(args) -> int:
         for issue in report.issues:
             print(f"{issue.severity.value}: {issue.kind.value}: {issue.key}: {issue.detail}",
                   file=sys.stderr)
-    if args.format == "csv":
-        print((outdir / next(iter(artifacts))).read_text(encoding="utf-8"), end="")
+    if args.format == "csv":  # the artifact's bytes, line ends untranslated, in chunks
+        with open(outdir / next(iter(artifacts)), encoding="utf-8", newline="") as primary:
+            shutil.copyfileobj(primary, sys.stdout)
     else:
         print("\n".join([*summary(), report.summary()]))
     if args.strict and report.has_errors:

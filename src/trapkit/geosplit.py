@@ -23,11 +23,10 @@ from __future__ import annotations
 
 import math
 import random
-import sys
 from itertools import chain
 from typing import IO, Mapping, NamedTuple
 
-from ._util import coordinate_ok, write_rows
+from ._util import coordinate_ok, positive, write_rows
 from .errors import SplitError
 from .ingest import UnifiedDataset
 
@@ -49,10 +48,8 @@ class SplitConfig:
     def __init__(self, train_fraction: float = 0.9, cell_size_m: float = 10.0, seed: int = 0):
         if not 0.0 < train_fraction < 1.0:
             raise ValueError(f"train_fraction must be in (0, 1), got {train_fraction}")
-        if not 0 < cell_size_m <= sys.float_info.max:
-            raise ValueError(f"cell_size_m must be a finite number > 0, got {cell_size_m}")
         self.train_fraction = train_fraction
-        self.cell_size_m = cell_size_m
+        self.cell_size_m = positive("cell_size_m", cell_size_m)
         self.seed = seed
 
 
@@ -82,8 +79,7 @@ class SplitViolation(NamedTuple):
 def region_id(latitude: float, longitude: float, cell_size_m: float) -> RegionId:
     if not coordinate_ok(latitude, longitude):
         raise ValueError(f"invalid coordinates ({latitude}, {longitude})")
-    if not 0 < cell_size_m <= sys.float_info.max:
-        raise ValueError(f"cell_size_m must be a finite number > 0, got {cell_size_m}")
+    positive("cell_size_m", cell_size_m)
     cell_y = latitude * METERS_PER_DEGREE / cell_size_m
     cell_x = longitude * METERS_PER_DEGREE / cell_size_m
     if not (math.isfinite(cell_y) and math.isfinite(cell_x)):

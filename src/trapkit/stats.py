@@ -14,8 +14,7 @@ from itertools import chain
 from operator import attrgetter
 from typing import IO, NamedTuple
 
-from ._util import format_timestamp, write_rows
-from .errors import LabelNotFoundError
+from ._util import format_timestamp, positive, write_rows
 from .ingest import ImageRecord, UnifiedDataset
 from .taxonomy import BLANK, Level, rollup
 
@@ -61,8 +60,8 @@ def class_distribution(
         key = keys.get(image.label_id)
         if key is not None:
             counts[key] = counts.get(key, 0) + 1
-        elif image.label_id not in table.records:
-            raise LabelNotFoundError(f"label id {image.label_id!r} not in taxonomy")
+        else:  # a special label left out, or one the table lacks, which raises
+            table.resolve(image.label_id)
     return counts
 
 
@@ -104,8 +103,8 @@ def blank_rate(dataset: UnifiedDataset) -> tuple[float, dict[str, float]]:
     for image in dataset.images.values():
         totals[image.source_id] = totals.get(image.source_id, 0) + 1
         blank = is_blank.get(image.label_id)
-        if blank is None:
-            raise LabelNotFoundError(f"label id {image.label_id!r} not in taxonomy")
+        if blank is None:  # a label the table lacks: it raises
+            dataset.taxonomy.resolve(image.label_id)
         if blank:
             blanks[image.source_id] = blanks.get(image.source_id, 0) + 1
     per_source = {
@@ -117,8 +116,7 @@ def blank_rate(dataset: UnifiedDataset) -> tuple[float, dict[str, float]]:
 
 def labeling_effort(n_images: int, rate_images_per_hour: float) -> float:
     """Hours of expert time to hand-label ``n_images`` at the given rate."""
-    if not 0 < rate_images_per_hour <= sys.float_info.max:
-        raise ValueError(f"rate must be a finite number > 0, got {rate_images_per_hour}")
+    positive("rate", rate_images_per_hour)
     if not 0 <= n_images <= sys.float_info.max:  # compared, as dividing a 400-digit int overflows
         raise ValueError(f"n_images must be nonnegative and at most {sys.float_info.max:g}")
     hours = n_images / rate_images_per_hour
@@ -136,8 +134,7 @@ def group_bursts(dataset: UnifiedDataset,
     new deployment and wherever the gap between consecutive images exceeds
     ``max_gap_seconds``.
     """
-    if not 0 < max_gap_seconds <= sys.float_info.max:
-        raise ValueError(f"max_gap_seconds must be a finite number > 0, got {max_gap_seconds}")
+    positive("max_gap_seconds", max_gap_seconds)
     images = tuple(sorted(dataset.images.values(),
                           key=attrgetter("deployment_id", "timestamp", "image_id")))
     groups = []
@@ -160,8 +157,7 @@ def class_weights(counts: dict[str, int], cap: float) -> dict[str, float]:
     weight(c) = min(cap, N / (K * n_c)) with N total images and K distinct
     labels; a perfectly uniform histogram therefore weighs every class 1.0.
     """
-    if not 0 < cap <= sys.float_info.max:
-        raise ValueError(f"cap must be a finite number > 0, got {cap}")
+    positive("cap", cap)
     total = sum(counts.values())
     if total == 0:
         raise ValueError("cannot weight an empty histogram")

@@ -170,6 +170,20 @@ def test_format_csv_echoes_primary_artifact(tmp_path, fixture_dir, capsys,
     assert stdout == (out / primary).read_text()
 
 
+def test_format_csv_prints_the_artifact_bytes_with_line_ends_untranslated(
+        tmp_path, fixture_dir, capsysbinary):
+    images = tmp_path / "images.csv"
+    images.write_bytes((fixture_dir / "images.csv").read_bytes()
+                       + b'"bad\rid",d_amaz_01,2015-06-01T12:00:00Z,blank,0,teamA\n')
+    out = tmp_path / "out"
+    argv = ["validate", *_dataset_flags(fixture_dir, out, ["--format", "csv"])]
+    argv[argv.index("--images") + 1] = str(images)
+    assert main(argv) == 0
+    artifact = (out / "issues.csv").read_bytes()
+    assert b'"bad\rid"' in artifact
+    assert capsysbinary.readouterr().out == artifact
+
+
 @pytest.mark.parametrize("command, flag", [
     ("stats", "--top-n"),
     ("stats", "--images-per-hour"),
@@ -206,16 +220,23 @@ def test_k_and_train_fraction_out_of_range_are_usage_errors(tmp_path, fixture_di
     assert not out.exists()
 
 
-def test_non_utf8_input_is_a_named_fatal_error(tmp_path, fixture_dir, capsys):
+@pytest.mark.parametrize("case", ["non_utf8", "empty"])
+def test_unreadable_images_file_is_a_named_fatal_error(tmp_path, fixture_dir, capsys, case):
     images = tmp_path / "images.csv"
-    images.write_bytes((fixture_dir / "images.csv").read_bytes()
-                       + b"i_bad_\xff,d_amaz_01,2015-06-01T12:00:00Z,blank,0,teamA\n")
+    if case == "non_utf8":
+        images.write_bytes((fixture_dir / "images.csv").read_bytes()
+                           + b"i_bad_\xff,d_amaz_01,2015-06-01T12:00:00Z,blank,0,teamA\n")
+        message = f"error: {images} is not UTF-8 text"
+    else:
+        images.write_bytes(b"")
+        message = ("error: images file is empty, expected header "
+                   "image_id,deployment_id,timestamp,label_id,burst_index,source_id\n")
     out = tmp_path / "out"
     argv = ["validate", *_dataset_flags(fixture_dir, out)]
     argv[argv.index("--images") + 1] = str(images)
     assert main(argv) == 1
     err = capsys.readouterr().err
-    assert f"error: {images} is not UTF-8 text" in err
+    assert message in err
     assert not out.exists()
 
 

@@ -73,6 +73,9 @@ def test_invalid_inputs_raise():
             region_id(0.0, 0.0, cell_size_m)
         with pytest.raises(ValueError):
             SplitConfig(0.9, cell_size_m)
+    for train_fraction in (0.0, 1.0):
+        with pytest.raises(ValueError, match="train_fraction must be in"):
+            SplitConfig(train_fraction)
     # finite and positive, but the cell index overflows to infinity
     with pytest.raises(ValueError, match="cell_size_m"):
         region_id(45.0, 0.0, 1e-320)

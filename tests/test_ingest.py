@@ -268,6 +268,28 @@ def test_a_printable_duplicate_id_is_a_duplicate(parse, header, row, field_name)
         (IssueKind.DUPLICATE_ID, "x\u00e9_1", f"row 3: duplicate {field_name}, first occurrence kept")]
 
 
+@pytest.mark.parametrize("parse, columns, row, key, detail", [
+    (parse_deployments, DEPLOYMENT_COLUMNS, "d9,,0.0,0.0,,,,", "d9",
+     "deployment_id and project_id are required"),
+    (parse_deployments, DEPLOYMENT_COLUMNS, ",p1,0.0,0.0,,,,", "row 2",
+     "deployment_id and project_id are required"),
+    (parse_taxonomy, TAXONOMY_COLUMNS, ",Mammalia,,,,,", "row 2", "empty label_id"),
+    (parse_taxonomy, TAXONOMY_COLUMNS, "sp_y,,,,,,weird", "sp_y",
+     "unrecognized special_kind 'weird'"),
+    (parse_taxonomy, TAXONOMY_COLUMNS, "sp_y,,Carnivora,,,,", "sp_y",
+     "non-special label without class_name"),
+], ids=["no_project_id", "no_deployment_id", "no_label_id", "weird_special_kind",
+        "no_class_name"])
+def test_a_row_without_a_required_field_is_dropped_and_named(parse, columns, row, key, detail):
+    # the second row is kept: a blank label, so the taxonomy needs no synthetic one
+    good_row = "blank,,,,,,blank" if parse is parse_taxonomy else "d1,p1,0.0,0.0,,,,"
+    result, issues = parse(io.StringIO("\n".join([",".join(columns), row, good_row]) + "\n"))
+    kept = list(result.records) if parse is parse_taxonomy else [r.deployment_id for r in result]
+    assert kept == [good_row.split(",")[0]]
+    assert [(issue.kind, issue.key, issue.detail) for issue in issues] == [
+        (IssueKind.MISSING_FIELD, key, f"row 2: {detail}")]
+
+
 # ---------------------------------------------------------------- round trips
 
 _identifier = st.text(

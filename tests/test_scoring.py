@@ -209,6 +209,11 @@ def test_k_below_one_rejected():
         evaluate([], {"i1": "sp_a"}, table, ks=(0,))
 
 
+def test_empty_truth_rejected():
+    with pytest.raises(ValueError, match="truth mapping is empty"):
+        evaluate([_record("i1", "sp_a")], {}, _table())
+
+
 def test_missing_predictions_count_as_misses_and_are_reported():
     table = _table()
     truth = {"i1": "sp_a", "i2": "sp_b"}
