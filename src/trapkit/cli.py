@@ -13,15 +13,8 @@ every writer is done. Every artifact is streamed into a hidden
 ``.NAME.partial`` file; only when all of a command's partial files are
 whole are they renamed into place, so its artifacts are all there or none.
 
-``--jobs N`` splits two commands: ``_fan_out`` cuts ``geofilter``'s
-prediction lines, and the bursts ``sequences --predictions`` fuses, into
-runs of equal count and works them in up to N processes, at most one per
-usable CPU. A ``geofilter`` run reads the whole file as one process does
-and skips the lines before its own; a ``sequences`` run reads and parses
-every line, so the first record it keeps of each of its bursts' members
-is the one a single process keeps. The output is byte-identical for any
-N. Where ``os.fork`` is missing they run in one process. Every other
-command ignores ``--jobs``; ``$TRAPKIT_JOBS`` has no effect.
+Every command runs in one process. ``--jobs N`` is accepted and has no
+effect, and neither has ``$TRAPKIT_JOBS``.
 
 Exit status: 0 on success; 1 on runtime errors, including input that is
 not UTF-8 and running out of memory, or (with --strict) on error-severity
@@ -38,7 +31,6 @@ import math
 import os
 import shutil
 import sys
-from itertools import islice
 from pathlib import Path
 
 from .errors import TrapkitError
@@ -75,7 +67,7 @@ from .stats import (
     write_skew,
     write_weights,
 )
-from .taxonomy import Level, parse_taxonomy
+from .taxonomy import UNKNOWN, Level, free_label_id, parse_taxonomy
 
 
 def _positive(kind, below=math.inf):
@@ -115,10 +107,8 @@ def build_parser() -> argparse.ArgumentParser:
     shared.add_argument("--strict", action="store_true",
                         help="exit 1 when any error-severity validation issue is found")
     shared.add_argument("--jobs", type=int, default=1, metavar="N",
-                        help="geofilter and sequences --predictions only: work prediction lines "
-                             "or bursts in up to N processes, at most one per usable CPU, with "
-                             "byte-identical output for any N (one process where os.fork is "
-                             "missing); $TRAPKIT_JOBS has no effect")
+                        help="accepted and ignored: every command runs in one process; "
+                             "$TRAPKIT_JOBS has no effect either")
     shared.add_argument("--format", choices=["csv", "summary"], default="summary",
                         help="what to print on stdout: human summary or the primary csv artifact")
     shared.add_argument("-v", "--verbose", action="store_true",
@@ -201,98 +191,6 @@ def _read(path, parse):
             return parse(handle)
         except UnicodeDecodeError as exc:
             raise TrapkitError(f"{path} is not UTF-8 text ({exc.reason})") from None
-
-
-def _fan_out(jobs: int, count, work, out, issues: list, span) -> list:
-    """Run ``work(start, stop, out, issues)`` over units of input in up to ``jobs`` processes.
-
-    ``work`` works units ``start`` to ``stop - 1`` of its input, or all of
-    it when ``stop`` is None, writes its text to ``out``, appends its
-    issues to ``issues`` and returns a picklable result. Given ``jobs`` >=
-    2, ``os.fork`` and more than one usable CPU, ``count()`` units are cut
-    into one run of equal unit count per worker. This process works the
-    first run straight into ``out``; a forked child works each later one,
-    spilling its text into an unnamed temporary file beside ``out`` and
-    piping back its result and issues, or its exception, which is raised
-    here with a note naming its units by ``span(first, last)``, counted
-    from 1. Their text and issues are appended in run order, so ``out``
-    and ``issues`` end as one run over the whole input leaves them.
-    A child leaves only through ``os._exit``, so it flushes nothing it
-    inherited. Every child is reaped before this returns or raises, and one
-    still working when this raises is killed first. Returns each run's
-    result, in order.
-    """
-    workers = 1
-    if jobs > 1 and hasattr(os, "fork"):
-        cpus = (os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity")
-                else range(os.cpu_count() or 1))
-        workers = min(jobs, len(cpus))
-    cuts = []
-    if workers > 1:
-        total = count()
-        cuts = sorted({total * share // workers for share in range(workers + 1)})
-    if len(cuts) < 3:
-        return [work(0, None, out, issues)]
-
-    # imported here, so the commands that never fork do not pay for them
-    import contextlib
-    import pickle
-    import signal
-    import tempfile
-
-    children = []  # (units, pid, result pipe, spill file) per later run, in run order
-    with contextlib.ExitStack() as files:  # closed once every child is reaped
-        try:
-            for start, stop in zip(cuts[1:], cuts[2:]):
-                units = span(start + 1, stop)
-                spill = files.enter_context(tempfile.TemporaryFile(dir=os.path.dirname(out.name)))
-                reader, writer = os.pipe()
-                pipe = files.enter_context(open(reader, "rb"))
-                sink = files.enter_context(open(writer, "wb"))
-                pid = os.fork()
-                if pid == 0:
-                    status = 1
-                    try:
-                        found = []
-                        with open(spill.fileno(), "w", encoding="utf-8", newline="",
-                                  closefd=False) as text:
-                            try:
-                                message = (work(start, stop, text, found), found)
-                            except Exception as exc:  # the parent raises it again
-                                import traceback
-                                exc.add_note(f"raised in the worker for {units}:\n"
-                                             f"{traceback.format_exc()}")
-                                message = exc.with_traceback(None)  # frees the frames' memory
-                        pickle.dump(message, sink)
-                        sink.flush()
-                        status = 0
-                    finally:
-                        os._exit(status)
-                sink.close()  # only the child writes to the pipe
-                children.append((units, pid, pipe, spill))
-
-            results = [work(0, cuts[1], out, issues)]
-            out.flush()
-            for units, pid, pipe, spill in children:
-                message = pipe.read()
-                pipe.close()
-                if not message:
-                    raise TrapkitError(f"a worker process for {units} ended with no result")
-                message = pickle.loads(message)
-                if isinstance(message, BaseException):
-                    raise message
-                result, found = message
-                spill.seek(0)
-                while chunk := spill.read(1 << 20):
-                    out.buffer.write(chunk)
-                results.append(result)
-                issues.extend(found)
-            return results
-        finally:
-            for _, pid, pipe, _ in children:
-                if not pipe.closed:  # its result was never read: it may still be working
-                    os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
 
 
 def _load_dataset(args):
@@ -473,43 +371,33 @@ def _cmd_eval(args, dataset, issues):
 def _cmd_geofilter(args, dataset, issues):
     range_map, range_issues = _read(args.range_map, parse_range_map)
     issues.extend(range_issues)
-    unknown_id = dataset.taxonomy.unknown_label_id or "unknown"
-    totals = [0, 0, 0]  # records written, changed, passed through
+    taxonomy = dataset.taxonomy
+    unknown_id = taxonomy.unknown_label_id or free_label_id(UNKNOWN, taxonomy.records)
+    written = changed = passthrough = 0
 
-    def filter_lines(start, stop, out, found):
-        passthrough = changed = 0
-
-        def filtered(predictions):
-            nonlocal passthrough, changed
-            if stop is not None:
-                predictions = islice(predictions, start, stop)
-            for record in iter_predictions(predictions, found, start + 1):
-                image = dataset.images.get(record.image_id)
-                if image is None:
-                    passthrough += 1
-                    yield record
-                    continue
-                deployment = dataset.deployments[image.deployment_id]
-                result = geofilter(record, deployment.latitude, deployment.longitude,
-                                   range_map, unknown_id)
-                changed += result.entries != record.entries
-                yield result
-
-        written = _read(args.predictions,
-                        lambda predictions: write_predictions(filtered(predictions), out))
-        return written, changed, passthrough
+    def filtered(predictions):
+        nonlocal changed, passthrough
+        for record in iter_predictions(predictions, issues):
+            image = dataset.images.get(record.image_id)
+            if image is None:
+                passthrough += 1
+                yield record
+                continue
+            deployment = dataset.deployments[image.deployment_id]
+            result = geofilter(record, deployment.latitude, deployment.longitude,
+                               range_map, unknown_id)
+            changed += result.entries != record.entries
+            yield result
 
     def write(handle):
-        results = _fan_out(args.jobs,
-                           lambda: _read(args.predictions, lambda lines: sum(1 for _ in lines)),
-                           filter_lines, handle, issues,
-                           lambda first, last: f"lines {first}-{last} of {args.predictions}")
-        totals[:] = map(sum, zip(*results))
+        nonlocal written
+        written = _read(args.predictions,
+                        lambda predictions: write_predictions(filtered(predictions), handle))
 
     return {"predictions_filtered.txt": write}, lambda: [
-        f"records                 {totals[0]}",
-        f"records changed         {totals[1]}",
-        f"unknown image ids       {totals[2]} (passed through unfiltered)",
+        f"records                 {written}",
+        f"records changed         {changed}",
+        f"unknown image ids       {passthrough} (passed through unfiltered)",
     ]
 
 
@@ -532,24 +420,11 @@ def _cmd_sequences(args, dataset, issues):
     aggregated = 0
     dropped = []  # the issue of each fused record with a non-finite mean
 
-    def fuse(start, stop, out, found):
-        # Every run reads the whole file, so it keeps the first record of each of its
-        # members, as one process does. Only the run from burst 0 keeps the parse issues.
-        mine = []
-        whole = stop is None  # then slicing would only copy groups and ids
-        written = _read(args.predictions, lambda predictions: write_predictions(
-            sequence_aggregate(iter_predictions(predictions, found if start == 0 else []),
-                               groups if whole else groups[start:stop], mine,
-                               ids if whole else ids[start:stop]),
-            out))
-        return written, mine
-
     def write(handle):
         nonlocal aggregated
-        for written, mine in _fan_out(args.jobs, lambda: len(groups), fuse, handle, issues,
-                                      lambda first, last: f"bursts {first}-{last}"):
-            aggregated += written
-            dropped.extend(mine)
+        aggregated = _read(args.predictions, lambda predictions: write_predictions(
+            sequence_aggregate(iter_predictions(predictions, issues), groups, dropped, ids),
+            handle))
         issues.extend(dropped)
 
     artifacts["sequence_predictions.txt"] = write

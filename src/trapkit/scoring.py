@@ -63,18 +63,16 @@ class RangeBox(NamedTuple):
     lon_max: float
 
 
-def iter_predictions(stream: IO[str], issues: list[Issue],
-                     first_line: int = 1) -> Iterable[PredictionRecord]:
+def iter_predictions(stream: IO[str], issues: list[Issue]) -> Iterable[PredictionRecord]:
     """Stream `image_id label:score ...` lines as prediction records.
 
     Malformed lines, including any score that is not a finite number, are
     appended to ``issues`` with their line number and dropped. Records
     whose scores are not nonincreasing are re-sorted (stable) and flagged;
     duplicate labels within a record keep the highest-ranked occurrence
-    and are flagged. Lines are numbered from ``first_line``, the number of
-    the stream's first line in its file.
+    and are flagged. Lines are numbered from 1.
     """
-    for line_number, line in enumerate(stream, start=first_line):
+    for line_number, line in enumerate(stream, start=1):
         parts = line.split()
         if not parts:
             continue

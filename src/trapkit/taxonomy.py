@@ -157,9 +157,7 @@ def parse_taxonomy(stream: IO[str]) -> tuple[TaxonomyTable, list[Issue]]:
         records[label_id] = record
 
     if blank_id is None:
-        blank_id = BLANK
-        while blank_id in records:  # never replace a label of the input
-            blank_id = f"__{blank_id}__"
+        blank_id = free_label_id(BLANK, records)
         records[blank_id] = TaxonRecord(blank_id, special_kind=BLANK)
         issues.append(Issue(
             IssueKind.MISSING_FIELD,
@@ -171,6 +169,16 @@ def parse_taxonomy(stream: IO[str]) -> tuple[TaxonomyTable, list[Issue]]:
     issues.extend(_tree_consistency_issues(records.values()))
     table = TaxonomyTable(records, blank_id, unknown_id)
     return table, issues
+
+
+def free_label_id(base: str, records: dict[str, TaxonRecord]) -> str:
+    """The id a synthetic label takes, so it never names a label of ``records``.
+
+    That is ``base``, or ``__base__`` when ``base`` is taken, then ``____base____``, and so on.
+    """
+    while base in records:
+        base = f"__{base}__"
+    return base
 
 
 def _tree_consistency_issues(records: Iterable[TaxonRecord]) -> list[Issue]:

@@ -24,18 +24,6 @@ def collector_left_on():
 
 
 @pytest.fixture
-def cpus(monkeypatch):
-    """``cpus(n)`` makes the CPU probe (``os.sched_getaffinity``) report ``n`` usable CPUs.
-
-    ``--jobs`` starts no more workers than that, so a test that sets it forks
-    on a host with any number of CPUs.
-    """
-    def set_count(count):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
-    return set_count
-
-
-@pytest.fixture
 def forks(monkeypatch):
     """The pid of every child ``os.fork`` starts in this process, in order."""
     started = []

@@ -404,6 +404,31 @@ def test_geofilter_drops_out_of_range_labels(tmp_path, fixture_dir, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("species, fallback", [
+    (["unknown"], "__unknown__"),
+    (["unknown", "__unknown__"], "____unknown____"),
+], ids=["unknown_taken", "both_taken"])
+def test_geofilter_fallback_entry_names_no_label_of_the_taxonomy(tmp_path, fixture_dir, capsys,
+                                                                 species, fallback):
+    # with no special unknown label, a record whose every label is excluded gets an id
+    # by the synthetic blank's rule, not an ordinary label eval would score
+    rows = "".join(f"\n{label},Mammalia,Carnivora,Felidae,Panthera,Panthera incognita,"
+                   for label in species)
+    fixture = _copy_fixture(fixture_dir, tmp_path / "fixture", lambda text: text.replace(
+        b"\nunknown,,,,,,unknown", rows.encode()))
+    (fixture / "range_map.csv").write_text(  # i_am1_001's labels, all far from its site
+        "label_id,lat_min,lat_max,lon_min,lon_max\n"
+        + "".join(f"{label},80,81,0,1\n" for label in
+                  ("sp_panthera_onca", "sp_panthera_pardus", "blank")), encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["geofilter", *_dataset_flags(fixture, out),
+                 "--predictions", str(fixture / "predictions.txt"),
+                 "--range-map", str(fixture / "range_map.csv")]) == 0
+    capsys.readouterr()
+    lines = (out / "predictions_filtered.txt").read_text(encoding="utf-8").splitlines()
+    assert lines[0] == f"i_am1_001 {fallback}:0.0"
+
+
 def _predictions_with_extra_lines(fixture_dir, path, extra_lines, last_line=b""):
     """The fixture's predictions plus ``extra_lines`` records for image ids not in the dataset."""
     extra = "".join(f"i_extra_{n} sp_panthera_onca:0.7 blank:0.3\n" for n in range(extra_lines))
@@ -659,11 +684,10 @@ def test_full_pipeline_reproduces_golden_outputs(tmp_path, fixture_dir, golden_d
     _assert_golden_outputs(tmp_path, golden_dir)
 
 
-def test_pipeline_outputs_identical_for_any_jobs_value(tmp_path, fixture_dir, cpus, forks):
-    cpus(2)
+def test_pipeline_outputs_identical_for_any_jobs_value(tmp_path, fixture_dir, forks):
+    # --jobs is accepted and ignored: every command runs in one process
     assert run_pipeline(fixture_dir, tmp_path / "j1", jobs=1, forks=forks) == []
-    assert run_pipeline(fixture_dir, tmp_path / "j8", jobs=8, forks=forks) == \
-        ["geofilter", "sequences"]
+    assert run_pipeline(fixture_dir, tmp_path / "j8", jobs=8, forks=forks) == []
     files = artifact_files(tmp_path / "j1")
     assert files == artifact_files(tmp_path / "j8")
     for relative in files:
@@ -671,14 +695,9 @@ def test_pipeline_outputs_identical_for_any_jobs_value(tmp_path, fixture_dir, cp
             (tmp_path / "j8" / relative).read_bytes()
 
 
-def test_every_artifact_reads_back(tmp_path, fixture_dir, capsys, cpus, forks):
-    cpus(2)
+def test_every_artifact_reads_back(tmp_path, fixture_dir, capsys):
     out = tmp_path / "pipeline"
     run_pipeline(fixture_dir, out)
-    for argv in pipeline_commands(fixture_dir, tmp_path / "jobs2", jobs=2):
-        if argv[0] in ("geofilter", "sequences"):
-            assert main(argv) == 0
-    assert len(forks) == 2
 
     again = tmp_path / "again"
     assert main(["ingest", "--deployments", str(out / "ingest" / "deployments.csv"),
@@ -690,9 +709,7 @@ def test_every_artifact_reads_back(tmp_path, fixture_dir, capsys, cpus, forks):
     assert (again / "issues.csv").read_bytes() == b""
 
     for path in (out / "geofilter" / "predictions_filtered.txt",
-                 tmp_path / "jobs2" / "geofilter" / "predictions_filtered.txt",
-                 out / "sequences" / "sequence_predictions.txt",
-                 tmp_path / "jobs2" / "sequences" / "sequence_predictions.txt"):
+                 out / "sequences" / "sequence_predictions.txt"):
         issues = []
         with open(path, encoding="utf-8", newline="") as handle:
             assert list(iter_predictions(handle, issues)), path
@@ -732,15 +749,20 @@ def _package_functions():
     return names
 
 
-def test_every_package_function_is_reached_by_a_command(tmp_path, fixture_dir, capsys, cpus):
+def test_every_package_function_is_reached_by_a_command(tmp_path, fixture_dir, capsys):
     def flags(name):
         return _dataset_flags(fixture_dir, tmp_path / name)
 
-    cpus(2)
+    # with no blank or unknown label, each gets an id no label of the taxonomy has
+    plain = tmp_path / "taxonomy.csv"
+    lines = (fixture_dir / "taxonomy.csv").read_text(encoding="utf-8").splitlines(keepends=True)
+    plain.write_text("".join(line for line in lines
+                             if not line.endswith((",blank\n", ",unknown\n"))), encoding="utf-8")
     runs = [
         *pipeline_commands(fixture_dir, tmp_path / "pipeline"),
-        ["geofilter", *flags("geofilter"), "--predictions", str(fixture_dir / "predictions.txt"),
-         "--range-map", str(fixture_dir / "range_map.csv"), "--jobs", "2"],
+        ["geofilter", *flags("plain"), "--taxonomy", str(plain),
+         "--predictions", str(fixture_dir / "predictions.txt"),
+         "--range-map", str(fixture_dir / "range_map.csv")],
         ["validate", *flags("strict"), "--strict"],
         ["sequences", *flags("sequences")],
         ["stats", *flags("stats"), "--level", "genus", "--include-blank"],
@@ -824,8 +846,7 @@ def test_process_entry_freezes_the_heap_and_still_runs_atexit_handlers():
 
 
 def test_cli_import_loads_no_module_only_some_commands_need():
-    # pickle carries the worker results of geofilter and sequences: it is imported only
-    # where workers fork
+    # every command runs in one process, so nothing loads pickle or a process pool
     unwanted = ("{'dataclasses', 'fractions', 'inspect', "
                 "'pickle', 'multiprocessing', 'concurrent.futures', 'subprocess'}")
     result = _python("-c", f"import sys, trapkit.cli; print(sorted({unwanted} & set(sys.modules)))")

@@ -6,6 +6,8 @@ no ``.partial`` file; and after exit 0 no artifact or stdout token is ``inf``,
 ``-inf`` or ``nan`` in any case. ``main`` runs with the cyclic garbage
 collector off, so a hostile input file must leave it no more cyclic garbage
 than a clean run of the same command, and ten times the input no more either.
+A prediction line too large for memory is run in a child interpreter under
+an address-space limit: it exits 1 with one line on stderr.
 """
 
 import contextlib
@@ -13,19 +15,23 @@ import csv
 import functools
 import gc
 import io
+import os
 import re
 import shutil
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from trapkit.cli import main
 from trapkit.scoring import iter_predictions
 
 from pipeline import pipeline_commands
 
+REPO = Path(__file__).resolve().parent.parent
 GOLDEN_DIR = Path(__file__).parent / "data" / "golden"
 
 # What each fixture pipeline command writes: the golden artifacts of its run.
@@ -59,7 +65,7 @@ INPUT_FILES = {
 READERS = {"predictions": ("eval", "geofilter", "sequences"), "range map": ("geofilter",)}
 
 # Bytes put into the middle of the first record after the header line, or of
-# the last line.
+# the last line, or at any byte offset of an input file.
 INSERTED = {
     "non-UTF-8 byte": b"\xff",
     "NUL": b"\x00",
@@ -183,6 +189,62 @@ def test_hostile_input_file_exits_cleanly(tmp_path, fixture_dir, kind, fault, wh
             out = Path(argv[argv.index("-o") + 1])
             assert code == 1, command
             assert not out.exists() or not any(out.iterdir()), (command, sorted(out.iterdir()))
+
+
+@given(data=st.data())
+@settings(max_examples=300, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_fault_at_any_byte_offset_exits_cleanly(tmp_path, fixture_dir, data):
+    kind = data.draw(st.sampled_from(sorted(INPUT_FILES)), label="kind")
+    fault = data.draw(st.sampled_from(sorted(INSERTED)), label="fault")
+    text = (fixture_dir / INPUT_FILES[kind]).read_bytes()
+    offset = data.draw(st.integers(0, len(text)), label="offset")
+    with tempfile.TemporaryDirectory(dir=tmp_path) as root:
+        inputs = Path(root, "inputs")
+        shutil.copytree(fixture_dir, inputs)
+        (inputs / INPUT_FILES[kind]).write_bytes(text[:offset] + INSERTED[fault] + text[offset:])
+        for command in READERS.get(kind, ARTIFACTS):
+            _run_and_check(_argv(command, inputs, Path(root, "out")))
+
+
+@pytest.fixture(scope="module")
+def oversized_predictions(tmp_path_factory, fixture_dir):
+    """The fixture's 40 lines, then one 36 MiB line of 6Mi entries.
+
+    ``str.split`` cannot hold that line's entries under 400 MB.
+    """
+    path = tmp_path_factory.mktemp("oversized") / "predictions.txt"
+    with open(path, "wb") as handle:
+        handle.write((fixture_dir / "predictions.txt").read_bytes())
+        handle.write(b"i_huge " + b"a:0.1 " * (6 << 20) + b"\n")
+    return path
+
+
+# Run in a child interpreter: limit its own address space, count forks, then run the CLI.
+OUT_OF_MEMORY = """
+import os, resource, sys
+from trapkit.cli import main
+resource.setrlimit(resource.RLIMIT_AS, (400 << 20, resource.RLIM_INFINITY))
+real_fork, forks = os.fork, []
+os.fork = lambda: forks.append(1) or real_fork()
+print(f"status {main(sys.argv[1:])}, {len(forks)} fork(s)")
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="RLIMIT_AS and os.fork are POSIX-only")
+@pytest.mark.parametrize("command", READERS["predictions"])
+def test_out_of_memory_exits_one_without_a_traceback_or_artifact(tmp_path, fixture_dir,
+                                                                 oversized_predictions, command):
+    argv = _argv(command, fixture_dir, tmp_path)
+    argv[argv.index("--predictions") + 1] = str(oversized_predictions)
+    env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+    result = subprocess.run([sys.executable, "-c", OUT_OF_MEMORY, *argv], cwd=REPO, env=env,
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "status 1, 0 fork(s)\n"
+    assert result.stderr == "error: out of memory\n"
+    # eval fails before it makes the directory; geofilter and sequences remove it again
+    assert not (tmp_path / command).exists()
 
 
 def _csv_rows(path):
