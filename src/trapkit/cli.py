@@ -18,21 +18,21 @@ effect, and neither has ``$TRAPKIT_JOBS``.
 
 Exit status: 0 on success; 1 on runtime errors, including input that is
 not UTF-8 and running out of memory, or (with --strict) on error-severity
-validation issues; 2 on usage errors, including a --top-n, --images-per-hour,
---cell-size-m, --cap, --k or --max-gap-seconds value that is not a finite
-number > 0, or a --train-fraction that is not strictly between 0 and 1.
+validation issues; 2 on usage errors. A flag value the library rejects, such
+as a --k that is not a finite number > 0, is a usage error that quotes the
+library rule's own message; this module holds no rule of its own.
 """
 
 from __future__ import annotations
 
 import argparse
 import gc
-import math
 import os
 import shutil
 import sys
 from pathlib import Path
 
+from ._util import positive
 from .errors import TrapkitError
 from .geosplit import (
     EVAL,
@@ -67,28 +67,19 @@ from .stats import (
     write_skew,
     write_weights,
 )
-from .taxonomy import UNKNOWN, Level, free_label_id, parse_taxonomy
+from .taxonomy import Level, parse_taxonomy
 
 
-def _positive(kind, below=math.inf):
-    """An argparse type for a flag that must be a finite number > 0 and < ``below``."""
-    limit = "" if below == math.inf else f" and < {below:g}"
+def _checked(kind, rule, *args):
+    """An argparse type: ``rule(*args, kind(text))``, whose ``ValueError`` is the usage error."""
     def convert(text: str):
         value = kind(text)
-        # comparisons, not math.isfinite, which overflows on a 400-digit int
-        if not (0 < value <= sys.float_info.max and value < below):
-            raise argparse.ArgumentTypeError(f"must be a finite number > 0{limit}, got {text!r}")
-        return value
-    convert.__name__ = kind.__name__  # argparse names it in "invalid float value"
+        try:
+            return rule(*args, value)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+    convert.__name__ = kind.__name__  # so a kind error reads "invalid int value"
     return convert
-
-
-def _level(text: str) -> Level:
-    """The argparse type for ``--level``, so a usage error shows ``Level.from_name``'s text."""
-    try:
-        return Level.from_name(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -119,6 +110,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Camera-trap metadata unification, leakage-free splits, and classifier scoring.",
     )
     commands = parser.add_subparsers(dest="command", required=True)
+    level = _checked(str, Level.from_name)
 
     def add(name: str, func, help: str) -> argparse.ArgumentParser:
         sub = commands.add_parser(name, help=help, parents=[shared])
@@ -129,25 +121,28 @@ def build_parser() -> argparse.ArgumentParser:
     add("validate", _cmd_validate, "report data-quality issues without writing a dataset")
 
     sub = add("stats", _cmd_stats, "class skew, blank rate, and labeling-effort diagnostics")
-    sub.add_argument("--top-n", type=_positive(int), default=20, metavar="N",
+    sub.add_argument("--top-n", type=_checked(int, positive, "n_top"), default=20, metavar="N",
                      help="rank cutoff for the skew coverage figure (default 20)")
-    sub.add_argument("--level", type=_level, default=None, metavar="LEVEL",
+    sub.add_argument("--level", type=level, default=None, metavar="LEVEL",
                      help="roll labels up to this level first (class/order/family/genus/species)")
-    sub.add_argument("--images-per-hour", type=_positive(float), default=450.0, metavar="RATE",
+    sub.add_argument("--images-per-hour", type=_checked(float, positive, "rate"), default=450.0,
+                     metavar="RATE",
                      help="expert labeling rate for the effort estimate (default 450)")
     sub.add_argument("--include-blank", action="store_true",
                      help="keep blank/unknown labels in the skew table")
 
     sub = add("split", _cmd_split, "leakage-free geographic train/eval split")
-    sub.add_argument("--train-fraction", type=_positive(float, below=1.0), default=0.9, metavar="F")
-    sub.add_argument("--cell-size-m", type=_positive(float), default=10.0, metavar="METERS")
+    sub.add_argument("--train-fraction", default=0.9, metavar="F",
+                     type=_checked(float, lambda fraction: SplitConfig(fraction).train_fraction))
+    sub.add_argument("--cell-size-m", type=_checked(float, positive, "cell_size_m"), default=10.0,
+                     metavar="METERS")
     sub.add_argument("--seed", type=int, default=0, metavar="SEED")
 
     sub = add("eval", _cmd_eval, "score ranked predictions against ground truth")
     sub.add_argument("--predictions", required=True, metavar="FILE")
-    sub.add_argument("--k", action="append", type=_positive(int), default=None, metavar="K",
-                     help="top-k cutoffs, repeatable (default 1 and 3)")
-    sub.add_argument("--level", type=_level, default=Level.SPECIES, metavar="LEVEL")
+    sub.add_argument("--k", action="append", type=_checked(int, positive, "k"), default=None,
+                     metavar="K", help="top-k cutoffs, repeatable (default 1 and 3)")
+    sub.add_argument("--level", type=level, default=Level.SPECIES, metavar="LEVEL")
     sub.add_argument("--split", default=None, metavar="MANIFEST",
                      help="restrict evaluation to image ids listed in this manifest")
 
@@ -156,11 +151,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--range-map", required=True, metavar="CSV")
 
     sub = add("weights", _cmd_weights, "export inverse-frequency class weights")
-    sub.add_argument("--cap", type=_positive(float), default=100.0, metavar="CAP")
-    sub.add_argument("--level", type=_level, default=None, metavar="LEVEL")
+    sub.add_argument("--cap", type=_checked(float, positive, "cap"), default=100.0, metavar="CAP")
+    sub.add_argument("--level", type=level, default=None, metavar="LEVEL")
 
     sub = add("sequences", _cmd_sequences, "group images into burst sequences")
-    sub.add_argument("--max-gap-seconds", type=_positive(float), default=60.0, metavar="SECONDS")
+    sub.add_argument("--max-gap-seconds", type=_checked(float, positive, "max_gap_seconds"),
+                     default=60.0, metavar="SECONDS")
     sub.add_argument("--predictions", default=None, metavar="FILE",
                      help="also fuse these per-image predictions into one record per sequence")
 
@@ -293,7 +289,7 @@ def _cmd_ingest(args, dataset, issues):
         "issues.csv": None,
         "deployments.csv": lambda handle: write_deployments(dataset.deployments.values(), handle),
         "images.csv": lambda handle: write_images(dataset.images.values(), handle),
-        "provenance.txt": lambda handle: handle.writelines(f"{name}\n" for name in dataset.provenance),
+        "provenance.txt": lambda handle: write_manifest(dataset.provenance, handle),
     }
     return artifacts, lambda: [
         f"unified {len(dataset.deployments)} deployments and {len(dataset.images)} images "
@@ -371,8 +367,6 @@ def _cmd_eval(args, dataset, issues):
 def _cmd_geofilter(args, dataset, issues):
     range_map, range_issues = _read(args.range_map, parse_range_map)
     issues.extend(range_issues)
-    taxonomy = dataset.taxonomy
-    unknown_id = taxonomy.unknown_label_id or free_label_id(UNKNOWN, taxonomy.records)
     written = changed = passthrough = 0
 
     def filtered(predictions):
@@ -385,7 +379,7 @@ def _cmd_geofilter(args, dataset, issues):
                 continue
             deployment = dataset.deployments[image.deployment_id]
             result = geofilter(record, deployment.latitude, deployment.longitude,
-                               range_map, unknown_id)
+                               range_map, dataset.taxonomy.unknown_label_id)
             changed += result.entries != record.entries
             yield result
 

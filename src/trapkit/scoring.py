@@ -21,7 +21,7 @@ from array import array
 from itertools import chain
 from typing import IO, Iterable, Mapping, NamedTuple, Sequence
 
-from ._util import read_rows, record_issue, write_rows
+from ._util import positive, read_rows, record_issue, write_rows
 from .errors import LabelNotFoundError
 from .report import Issue, IssueKind, Severity
 from .taxonomy import BLANK, Level, RolledLabel, TaxonomyTable, rollup
@@ -136,9 +136,9 @@ def evaluate(
     per-class precision/recall from the top-1 confusion and the blank
     metrics all come from this one pass.
     """
-    ks = tuple(sorted(set(int(k) for k in ks)))
-    if not ks or ks[0] < 1:
-        raise ValueError(f"k values must be >= 1, got {ks}")
+    ks = tuple(sorted({positive("k", int(k)) for k in ks}))
+    if not ks:
+        raise ValueError("no k values given")
     if not truth:
         raise ValueError("truth mapping is empty, nothing to evaluate")
     level = Level(level)
@@ -240,14 +240,14 @@ def geofilter(
     latitude: float,
     longitude: float,
     range_map: Mapping[str, Sequence[RangeBox]],
-    unknown_label_id: str = "unknown",
+    unknown_label_id: str,
 ) -> PredictionRecord:
     """Drop predicted labels whose allowed geographic range excludes the site.
 
     Labels absent from the range map are unrestricted. Survivors keep
     their relative order and scores. If nothing survives, a single
-    unknown-label entry with score 0 is emitted so the record never goes
-    empty.
+    entry ``(unknown_label_id, 0.0)`` is emitted so the record never goes
+    empty; callers pass the taxonomy's designated ``unknown_label_id``.
     """
     survivors = []
     for entry in record.entries:

@@ -72,8 +72,7 @@ def skew_report(counts: dict[str, int], n_top: int) -> SkewReport:
     its last point is exactly 1.0. ``coverage_fraction`` is the cumulative
     fraction at rank ``n_top``, or 1.0 when fewer labels exist.
     """
-    if n_top < 1:
-        raise ValueError(f"n_top must be >= 1, got {n_top}")
+    positive("n_top", n_top)
     total = sum(counts.values())
     if total == 0:
         raise ValueError("cannot compute skew of an empty histogram")

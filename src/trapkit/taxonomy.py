@@ -91,7 +91,7 @@ class RolledLabel(NamedTuple):
 
 class TaxonomyTable:
     def __init__(self, records: dict[str, TaxonRecord], blank_label_id: str,
-                 unknown_label_id: str | None = None):
+                 unknown_label_id: str):
         self.records = records
         self.blank_label_id = blank_label_id
         self.unknown_label_id = unknown_label_id
@@ -108,9 +108,10 @@ def parse_taxonomy(stream: IO[str]) -> tuple[TaxonomyTable, list[Issue]]:
 
     A label id holding whitespace is dropped, as prediction lines split on
     it. Duplicate label ids keep the first occurrence. A missing blank label is
-    synthesized so the table always designates one. Lineage gaps, special
-    labels carrying taxonomic names, and cross-record ancestry conflicts are
-    reported as warnings and do not abort the parse.
+    synthesized so the table always designates one. It designates an unknown id
+    too: the first unknown row's, else a free id that adds no record. Lineage
+    gaps, special labels carrying taxonomic names, and cross-record ancestry
+    conflicts are reported as warnings and do not abort the parse.
     """
     records: dict[str, TaxonRecord] = {}
     issues: list[Issue] = []
@@ -167,7 +168,7 @@ def parse_taxonomy(stream: IO[str]) -> tuple[TaxonomyTable, list[Issue]]:
         ))
 
     issues.extend(_tree_consistency_issues(records.values()))
-    table = TaxonomyTable(records, blank_id, unknown_id)
+    table = TaxonomyTable(records, blank_id, unknown_id or free_label_id(UNKNOWN, records))
     return table, issues
 
 
@@ -225,9 +226,7 @@ def rollup(label: Union[str, RolledLabel], level: Level, table: TaxonomyTable) -
     record = table.resolve(label)
     if record.special_kind is not None:
         designated = (
-            table.blank_label_id
-            if record.special_kind == BLANK
-            else (table.unknown_label_id or record.label_id)
+            table.blank_label_id if record.special_kind == BLANK else table.unknown_label_id
         )
         return RolledLabel((designated,), None, special=record.special_kind)
     lineage = record.lineage()

@@ -31,7 +31,7 @@ def rolled_tuple(record, level_index, table):
     if record.special_kind == "blank":
         return ("#special", "blank", table.blank_label_id)
     if record.special_kind == "unknown":
-        return ("#special", "unknown", table.unknown_label_id or record.label_id)
+        return ("#special", "unknown", table.unknown_label_id)
     return lineage(record)[: level_index + 1]
 
 

@@ -15,7 +15,8 @@ import pytest
 import trapkit
 from trapkit import cli, stats
 from trapkit.cli import main
-from trapkit.scoring import iter_predictions
+from trapkit.geosplit import SplitConfig
+from trapkit.scoring import evaluate, iter_predictions
 
 from pipeline import artifact_files, pipeline_commands, run_pipeline
 
@@ -184,39 +185,49 @@ def test_format_csv_prints_the_artifact_bytes_with_line_ends_untranslated(
     assert capsysbinary.readouterr().out == artifact
 
 
-@pytest.mark.parametrize("command, flag", [
-    ("stats", "--top-n"),
-    ("stats", "--images-per-hour"),
-    ("split", "--cell-size-m"),
-    ("weights", "--cap"),
-    ("sequences", "--max-gap-seconds"),
-])
-@pytest.mark.parametrize("value", ["nan", "inf", "0", pytest.param("1" + "0" * 400, id="1e400")])
-def test_numeric_flag_must_be_finite_and_positive(tmp_path, fixture_dir, capsys,
-                                                  command, flag, value):
-    out = tmp_path / "out"
-    assert main([command, *_dataset_flags(fixture_dir, out, [flag, value])]) == 2
-    assert flag in capsys.readouterr().err
-    assert not out.exists()
+HUGE = "1" + "0" * 400  # an int that no float holds
+
+# flag -> (its command, its argparse type, the library call that checks its value)
+LIBRARY_RULES = {
+    "--top-n": ("stats", int, lambda n_top: stats.skew_report({"a": 1}, n_top)),
+    "--images-per-hour": ("stats", float, lambda rate: stats.labeling_effort(1, rate)),
+    "--cell-size-m": ("split", float, lambda size: SplitConfig(cell_size_m=size)),
+    "--train-fraction": ("split", float, lambda fraction: SplitConfig(fraction)),
+    "--k": ("eval", int, lambda k: evaluate([], {}, None, ks=[k])),
+    "--cap": ("weights", float, lambda cap: stats.class_weights({"a": 1}, cap)),
+    "--max-gap-seconds": ("sequences", float, lambda gap: stats.group_bursts(None, gap)),
+}
 
 
-@pytest.mark.parametrize("command, flag, value", [
-    ("eval", "--k", "0"),
-    ("eval", "--k", "-2"),
-    ("eval", "--k", "nan"),
-    pytest.param("eval", "--k", "1" + "0" * 400, id="eval---k-1e400"),
-    ("split", "--train-fraction", "0"),
-    ("split", "--train-fraction", "1"),
-    ("split", "--train-fraction", "1.5"),
-    ("split", "--train-fraction", "nan"),
-    ("split", "--train-fraction", "inf"),
+def _rule_message(flag, text):
+    """The text a usage error for ``flag`` ``text`` must show: the library rule's own."""
+    _, kind, rule = LIBRARY_RULES[flag]
+    try:
+        value = kind(text)
+    except ValueError:
+        return f"invalid {kind.__name__} value: {text!r}"
+    with pytest.raises(ValueError) as caught:
+        rule(value)
+    return str(caught.value)
+
+
+@pytest.mark.parametrize("flag, value", [
+    pytest.param(flag, value, id=f"{flag}-{'1e400' if value == HUGE else value}")
+    for flag, values in [
+        *((flag, ("nan", "inf", "0", HUGE)) for flag in (
+            "--top-n", "--images-per-hour", "--cell-size-m", "--cap", "--max-gap-seconds")),
+        ("--k", ("0", "-2", "nan", HUGE)),
+        ("--train-fraction", ("0", "1", "1.5", "nan", "inf")),
+    ]
+    for value in values
 ])
-def test_k_and_train_fraction_out_of_range_are_usage_errors(tmp_path, fixture_dir, capsys,
-                                                            command, flag, value):
+def test_flag_value_the_library_rejects_is_a_usage_error(tmp_path, fixture_dir, capsys,
+                                                         flag, value):
+    command = LIBRARY_RULES[flag][0]
     out = tmp_path / "out"
     extra = ["--predictions", str(fixture_dir / "predictions.txt")] if command == "eval" else []
     assert main([command, *_dataset_flags(fixture_dir, out, [*extra, flag, value])]) == 2
-    assert flag in capsys.readouterr().err
+    assert f"argument {flag}: {_rule_message(flag, value)}" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -31,7 +31,8 @@ UTC = timezone.utc
 
 
 def _tiny_table():
-    return TaxonomyTable({"blank": TaxonRecord("blank", special_kind="blank")}, "blank")
+    return TaxonomyTable({"blank": TaxonRecord("blank", special_kind="blank")}, "blank",
+                         "unknown")
 
 
 def _dataset_with_regions(region_sizes, spacing_deg=0.01):

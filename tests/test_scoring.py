@@ -429,13 +429,13 @@ def test_geofilter_out_of_range_top_label_dropped():
         "african_elephant": [RangeBox(-35.0, 15.0, -20.0, 50.0)],
     }
     record = PredictionRecord("i1", (("asian_elephant", 0.6), ("african_elephant", 0.4)))
-    filtered = geofilter(record, -2.0, 34.0, range_map)  # Sub-Saharan site
+    filtered = geofilter(record, -2.0, 34.0, range_map, "unknown")  # Sub-Saharan site
     assert filtered.entries == (("african_elephant", 0.4),)
 
 
 def test_geofilter_unrestricted_label_passes_through():
     record = PredictionRecord("i1", (("sp_a", 0.7), ("sp_b", 0.3)))
-    assert geofilter(record, 0.0, 0.0, {}) == record
+    assert geofilter(record, 0.0, 0.0, {}, "unknown") == record
 
 
 def test_geofilter_emits_unknown_when_everything_excluded():
@@ -460,7 +460,7 @@ def test_geofilter_matches_point_in_box_oracle_and_preserves_order():
         )
         record = PredictionRecord("x", entries)
         lat, lon = rng.uniform(-90, 90), rng.uniform(-180, 180)
-        filtered = geofilter(record, lat, lon, range_map)
+        filtered = geofilter(record, lat, lon, range_map, "unknown")
         expected = tuple(
             (label, score) for label, score in entries
             if label not in range_map or point_in_any_box(lat, lon, range_map[label])

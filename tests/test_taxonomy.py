@@ -53,6 +53,18 @@ def test_synthetic_blank_takes_an_id_no_input_label_holds():
     assert [issue.key for issue in report.issues] == ["____blank____"]
 
 
+
+def test_table_always_designates_an_unknown_id():
+    table, _ = parse(f"{HEADER}\nsp_x,Mammalia,,,,,\nu1,,,,,,unknown\nu2,,,,,,unknown\n")
+    assert table.unknown_label_id == "u1"
+    table, _ = parse(f"{HEADER}\nsp_x,Mammalia,,,,,\n")
+    assert table.unknown_label_id == "unknown"
+    assert "unknown" not in table.records
+    table, _ = parse(f"{HEADER}\nunknown,Mammalia,Carnivora,,,,\n")
+    assert table.records["unknown"] == TaxonRecord("unknown", "Mammalia", "Carnivora")
+    assert table.unknown_label_id == "__unknown__"
+    assert "__unknown__" not in table.records
+
 def test_same_genus_different_family_is_reported():
     table, report = parse(
         f"{HEADER}\n"
@@ -146,6 +158,7 @@ def test_rollup_below_finest_populated_keeps_coarser_level():
             "blank": TaxonRecord("blank", special_kind="blank"),
         },
         "blank",
+        "unknown",
     )
     rolled = rollup("g_only", Level.SPECIES, table)
     assert rolled.name == "Panthera"
