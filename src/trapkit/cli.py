@@ -371,15 +371,17 @@ def _cmd_geofilter(args, dataset, issues):
 
     def filtered(predictions):
         nonlocal changed, passthrough
+        images, deployments = dataset.images, dataset.deployments
+        unknown_label_id = dataset.taxonomy.unknown_label_id
         for record in iter_predictions(predictions, issues):
-            image = dataset.images.get(record.image_id)
+            image = images.get(record.image_id)
             if image is None:
                 passthrough += 1
                 yield record
                 continue
-            deployment = dataset.deployments[image.deployment_id]
+            deployment = deployments[image.deployment_id]
             result = geofilter(record, deployment.latitude, deployment.longitude,
-                               range_map, dataset.taxonomy.unknown_label_id)
+                               range_map, unknown_label_id)
             changed += result.entries != record.entries
             yield result
 

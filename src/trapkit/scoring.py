@@ -56,13 +56,6 @@ class MetricsReport(NamedTuple):
     unmatched_predictions: int = 0
 
 
-class RangeBox(NamedTuple):
-    lat_min: float
-    lat_max: float
-    lon_min: float
-    lon_max: float
-
-
 def iter_predictions(stream: IO[str], issues: list[Issue]) -> Iterable[PredictionRecord]:
     """Stream `image_id label:score ...` lines as prediction records.
 
@@ -107,7 +100,7 @@ def iter_predictions(stream: IO[str], issues: list[Issue]) -> Iterable[Predictio
                                        "scores not nonincreasing, re-sorted",
                                        Severity.WARNING, unit="line"))
             entries = tuple(sorted(entries, key=lambda entry: -entry[1]))
-        yield PredictionRecord(image_id, entries)
+        yield tuple.__new__(PredictionRecord, (image_id, entries))
 
 
 def write_predictions(records: Iterable[PredictionRecord], stream: IO[str]) -> int:
@@ -239,15 +232,15 @@ def geofilter(
     record: PredictionRecord,
     latitude: float,
     longitude: float,
-    range_map: Mapping[str, Sequence[RangeBox]],
+    range_map: Mapping[str, Sequence[tuple[float, float, float, float]]],
     unknown_label_id: str,
 ) -> PredictionRecord:
     """Drop predicted labels whose allowed geographic range excludes the site.
 
-    Labels absent from the range map are unrestricted. Survivors keep
-    their relative order and scores. If nothing survives, a single
-    entry ``(unknown_label_id, 0.0)`` is emitted so the record never goes
-    empty; callers pass the taxonomy's designated ``unknown_label_id``.
+    A label's boxes are ``(lat_min, lat_max, lon_min, lon_max)`` tuples, bounds inclusive; labels
+    absent from the range map are unrestricted. Survivors keep their relative order and scores.
+    If nothing survives, a single entry ``(unknown_label_id, 0.0)`` is emitted so the record never
+    goes empty; callers pass the taxonomy's designated ``unknown_label_id``.
     """
     survivors = []
     for entry in record.entries:
@@ -261,22 +254,25 @@ def geofilter(
                 break
     if not survivors:
         survivors.append((unknown_label_id, 0.0))
-    return PredictionRecord(record.image_id, tuple(survivors))
+    return tuple.__new__(PredictionRecord, (record.image_id, tuple(survivors)))
 
 
-def parse_range_map(stream: IO[str]) -> tuple[dict[str, list[RangeBox]], list[Issue]]:
+def parse_range_map(
+    stream: IO[str],
+) -> tuple[dict[str, list[tuple[float, float, float, float]]], list[Issue]]:
     """Read `label_id,lat_min,lat_max,lon_min,lon_max` rows (repeatable per label).
 
+    Each label's boxes are plain ``(lat_min, lat_max, lon_min, lon_max)`` tuples in file order.
     Rows with non-finite or unordered bounds, or an empty label, are reported and dropped.
     """
-    boxes: dict[str, list[RangeBox]] = {}
+    boxes: dict[str, list[tuple[float, float, float, float]]] = {}
     issues: list[Issue] = []
     for row_number, (label, *texts) in read_rows(stream, RANGE_MAP_COLUMNS, "range map", issues):
         try:
-            bounds = [float(text) for text in texts]
+            bounds = tuple(map(float, texts))
         except ValueError:
-            bounds = [math.nan]
-        if not all(math.isfinite(bound) for bound in bounds):
+            bounds = (math.nan,)
+        if not all(map(math.isfinite, bounds)):
             issues.append(record_issue(IssueKind.BAD_COORDINATE, label, row_number,
                                        "box bounds are not all finite numbers"))
             continue
@@ -289,7 +285,7 @@ def parse_range_map(stream: IO[str]) -> tuple[dict[str, list[RangeBox]], list[Is
             issues.append(record_issue(IssueKind.MISSING_FIELD, label, row_number,
                                        "empty label_id"))
             continue
-        boxes.setdefault(label, []).append(RangeBox(lat_min, lat_max, lon_min, lon_max))
+        boxes.setdefault(label, []).append(bounds)
     return boxes, issues
 
 
@@ -359,7 +355,8 @@ def sequence_aggregate(
                                 "fused record dropped"))
             continue
         ranked = sorted([(-value / predicted, labels[code]) for code, value in sums.items()])
-        yield PredictionRecord(key, tuple([(label, -negated) for negated, label in ranked]))
+        yield tuple.__new__(PredictionRecord,
+                            (key, tuple([(label, -negated) for negated, label in ranked])))
 
 
 def _value_text(value):

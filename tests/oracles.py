@@ -199,9 +199,8 @@ def burst_rows(images, max_gap_seconds):
 
 
 def point_in_any_box(latitude, longitude, boxes):
-    for box in boxes:
-        if (box.lat_min <= latitude <= box.lat_max
-                and box.lon_min <= longitude <= box.lon_max):
+    for lat_min, lat_max, lon_min, lon_max in boxes:
+        if lat_min <= latitude <= lat_max and lon_min <= longitude <= lon_max:
             return True
     return False
 

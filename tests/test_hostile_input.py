@@ -71,6 +71,7 @@ INSERTED = {
     "NUL": b"\x00",
     "bare CR": b"\r",
     "200,000-character field": b"x" * 200_000,
+    "stray quote": b'"',
 }
 
 
@@ -196,13 +197,15 @@ def test_hostile_input_file_exits_cleanly(tmp_path, fixture_dir, kind, fault, wh
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 def test_fault_at_any_byte_offset_exits_cleanly(tmp_path, fixture_dir, data):
     kind = data.draw(st.sampled_from(sorted(INPUT_FILES)), label="kind")
-    fault = data.draw(st.sampled_from(sorted(INSERTED)), label="fault")
+    fault = data.draw(st.sampled_from(sorted([*INSERTED, "deleted byte"])), label="fault")
+    deleted = fault == "deleted byte"  # the byte at the offset goes, nothing is inserted
     text = (fixture_dir / INPUT_FILES[kind]).read_bytes()
-    offset = data.draw(st.integers(0, len(text)), label="offset")
+    offset = data.draw(st.integers(0, len(text) - deleted), label="offset")
+    faulty = text[:offset] + (b"" if deleted else INSERTED[fault]) + text[offset + deleted:]
     with tempfile.TemporaryDirectory(dir=tmp_path) as root:
         inputs = Path(root, "inputs")
         shutil.copytree(fixture_dir, inputs)
-        (inputs / INPUT_FILES[kind]).write_bytes(text[:offset] + INSERTED[fault] + text[offset:])
+        (inputs / INPUT_FILES[kind]).write_bytes(faulty)
         for command in READERS.get(kind, ARTIFACTS):
             _run_and_check(_argv(command, inputs, Path(root, "out")))
 

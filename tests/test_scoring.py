@@ -13,7 +13,6 @@ from trapkit.ingest import ImageRecord
 from trapkit.report import Issue, IssueKind, Severity
 from trapkit.scoring import (
     PredictionRecord,
-    RangeBox,
     evaluate,
     geofilter,
     iter_predictions,
@@ -425,8 +424,8 @@ def test_metrics_csv_shape():
 def test_geofilter_out_of_range_top_label_dropped():
     # ranked (asian 0.6, african 0.4) at a site only the african box covers
     range_map = {
-        "asian_elephant": [RangeBox(5.0, 35.0, 65.0, 100.0)],
-        "african_elephant": [RangeBox(-35.0, 15.0, -20.0, 50.0)],
+        "asian_elephant": [(5.0, 35.0, 65.0, 100.0)],
+        "african_elephant": [(-35.0, 15.0, -20.0, 50.0)],
     }
     record = PredictionRecord("i1", (("asian_elephant", 0.6), ("african_elephant", 0.4)))
     filtered = geofilter(record, -2.0, 34.0, range_map, "unknown")  # Sub-Saharan site
@@ -439,7 +438,7 @@ def test_geofilter_unrestricted_label_passes_through():
 
 
 def test_geofilter_emits_unknown_when_everything_excluded():
-    range_map = {"sp_a": [RangeBox(10.0, 20.0, 10.0, 20.0)]}
+    range_map = {"sp_a": [(10.0, 20.0, 10.0, 20.0)]}
     record = PredictionRecord("i1", (("sp_a", 0.9),))
     filtered = geofilter(record, 0.0, 0.0, range_map, unknown_label_id="unknown")
     assert filtered.entries == (("unknown", 0.0),)
@@ -474,7 +473,7 @@ def test_geofilter_matches_point_in_box_oracle_and_preserves_order():
 def _random_box(rng):
     lat1, lat2 = sorted(rng.uniform(-90, 90) for _ in range(2))
     lon1, lon2 = sorted(rng.uniform(-180, 180) for _ in range(2))
-    return RangeBox(lat1, lat2, lon1, lon2)
+    return (lat1, lat2, lon1, lon2)
 
 
 def test_parse_range_map_reports_bad_rows():
@@ -501,6 +500,26 @@ def test_parse_range_map_reports_bad_rows():
     ]
     assert issues[-2].detail == "row 9: empty label_id"
     assert issues[-1].detail == "row 10: box minimum exceeds maximum"
+
+
+def test_parse_range_map_drops_each_non_finite_bound_and_keeps_exact_tuples():
+    lines = ["label_id,lat_min,lat_max,lon_min,lon_max", "sp_a,-5,5,-5,5"]
+    expected_issues = []
+    for column in range(4):
+        for text in ("nan", "inf", "-inf", "1e999"):
+            cells = ["0", "10", "0", "10"]
+            cells[column] = text
+            label = f"sp_{column}_{text}"
+            lines.append(",".join([label, *cells]))
+            expected_issues.append((IssueKind.BAD_COORDINATE, label,
+                                    f"row {len(lines)}: box bounds are not all finite numbers"))
+    lines += ["sp_b,1,2,3,4", "sp_a,0,10,0,10"]
+    boxes, issues = parse_range_map(io.StringIO("\n".join(lines) + "\n"))
+    assert [(issue.kind, issue.key, issue.detail) for issue in issues] == expected_issues
+    assert boxes == {"sp_a": [(-5.0, 5.0, -5.0, 5.0), (0.0, 10.0, 0.0, 10.0)],
+                     "sp_b": [(1.0, 2.0, 3.0, 4.0)]}
+    # CPython 3.11 unpacks only exact tuples on its fast path, which geofilter's box loop takes
+    assert all(type(box) is tuple for kept in boxes.values() for box in kept)
 
 
 # ----------------------------------------------------------------- sequences
