@@ -32,6 +32,8 @@ METRICS_COLUMNS = ["metric", "label_id_or_overall", "value"]
 
 
 class PredictionRecord(NamedTuple):
+    """One image's ranking: ``(label, score)`` entries, at least one, by descending score."""
+
     image_id: str
     entries: tuple[tuple[str, float], ...]
 
@@ -59,11 +61,11 @@ class MetricsReport(NamedTuple):
 def iter_predictions(stream: IO[str], issues: list[Issue]) -> Iterable[PredictionRecord]:
     """Stream `image_id label:score ...` lines as prediction records.
 
-    Malformed lines, including any score that is not a finite number, are
-    appended to ``issues`` with their line number and dropped. Records
-    whose scores are not nonincreasing are re-sorted (stable) and flagged;
-    duplicate labels within a record keep the highest-ranked occurrence
-    and are flagged. Lines are numbered from 1.
+    Malformed lines, such as an id with no entry or a score that is not a finite number, are
+    appended to ``issues`` with their line number and dropped, so each record ranks at least one
+    label. Records whose scores are not nonincreasing are re-sorted (stable) and flagged; duplicate
+    labels within a record keep the highest-ranked occurrence and are flagged. Lines are numbered
+    from 1.
     """
     for line_number, line in enumerate(stream, start=1):
         parts = line.split()
@@ -158,8 +160,6 @@ def evaluate(
     for record in predictions:
         image_id = record.image_id
         entries = record.entries
-        if not entries:
-            continue  # an empty ranking is no prediction at all
         label_id = truth.get(image_id)
         if label_id is None:
             unmatched += 1
@@ -319,14 +319,14 @@ def sequence_aggregate(
     # image id -> member ordinal, until the member's first record is read
     ordinal = {image.image_id: n for n, image in enumerate(chain.from_iterable(groups))}
     starts = array("I", [0]) * len(ordinal)  # 32 bits: 2**32 held entries take 51 GB
-    stops = array("I", starts)  # start == stop: unpredicted, or an empty record
+    stops = array("I", starts)  # start == stop: unpredicted
     codes = array("I")
     scores = array("d")
     label_codes: dict[str, int] = {}
     for image_id, entries in predictions:
         member = ordinal.pop(image_id, None)
-        if member is None or not entries:
-            continue  # in no group or already read; an empty ranking still blocks later records
+        if member is None:
+            continue  # in no group or already read
         top_score = entries[0][1]
         starts[member] = len(codes)
         codes.fromlist([label_codes.setdefault(label, len(label_codes)) for label, _ in entries])

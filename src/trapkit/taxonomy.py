@@ -245,8 +245,6 @@ def distinct_counts(table: TaxonomyTable) -> dict[str, dict[Level, int]]:
         if record.special_kind:
             continue
         lineage = record.lineage()
-        if not lineage:
-            continue
         per_level = names.setdefault(lineage[0], {level: set() for level in Level})
         for level, name in zip(Level, lineage):
             per_level[level].add(name)

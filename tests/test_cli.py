@@ -13,11 +13,12 @@ from pathlib import Path
 import pytest
 
 import trapkit
-from trapkit import cli, stats
+from trapkit import cli, report, stats
 from trapkit.cli import main
 from trapkit.geosplit import SplitConfig
 from trapkit.scoring import evaluate, iter_predictions
 
+import line_audit
 from pipeline import artifact_files, pipeline_commands, run_pipeline
 
 REPO = Path(__file__).resolve().parent.parent
@@ -279,6 +280,20 @@ def test_failed_write_keeps_the_previous_artifact(tmp_path, fixture_dir, monkeyp
     assert "disk full" in capsys.readouterr().err
     assert (out / "images.csv").read_bytes() == before
     assert not list(out.glob("*.partial"))  # pathlib globs match dot files
+
+
+def test_failed_write_keeps_a_directory_another_writer_filled(tmp_path, fixture_dir,
+                                                              monkeypatch, capsys):
+    out = tmp_path / "out"
+
+    def write_foreign_file_then_fail(skew, handle):
+        (out / "foreign.txt").write_text("not trapkit's\n", encoding="utf-8")
+        raise OSError("disk full")
+
+    monkeypatch.setattr(cli, "write_skew", write_foreign_file_then_fail)
+    assert main(["stats", *_dataset_flags(fixture_dir, out)]) == 1
+    assert "disk full" in capsys.readouterr().err
+    assert [path.name for path in out.iterdir()] == ["foreign.txt"]  # no .partial file either
 
 
 def test_split_manifests_partition_the_images(tmp_path, fixture_dir, capsys):
@@ -761,6 +776,7 @@ def _package_functions():
 
 
 def test_every_package_function_is_reached_by_a_command(tmp_path, fixture_dir, capsys):
+    # functions only: a branch no test reaches is for `python tests/line_audit.py` to print
     def flags(name):
         return _dataset_flags(fixture_dir, tmp_path / name)
 
@@ -796,6 +812,20 @@ def test_every_package_function_is_reached_by_a_command(tmp_path, fixture_dir, c
     assert statuses == [0] * 9 + [1, 0, 0, 0]  # the fixture's defect rows fail --strict
     missed = sorted(name for code, name in names.items() if code not in called)
     assert missed == sorted(UNREACHED)
+
+
+def test_line_audit_prints_the_statements_a_call_did_not_run():
+    path = Path(report.__file__)
+    previous = sys.gettrace()
+    with line_audit.traced(path.parent) as hits:
+        report.ValidationReport([]).summary()
+    assert sys.gettrace() is previous
+    source = [line.strip() for line in path.read_text(encoding="utf-8").splitlines()]
+    none, per_kind = (source.index(line) + 1 for line in [
+        'lines.append("  none")', 'lines.append(f"  {kind.value:<22} {count}")'])
+    missed = {line: function for line, function, _ in line_audit.unreached(path, hits[str(path)])}
+    assert none not in missed
+    assert missed[per_kind] == "ValidationReport.summary"
 
 
 def _python(*args):

@@ -208,6 +208,11 @@ def test_k_below_one_rejected():
         evaluate([], {"i1": "sp_a"}, table, ks=(0,))
 
 
+def test_no_k_values_rejected():
+    with pytest.raises(ValueError, match="^no k values given$"):
+        evaluate([_record("i1", "sp_a")], {"i1": "sp_a"}, _table(), ks=[])
+
+
 def test_empty_truth_rejected():
     with pytest.raises(ValueError, match="truth mapping is empty"):
         evaluate([_record("i1", "sp_a")], {}, _table())
@@ -622,7 +627,7 @@ def _fusion_case(draw):
     groups = [_group(f"q{n}", *members[start:stop])
               for n, (start, stop) in enumerate(zip(bounds, bounds[1:]))]
     # duplicate labels within a record are drawn on purpose
-    entries = st.lists(st.tuples(st.sampled_from("abcd"), _FUSION_SCORES), max_size=5)
+    entries = st.lists(st.tuples(st.sampled_from("abcd"), _FUSION_SCORES), min_size=1, max_size=5)
     records = draw(st.lists(
         st.builds(PredictionRecord, st.sampled_from([*_FUSION_MEMBERS, "x0", "x1"]),
                   entries.map(tuple)),
@@ -639,8 +644,8 @@ def _fused_bytes(records):
 
 @settings(max_examples=400, deadline=None)
 @given(_fusion_case())
-@example(([  # i1's first record has no entries, so it blocks the next one; i3's top is -0.0
-    PredictionRecord("i1", ()),
+@example(([  # i1's first record wins, so it blocks the next one; i3's top is -0.0
+    PredictionRecord("i1", (("b", 0.5),)),
     PredictionRecord("i1", (("a", 1.0),)),
     PredictionRecord("i2", (("a", 0.5), ("b", 0.25), ("a", 0.1))),
     PredictionRecord("i2", (("c", 1.0),)),
