@@ -23,7 +23,9 @@ from __future__ import annotations
 
 import math
 import random
-from itertools import chain
+from collections import Counter
+from itertools import chain, repeat
+from operator import attrgetter
 from typing import IO, Mapping, NamedTuple
 
 from ._util import coordinate_ok, positive, write_rows
@@ -37,11 +39,11 @@ EVAL = "eval"
 
 ASSIGNMENT_COLUMNS = ["cell_x", "cell_y", "cell_size_m", "fold", "image_count"]
 
+# A region is its grid cell's exact ``(cell_x, cell_y)`` tuple: the split's one
+# cell size is held once, by its SplitConfig.
+Region = tuple[int, int]
 
-class RegionId(NamedTuple):
-    cell_x: int
-    cell_y: int
-    cell_size_m: float
+_DEPLOYMENT_ID = attrgetter("deployment_id")
 
 
 class SplitConfig:
@@ -54,9 +56,9 @@ class SplitConfig:
 
 
 class SplitAssignment(NamedTuple):
-    folds: dict[RegionId, str]
-    region_image_counts: dict[RegionId, int]
-    deployment_regions: dict[str, RegionId]
+    folds: dict[Region, str]
+    region_image_counts: dict[Region, int]
+    deployment_regions: dict[str, Region]
     train_images: int
     eval_images: int
     config: SplitConfig
@@ -72,11 +74,11 @@ class SplitAssignment(NamedTuple):
 
 class SplitViolation(NamedTuple):
     kind: str  # "leakage" or "unassigned"
-    region: RegionId
+    region: Region
     fold_counts: tuple[tuple[str, int], ...]
 
 
-def region_id(latitude: float, longitude: float, cell_size_m: float) -> RegionId:
+def region_id(latitude: float, longitude: float, cell_size_m: float) -> Region:
     if not coordinate_ok(latitude, longitude):
         raise ValueError(f"invalid coordinates ({latitude}, {longitude})")
     positive("cell_size_m", cell_size_m)
@@ -85,10 +87,10 @@ def region_id(latitude: float, longitude: float, cell_size_m: float) -> RegionId
     if not (math.isfinite(cell_y) and math.isfinite(cell_x)):
         raise ValueError(f"cell_size_m {cell_size_m} is too small: the cell index of "
                          f"({latitude}, {longitude}) is not a finite number")
-    return RegionId(math.floor(cell_x), math.floor(cell_y), cell_size_m)
+    return math.floor(cell_x), math.floor(cell_y)
 
 
-def _deployment_regions(dataset: UnifiedDataset, cell_size_m: float) -> dict[str, RegionId]:
+def _deployment_regions(dataset: UnifiedDataset, cell_size_m: float) -> dict[str, Region]:
     return {
         dep_id: region_id(dep.latitude, dep.longitude, cell_size_m)
         for dep_id, dep in dataset.deployments.items()
@@ -108,10 +110,10 @@ def assign_regions(dataset: UnifiedDataset, config: SplitConfig) -> SplitAssignm
     always populated.
     """
     dep_region = _deployment_regions(dataset, config.cell_size_m)
-    counts: dict[RegionId, int] = {}
-    for image in dataset.images.values():
-        region = dep_region[image.deployment_id]
-        counts[region] = counts.get(region, 0) + 1
+    counts: dict[Region, int] = {}
+    for dep_id, image_count in Counter(map(_DEPLOYMENT_ID, dataset.images.values())).items():
+        region = dep_region[dep_id]
+        counts[region] = counts.get(region, 0) + image_count
     if len(counts) < 2:
         raise SplitError(f"need at least 2 populated regions to split, found {len(counts)}")
 
@@ -120,7 +122,7 @@ def assign_regions(dataset: UnifiedDataset, config: SplitConfig) -> SplitAssignm
 
     total = sum(counts.values())
     num, den = config.train_fraction.as_integer_ratio()
-    folds: dict[RegionId, str] = {}
+    folds: dict[Region, str] = {}
     train_images = 0
     for region in order:
         if (train_images + counts[region]) * den <= num * total:
@@ -151,11 +153,16 @@ def image_folds(dataset: UnifiedDataset, assignment: SplitAssignment) -> dict[st
     ``dataset`` must be the dataset that was assigned. An image whose
     region the assignment does not name gets no entry.
     """
-    dep_region = assignment.deployment_regions
+    folds = assignment.folds
+    dep_fold = {
+        dep_id: folds[region]
+        for dep_id, region in assignment.deployment_regions.items()
+        if region in folds
+    }
     return {
-        image_id: assignment.folds[dep_region[image.deployment_id]]
+        image_id: fold
         for image_id, image in dataset.images.items()
-        if dep_region[image.deployment_id] in assignment.folds
+        if (fold := dep_fold.get(image.deployment_id)) is not None
     }
 
 
@@ -171,25 +178,22 @@ def leakage_check(
     region has images without a fold.
     """
     dep_region = _deployment_regions(dataset, cell_size_m)
-    per_region: dict[RegionId, dict[str, int]] = {}
-    for image_id, image in dataset.images.items():
-        region = dep_region[image.deployment_id]
-        fold = folds.get(image_id)
-        bucket = per_region.setdefault(region, {})
-        key = fold if fold is not None else "unassigned"
-        bucket[key] = bucket.get(key, 0) + 1
+    images = dataset.images
+    # Count per (deployment, fold) pair, whose string keys cache their hashes.
+    pairs = Counter(zip(map(_DEPLOYMENT_ID, images.values()),
+                        map(folds.get, images, repeat("unassigned"))))
+    per_region: dict[Region, dict[str, int]] = {}
+    for (dep_id, fold), count in pairs.items():
+        bucket = per_region.setdefault(dep_region[dep_id], {})
+        bucket[fold] = bucket.get(fold, 0) + count
 
-    violations: list[SplitViolation] = []
-    for region in sorted(per_region):
-        buckets = per_region[region]
-        if "unassigned" in buckets:
-            violations.append(SplitViolation(
-                "unassigned", region, tuple(sorted(buckets.items()))
-            ))
-        elif len(buckets) > 1:
-            violations.append(SplitViolation(
-                "leakage", region, tuple(sorted(buckets.items()))
-            ))
+    violations = [
+        SplitViolation("unassigned" if "unassigned" in buckets else "leakage", region,
+                       tuple(sorted(buckets.items())))
+        for region, buckets in per_region.items()
+        if len(buckets) > 1 or "unassigned" in buckets
+    ]
+    violations.sort(key=lambda violation: violation.region)
     return violations
 
 
@@ -206,7 +210,7 @@ def export_split(
     if violations:
         raise SplitError(
             f"refusing to export a leaking split: {len(violations)} violation(s), "
-            f"first in region {violations[0].region}"
+            f"first in cell {violations[0].region} of {assignment.config.cell_size_m} m"
         )
     train_ids = sorted(iid for iid, fold in folds.items() if fold == TRAIN)
     eval_ids = sorted(iid for iid, fold in folds.items() if fold == EVAL)
@@ -223,13 +227,8 @@ def read_manifest(stream: IO[str]) -> list[str]:
 
 
 def write_assignment(assignment: SplitAssignment, stream: IO[str]) -> None:
+    cell_size_m = assignment.config.cell_size_m
+    folds, counts = assignment.folds, assignment.region_image_counts
     write_rows(stream, chain([ASSIGNMENT_COLUMNS], (
-        (
-            region.cell_x,
-            region.cell_y,
-            region.cell_size_m,
-            assignment.folds[region],
-            assignment.region_image_counts[region],
-        )
-        for region in sorted(assignment.folds)
+        (*region, cell_size_m, folds[region], counts[region]) for region in sorted(folds)
     )))

@@ -22,7 +22,6 @@ from itertools import chain
 from typing import IO, Iterable, Mapping, NamedTuple, Sequence
 
 from ._util import positive, read_rows, record_issue, write_rows
-from .errors import LabelNotFoundError
 from .report import Issue, IssueKind, Severity
 from .taxonomy import BLANK, Level, RolledLabel, TaxonomyTable, rollup
 
@@ -143,8 +142,8 @@ def evaluate(
     nonblank_total = 0
     for label_id in truth.values():
         rolled = cache.get(label_id)
-        if rolled is None:
-            raise LabelNotFoundError(f"truth label {label_id!r} not in taxonomy")
+        if rolled is None:  # a label the table lacks, which raises
+            table.resolve(label_id)
         support[rolled.name] = support.get(rolled.name, 0) + 1
         if rolled.special != BLANK:
             nonblank_total += 1

@@ -1,6 +1,8 @@
+import csv
 import io
 import math
 import random
+import re
 from datetime import datetime, timezone
 from fractions import Fraction
 
@@ -11,7 +13,6 @@ from trapkit.geosplit import (
     EVAL,
     METERS_PER_DEGREE,
     TRAIN,
-    RegionId,
     SplitConfig,
     assign_regions,
     export_split,
@@ -55,12 +56,24 @@ def _dataset_with_regions(region_sizes, spacing_deg=0.01):
 
 
 def test_origin_maps_to_origin_cell():
-    assert region_id(0.0, 0.0, 100.0) == RegionId(0, 0, 100.0)
+    cell_x, cell_y = region_id(0.0, 0.0, 100.0)
+    assert (cell_x, cell_y) == (0, 0)
+
+
+def test_regions_are_exact_int_tuples():
+    region = region_id(45.5, -120.25, 10.0)
+    assert type(region) is tuple
+    assert [type(index) for index in region] == [int, int]
+    dataset = _dataset_with_regions({"A": 3, "B": 2})
+    assignment = assign_regions(dataset, SplitConfig(0.6, 10.0, seed=0))
+    assert all(type(key) is tuple for key in assignment.folds)
+    assert all(type(key) is tuple for key in assignment.region_image_counts)
 
 
 def test_cell_y_matches_meters_per_degree_arithmetic():
     # floor(0.0018 * 111320 / 100) = floor(2.00376) = 2
-    assert region_id(0.0018, 0.0, 100.0).cell_y == 2
+    _, cell_y = region_id(0.0018, 0.0, 100.0)
+    assert cell_y == 2
     assert math.floor(0.0018 * METERS_PER_DEGREE / 100.0) == 2
 
 
@@ -97,10 +110,10 @@ def test_points_five_meters_apart_differ_by_at_most_one_cell():
         lon = rng.uniform(-179.0, 179.0)
         lat2, lon2 = _offset_point(lat, lon, 5.0, rng.uniform(0, 2 * math.pi))
         assert haversine_m(lat, lon, lat2, lon2) < 5.1
-        a = region_id(lat, lon, 10.0)
-        b = region_id(lat2, lon2, 10.0)
-        assert abs(a.cell_x - b.cell_x) <= 1
-        assert abs(a.cell_y - b.cell_y) <= 1
+        ax, ay = region_id(lat, lon, 10.0)
+        bx, by = region_id(lat2, lon2, 10.0)
+        assert abs(ax - bx) <= 1
+        assert abs(ay - by) <= 1
 
 
 def test_same_cell_is_close_and_far_points_never_share():
@@ -125,9 +138,9 @@ def test_region_stable_under_millimeter_perturbation():
     mm_deg = 0.001 / METERS_PER_DEGREE
     for _ in range(500):
         # sample away from cell boundaries: keep a 0.5 m margin
-        cell = region_id(rng.uniform(-60, 60), rng.uniform(-179, 179), 10.0)
-        lat = (cell.cell_y + 0.5) * 10.0 / METERS_PER_DEGREE
-        lon = (cell.cell_x + 0.5) * 10.0 / METERS_PER_DEGREE
+        cell_x, cell_y = region_id(rng.uniform(-60, 60), rng.uniform(-179, 179), 10.0)
+        lat = (cell_y + 0.5) * 10.0 / METERS_PER_DEGREE
+        lon = (cell_x + 0.5) * 10.0 / METERS_PER_DEGREE
         for _ in range(4):
             jitter_lat = lat + rng.uniform(-mm_deg, mm_deg)
             jitter_lon = lon + rng.uniform(-mm_deg, mm_deg)
@@ -305,7 +318,8 @@ def test_export_refuses_damaged_assignment():
     damaged = dict(assignment.folds)
     del damaged[sorted(damaged)[0]]
     broken = assignment._replace(folds=damaged)
-    with pytest.raises(SplitError):
+    cell = re.escape(str(sorted(assignment.folds)[0]))
+    with pytest.raises(SplitError, match=rf"1 violation\(s\), first in cell {cell} of 10\.0 m$"):
         export_split(dataset, broken)
 
 
@@ -321,3 +335,18 @@ def test_manifest_and_assignment_bytes_are_deterministic():
         write_assignment(assignment, assign_buf)
         outputs.append((train_buf.getvalue(), eval_buf.getvalue(), assign_buf.getvalue()))
     assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("cell_size_m", [10.0, 0.5, 12345.678])
+def test_assignment_writes_the_config_cell_size(cell_size_m):
+    dataset = _dataset_with_regions({f"r{n}": n + 1 for n in range(6)}, spacing_deg=0.5)
+    assignment = assign_regions(dataset, SplitConfig(0.7, cell_size_m, seed=3))
+    written = io.StringIO()
+    write_assignment(assignment, written)
+    expected = io.StringIO()
+    writer = csv.writer(expected, lineterminator="\n")
+    writer.writerow(["cell_x", "cell_y", "cell_size_m", "fold", "image_count"])
+    for (cell_x, cell_y), fold in sorted(assignment.folds.items()):
+        count = assignment.region_image_counts[cell_x, cell_y]
+        writer.writerow([cell_x, cell_y, cell_size_m, fold, count])
+    assert written.getvalue() == expected.getvalue()

@@ -229,7 +229,7 @@ def test_missing_predictions_count_as_misses_and_are_reported():
 
 def test_unknown_truth_label_raises():
     table = _table()
-    with pytest.raises(LabelNotFoundError):
+    with pytest.raises(LabelNotFoundError, match="label id 'mystery' not in taxonomy"):
         evaluate([_record("i1", "sp_a")], {"i1": "mystery"}, table)
 
 
