@@ -221,8 +221,8 @@ def _write_artifacts(outdir: Path, artifacts: dict, overwrite: bool, issues: lis
     renamed into place only after every one is whole. A ``None`` writer stands
     for the validation report. Its partial file is written last, so the report
     holds every issue the other writers appended. Returns that report. When a
-    writer fails, ``outdir`` is removed again if this call made it and it is
-    empty.
+    writer fails, the directories this call made are removed again, deepest
+    first, up to the first one that is not empty.
     """
     if not overwrite:
         existing = [name for name in artifacts if (outdir / name).exists()]
@@ -230,7 +230,11 @@ def _write_artifacts(outdir: Path, artifacts: dict, overwrite: bool, issues: lis
             raise TrapkitError(
                 f"refusing to overwrite {', '.join(existing)} in {outdir} (pass --overwrite)"
             )
-    made = not outdir.exists()
+    made = []  # the directories this call makes, deepest first
+    missing = outdir
+    while not missing.exists():
+        made.append(missing)
+        missing = missing.parent
     outdir.mkdir(parents=True, exist_ok=True)
     partials = {name: outdir / f".{name}.partial" for name in artifacts}
     report = None
@@ -246,11 +250,11 @@ def _write_artifacts(outdir: Path, artifacts: dict, overwrite: bool, issues: lis
     except BaseException:
         for partial in partials.values():
             partial.unlink(missing_ok=True)
-        if made:
+        for directory in made:
             try:
-                outdir.rmdir()
+                directory.rmdir()
             except OSError:  # not empty: something else wrote into it meanwhile
-                pass
+                break
         raise
     return report or ValidationReport.from_issues(issues)
 
@@ -373,17 +377,17 @@ def _cmd_geofilter(args, dataset, issues):
         nonlocal changed, passthrough
         images, deployments = dataset.images, dataset.deployments
         unknown_label_id = dataset.taxonomy.unknown_label_id
-        for record in iter_predictions(predictions, issues):
-            image = images.get(record.image_id)
+        for image_id, entries in iter_predictions(predictions, issues):
+            image = images.get(image_id)
             if image is None:
                 passthrough += 1
-                yield record
+                yield image_id, entries
                 continue
             deployment = deployments[image.deployment_id]
-            result = geofilter(record, deployment.latitude, deployment.longitude,
-                               range_map, unknown_label_id)
-            changed += result.entries != record.entries
-            yield result
+            kept = geofilter(entries, deployment.latitude, deployment.longitude,
+                             range_map, unknown_label_id)
+            changed += kept != entries
+            yield image_id, kept
 
     def write(handle):
         nonlocal written

@@ -30,11 +30,9 @@ RANGE_MAP_COLUMNS = ["label_id", "lat_min", "lat_max", "lon_min", "lon_max"]
 METRICS_COLUMNS = ["metric", "label_id_or_overall", "value"]
 
 
-class PredictionRecord(NamedTuple):
-    """One image's ranking: ``(label, score)`` entries, at least one, by descending score."""
-
-    image_id: str
-    entries: tuple[tuple[str, float], ...]
+# A prediction is one image's exact ``(image_id, entries)`` tuple; its entries rank at least one
+# ``(label, score)`` pair, by descending score.
+Prediction = tuple[str, tuple[tuple[str, float], ...]]
 
 
 class ClassMetrics(NamedTuple):
@@ -57,8 +55,8 @@ class MetricsReport(NamedTuple):
     unmatched_predictions: int = 0
 
 
-def iter_predictions(stream: IO[str], issues: list[Issue]) -> Iterable[PredictionRecord]:
-    """Stream `image_id label:score ...` lines as prediction records.
+def iter_predictions(stream: IO[str], issues: list[Issue]) -> Iterable[Prediction]:
+    """Stream `image_id label:score ...` lines as ``(image_id, entries)`` pairs.
 
     Malformed lines, such as an id with no entry or a score that is not a finite number, are
     appended to ``issues`` with their line number and dropped, so each record ranks at least one
@@ -101,21 +99,21 @@ def iter_predictions(stream: IO[str], issues: list[Issue]) -> Iterable[Predictio
                                        "scores not nonincreasing, re-sorted",
                                        Severity.WARNING, unit="line"))
             entries = tuple(sorted(entries, key=lambda entry: -entry[1]))
-        yield tuple.__new__(PredictionRecord, (image_id, entries))
+        yield image_id, entries
 
 
-def write_predictions(records: Iterable[PredictionRecord], stream: IO[str]) -> int:
+def write_predictions(records: Iterable[Prediction], stream: IO[str]) -> int:
     """Write one `image_id label:score ...` line per record; returns the line count."""
     count = 0
-    for record in records:
-        tokens = " ".join([f"{label}:{score!r}" for label, score in record.entries])
-        stream.write(f"{record.image_id} {tokens}\n")
+    for image_id, entries in records:
+        tokens = " ".join([f"{label}:{score!r}" for label, score in entries])
+        stream.write(f"{image_id} {tokens}\n")
         count += 1
     return count
 
 
 def evaluate(
-    predictions: Iterable[PredictionRecord],
+    predictions: Iterable[Prediction],
     truth: Mapping[str, str],
     table: TaxonomyTable,
     ks: Sequence[int] = (1, 3),
@@ -156,9 +154,7 @@ def evaluate(
     seen: set[str] = set()
     duplicates = 0
     unmatched = 0
-    for record in predictions:
-        image_id = record.image_id
-        entries = record.entries
+    for image_id, entries in predictions:
         label_id = truth.get(image_id)
         if label_id is None:
             unmatched += 1
@@ -228,21 +224,21 @@ def evaluate(
 
 
 def geofilter(
-    record: PredictionRecord,
+    entries: Sequence[tuple[str, float]],
     latitude: float,
     longitude: float,
     range_map: Mapping[str, Sequence[tuple[float, float, float, float]]],
     unknown_label_id: str,
-) -> PredictionRecord:
+) -> tuple[tuple[str, float], ...]:
     """Drop predicted labels whose allowed geographic range excludes the site.
 
     A label's boxes are ``(lat_min, lat_max, lon_min, lon_max)`` tuples, bounds inclusive; labels
     absent from the range map are unrestricted. Survivors keep their relative order and scores.
-    If nothing survives, a single entry ``(unknown_label_id, 0.0)`` is emitted so the record never
+    If nothing survives, a single entry ``(unknown_label_id, 0.0)`` is emitted so the ranking never
     goes empty; callers pass the taxonomy's designated ``unknown_label_id``.
     """
     survivors = []
-    for entry in record.entries:
+    for entry in entries:
         boxes = range_map.get(entry[0])
         if boxes is None:
             survivors.append(entry)
@@ -253,7 +249,7 @@ def geofilter(
                 break
     if not survivors:
         survivors.append((unknown_label_id, 0.0))
-    return tuple.__new__(PredictionRecord, (record.image_id, tuple(survivors)))
+    return tuple(survivors)
 
 
 def parse_range_map(
@@ -289,11 +285,11 @@ def parse_range_map(
 
 
 def sequence_aggregate(
-    predictions: Iterable[PredictionRecord],
+    predictions: Iterable[Prediction],
     groups: Sequence[Sequence],
     issues: list[Issue],
     ids: Sequence[str],
-) -> Iterable[PredictionRecord]:
+) -> Iterable[Prediction]:
     """Yield one fused, ranked record per burst group, in group order.
 
     Each member record's scores are normalized by its own top score (0.0
@@ -354,8 +350,7 @@ def sequence_aggregate(
                                 "fused record dropped"))
             continue
         ranked = sorted([(-value / predicted, labels[code]) for code, value in sums.items()])
-        yield tuple.__new__(PredictionRecord,
-                            (key, tuple([(label, -negated) for negated, label in ranked])))
+        yield key, tuple([(label, -negated) for negated, label in ranked])
 
 
 def _value_text(value):

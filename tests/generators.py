@@ -10,7 +10,6 @@ import random
 from datetime import datetime, timezone
 
 from trapkit.ingest import Deployment, ImageRecord, UnifiedDataset
-from trapkit.scoring import PredictionRecord
 from trapkit.taxonomy import TaxonRecord, TaxonomyTable
 
 EPOCH = datetime(2016, 1, 1, tzinfo=timezone.utc)
@@ -156,7 +155,7 @@ def random_predictions(
             chosen = [rng.choice(labels)]
         scores = sorted((round(rng.random(), 6) for _ in chosen), reverse=True)
         entries = tuple(zip(chosen, scores))
-        records.append(PredictionRecord(image_id, entries))
+        records.append((image_id, entries))
     return records
 
 

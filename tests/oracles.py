@@ -62,20 +62,20 @@ def rolled_ranking(entries, table, level_index):
     return ranking
 
 
-def topk_hits(records_by_image, truth, table, k, level_index):
+def topk_hits(entries_by_image, truth, table, k, level_index):
     """Number of truth images whose rolled truth is in the rolled top-k."""
     hits = 0
     for image_id, label_id in truth.items():
-        record = records_by_image.get(image_id)
-        if record is None:
+        entries = entries_by_image.get(image_id)
+        if entries is None:
             continue
         want = rolled_tuple(table.records[label_id], level_index, table)
-        if want in rolled_ranking(record.entries, table, level_index)[:k]:
+        if want in rolled_ranking(entries, table, level_index)[:k]:
             hits += 1
     return hits
 
 
-def per_class_counts(records_by_image, truth, table, level_index):
+def per_class_counts(entries_by_image, truth, table, level_index):
     """(tp, predicted, actual) per rolled display name, via full rescans.
 
     A true positive requires full rolled identity between the assigned
@@ -87,10 +87,10 @@ def per_class_counts(records_by_image, truth, table, level_index):
     }
     assigned_rolled = {}
     for image_id in truth:
-        record = records_by_image.get(image_id)
-        if record is None:
+        entries = entries_by_image.get(image_id)
+        if entries is None:
             continue
-        top_label = record.entries[0][0]
+        top_label = entries[0][0]
         if top_label in table.records:
             assigned_rolled[image_id] = rolled_tuple(
                 table.records[top_label], level_index, table

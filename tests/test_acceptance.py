@@ -85,7 +85,7 @@ def test_criterion_2_metric_oracle_equivalence():
     start = time.perf_counter()
     failures = []
     for index, rng, table, truth, predictions in _metric_instances():
-        by_image = {record.image_id: record for record in predictions}
+        by_image = dict(predictions)
         level = rng.choice(list(Level))
 
         report = evaluate(predictions, truth, table, ks=(1, 2, 3), level=level)

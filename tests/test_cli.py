@@ -296,6 +296,20 @@ def test_failed_write_keeps_a_directory_another_writer_filled(tmp_path, fixture_
     assert [path.name for path in out.iterdir()] == ["foreign.txt"]  # no .partial file either
 
 
+def test_failed_write_removes_every_directory_it_made(tmp_path, fixture_dir, monkeypatch,
+                                                      capsys):
+    existing = tmp_path / "existing"
+    existing.mkdir()
+
+    def fail(images, handle):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(cli, "write_images", fail)
+    assert main(["ingest", *_dataset_flags(fixture_dir, existing / "a" / "b" / "c")]) == 1
+    assert "disk full" in capsys.readouterr().err
+    assert list(existing.iterdir()) == []  # a, a/b and a/b/c are gone; existing stays
+
+
 def test_split_manifests_partition_the_images(tmp_path, fixture_dir, capsys):
     out = tmp_path / "out"
     argv = ["split", *_dataset_flags(fixture_dir, out), "--seed", "7"]

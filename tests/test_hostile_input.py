@@ -209,16 +209,25 @@ def test_stray_quote_costs_only_the_record_it_opens(tmp_path, fixture_dir):
     assert "row 4" in (tmp_path / "validate" / "issues.csv").read_text(encoding="utf-8")
 
 
+def _fault_at_offset(size):
+    """A fault and the offset of a ``size``-byte file it applies at."""
+    return st.sampled_from(sorted([*INSERTED, "deleted byte"])).flatmap(
+        lambda fault: st.tuples(st.just(fault), st.integers(0, size - (fault == "deleted byte"))))
+
+
 @given(data=st.data())
 @settings(max_examples=300, derandomize=True, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 def test_fault_at_any_byte_offset_exits_cleanly(tmp_path, fixture_dir, data):
     kind = data.draw(st.sampled_from(sorted(INPUT_FILES)), label="kind")
-    fault = data.draw(st.sampled_from(sorted([*INSERTED, "deleted byte"])), label="fault")
-    deleted = fault == "deleted byte"  # the byte at the offset goes, nothing is inserted
     text = (fixture_dir / INPUT_FILES[kind]).read_bytes()
-    offset = data.draw(st.integers(0, len(text) - deleted), label="offset")
-    faulty = text[:offset] + (b"" if deleted else INSERTED[fault]) + text[offset + deleted:]
+    faults = data.draw(st.lists(_fault_at_offset(len(text)), min_size=1, max_size=3,
+                                unique_by=lambda pair: pair[1]), label="faults")
+    faulty = text
+    # from the highest offset down, so each offset still points into the original bytes
+    for fault, offset in sorted(faults, key=lambda pair: pair[1], reverse=True):
+        deleted = fault == "deleted byte"  # the byte at the offset goes, nothing is inserted
+        faulty = faulty[:offset] + (b"" if deleted else INSERTED[fault]) + faulty[offset + deleted:]
     with tempfile.TemporaryDirectory(dir=tmp_path) as root:
         inputs = Path(root, "inputs")
         shutil.copytree(fixture_dir, inputs)
@@ -305,7 +314,7 @@ def test_deployment_id_with_whitespace_is_dropped_so_fused_predictions_parse_bac
         records = list(iter_predictions(handle, issues))
     assert issues == []
     fused = (GOLDEN_DIR / "sequences" / "sequence_predictions.txt").read_text(encoding="utf-8")
-    assert [record.image_id for record in records] == \
+    assert [image_id for image_id, _ in records] == \
         [line.split()[0] for line in fused.splitlines() if not line.startswith("d_amaz_01:")]
 
 
@@ -341,5 +350,4 @@ def test_label_id_with_whitespace_is_dropped_so_filtered_predictions_parse_back(
     with open(path, encoding="utf-8", newline="") as handle:
         records = list(iter_predictions(handle, issues))
     assert issues == []
-    assert [(record.image_id, record.entries) for record in records] == \
-        [("i_am1_001", (("unknown", 0.0),))]
+    assert records == [("i_am1_001", (("unknown", 0.0),))]

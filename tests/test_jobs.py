@@ -180,7 +180,7 @@ def test_an_exception_at_either_end_leaves_no_process_or_file(tmp_path, fixture_
     def failing(records, stream):
         def checked():
             for record in records:
-                if record.image_id == victim:
+                if record[0] == victim:
                     raise error(victim)
                 yield record
         return real(checked(), stream)

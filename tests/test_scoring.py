@@ -12,7 +12,6 @@ from trapkit.errors import LabelNotFoundError
 from trapkit.ingest import ImageRecord
 from trapkit.report import Issue, IssueKind, Severity
 from trapkit.scoring import (
-    PredictionRecord,
     evaluate,
     geofilter,
     iter_predictions,
@@ -46,7 +45,7 @@ def _record(image_id, *labels, start=0.9, step=0.1):
     entries = tuple(
         (label, round(start - index * step, 6)) for index, label in enumerate(labels)
     )
-    return PredictionRecord(image_id, entries)
+    return image_id, entries
 
 
 # -------------------------------------------------------------------- parsing
@@ -61,20 +60,20 @@ def _parse_all(stream):
 def test_parse_two_entry_line():
     records, issues = _parse_all(io.StringIO("i1 sp_a:0.9 sp_b:0.1\n"))
     assert issues == []
-    assert records == [PredictionRecord("i1", (("sp_a", 0.9), ("sp_b", 0.1)))]
+    assert records == [("i1", (("sp_a", 0.9), ("sp_b", 0.1)))]
 
 
 def test_unsorted_scores_flagged_and_resorted():
     records, issues = _parse_all(io.StringIO("i1 sp_a:0.1 sp_b:0.9\n"))
     assert [issue.kind for issue in issues] == [IssueKind.UNSORTED_SCORES]
     assert issues[0].severity is Severity.WARNING
-    assert records[0].entries == (("sp_b", 0.9), ("sp_a", 0.1))
+    assert records[0][1] == (("sp_b", 0.9), ("sp_a", 0.1))
 
 
 def test_malformed_lines_reported_with_line_numbers():
     text = "i1 sp_a:0.9\ni2\ni3 sp_a:nope\ni4 :0.5\n"
     records, issues = _parse_all(io.StringIO(text))
-    assert [record.image_id for record in records] == ["i1"]
+    assert [image_id for image_id, _ in records] == ["i1"]
     assert [issue.kind for issue in issues] == [IssueKind.MALFORMED_PREDICTION] * 3
     assert "line 2" in issues[0].detail
     assert "line 3" in issues[1].detail
@@ -95,7 +94,7 @@ def test_prediction_issue_texts(line, kind, severity, detail):
     records, issues = _parse_all(io.StringIO(f"i0 sp_a:0.9\n\n{line}\n"))
     assert issues == [Issue(kind, "i1", f"line 3: {detail}", severity)]
     kept = ["i0", "i1"] if severity is Severity.WARNING else ["i0"]
-    assert [record.image_id for record in records] == kept
+    assert [image_id for image_id, _ in records] == kept
 
 
 @pytest.mark.parametrize("line", [
@@ -113,7 +112,7 @@ def test_non_finite_score_drops_the_line(line):
 
 def test_duplicate_labels_keep_highest_rank():
     records, issues = _parse_all(io.StringIO("i1 sp_a:0.9 sp_a:0.5 sp_b:0.3\n"))
-    assert records[0].entries == (("sp_a", 0.9), ("sp_b", 0.3))
+    assert records[0][1] == (("sp_a", 0.9), ("sp_b", 0.3))
     assert [issue.kind for issue in issues] == [IssueKind.DUPLICATE_ID]
 
 
@@ -124,7 +123,7 @@ def test_duplicate_labels_keep_highest_rank():
 ], ids=["sorted", "unsorted"])
 def test_only_first_seen_entries_are_checked_for_order(line, entries, kinds):
     records, issues = _parse_all(io.StringIO(line + "\n"))
-    assert records[0].entries == entries
+    assert records[0][1] == entries
     assert [issue.kind for issue in issues] == kinds
 
 
@@ -155,8 +154,8 @@ def test_any_prediction_text_parses_and_names_its_lines(text):
         assert match, issue.detail
         assert 1 <= int(match[1]) <= last_line
         assert issue.key
-    for record in records:
-        scores = [score for _, score in record.entries]
+    for _, entries in records:
+        scores = [score for _, score in entries]
         assert scores and all(math.isfinite(score) for score in scores)
         assert scores == sorted(scores, reverse=True)
 
@@ -350,7 +349,7 @@ def test_random_instances_match_confusion_oracle():
                                 coarse_only_fraction=0.2)
         truth = random_truth(rng, table, rng.randint(5, 120))
         predictions = random_predictions(rng, truth, table)
-        by_image = {record.image_id: record for record in predictions}
+        by_image = dict(predictions)
         level = rng.choice(list(Level))
 
         metrics = evaluate(predictions, truth, table, level=level).per_class
@@ -370,7 +369,7 @@ def test_random_instances_match_topk_oracle():
                                 coarse_only_fraction=0.2)
         truth = random_truth(rng, table, rng.randint(5, 120))
         predictions = random_predictions(rng, truth, table)
-        by_image = {record.image_id: record for record in predictions}
+        by_image = dict(predictions)
         level = rng.choice(list(Level))
         report = evaluate(predictions, truth, table, ks=(1, 2, 3), level=level)
         for k in (1, 2, 3):
@@ -432,21 +431,20 @@ def test_geofilter_out_of_range_top_label_dropped():
         "asian_elephant": [(5.0, 35.0, 65.0, 100.0)],
         "african_elephant": [(-35.0, 15.0, -20.0, 50.0)],
     }
-    record = PredictionRecord("i1", (("asian_elephant", 0.6), ("african_elephant", 0.4)))
-    filtered = geofilter(record, -2.0, 34.0, range_map, "unknown")  # Sub-Saharan site
-    assert filtered.entries == (("african_elephant", 0.4),)
+    entries = (("asian_elephant", 0.6), ("african_elephant", 0.4))
+    filtered = geofilter(entries, -2.0, 34.0, range_map, "unknown")  # Sub-Saharan site
+    assert filtered == (("african_elephant", 0.4),)
 
 
 def test_geofilter_unrestricted_label_passes_through():
-    record = PredictionRecord("i1", (("sp_a", 0.7), ("sp_b", 0.3)))
-    assert geofilter(record, 0.0, 0.0, {}, "unknown") == record
+    entries = (("sp_a", 0.7), ("sp_b", 0.3))
+    assert geofilter(entries, 0.0, 0.0, {}, "unknown") == entries
 
 
 def test_geofilter_emits_unknown_when_everything_excluded():
     range_map = {"sp_a": [(10.0, 20.0, 10.0, 20.0)]}
-    record = PredictionRecord("i1", (("sp_a", 0.9),))
-    filtered = geofilter(record, 0.0, 0.0, range_map, unknown_label_id="unknown")
-    assert filtered.entries == (("unknown", 0.0),)
+    filtered = geofilter((("sp_a", 0.9),), 0.0, 0.0, range_map, unknown_label_id="unknown")
+    assert filtered == (("unknown", 0.0),)
 
 
 def test_geofilter_matches_point_in_box_oracle_and_preserves_order():
@@ -462,17 +460,16 @@ def test_geofilter_matches_point_in_box_oracle_and_preserves_order():
             (label, round(1.0 - 0.05 * i, 4))
             for i, label in enumerate(rng.sample(labels, rng.randint(1, 8)))
         )
-        record = PredictionRecord("x", entries)
         lat, lon = rng.uniform(-90, 90), rng.uniform(-180, 180)
-        filtered = geofilter(record, lat, lon, range_map, "unknown")
+        filtered = geofilter(entries, lat, lon, range_map, "unknown")
         expected = tuple(
             (label, score) for label, score in entries
             if label not in range_map or point_in_any_box(lat, lon, range_map[label])
         ) or (("unknown", 0.0),)
-        assert filtered.entries == expected
+        assert filtered == expected
         # conservativity: no additions, no score changes, order preserved
         if expected != (("unknown", 0.0),):
-            assert set(filtered.entries) <= set(entries)
+            assert set(filtered) <= set(entries)
 
 
 def _random_box(rng):
@@ -548,6 +545,17 @@ def _ids(groups):
     return [sequence_id for sequence_id, _ in _pairs(groups)]
 
 
+def test_prediction_records_are_exact_tuples(fixture_dir):
+    with open(fixture_dir / "predictions.txt", encoding="utf-8") as handle:
+        records = list(iter_predictions(handle, []))
+    assert records
+    assert all(type(record) is tuple for record in records)
+    groups = [_group("q1", *(image_id for image_id, _ in records[:3]))]
+    fused = list(sequence_aggregate(records, groups, [], _ids(groups)))
+    assert len(fused) == 1 and type(fused[0]) is tuple
+    assert type(geofilter(records[0][1], 0.0, 0.0, {}, "unknown")) is tuple
+
+
 def test_identical_member_predictions_keep_their_ranking():
     predictions = [
         _record("i1", "sp_a", "sp_b", start=0.6, step=0.2),
@@ -556,18 +564,18 @@ def test_identical_member_predictions_keep_their_ranking():
     groups = [_group("q1", "i1", "i2")]
     aggregated = list(sequence_aggregate(predictions, groups, [], _ids(groups)))
     assert len(aggregated) == 1  # no group skipped: one record per group
-    assert [label for label, _ in aggregated[0].entries] == ["sp_a", "sp_b"]
-    assert aggregated[0].image_id == "q1:2016-01-01T00:00:00Z"
+    assert [label for label, _ in aggregated[0][1]] == ["sp_a", "sp_b"]
+    assert aggregated[0][0] == "q1:2016-01-01T00:00:00Z"
 
 
 def test_tie_between_disjoint_top_labels_breaks_lexicographically():
     predictions = [
-        PredictionRecord("i1", (("b_label", 1.0),)),
-        PredictionRecord("i2", (("a_label", 1.0),)),
+        ("i1", (("b_label", 1.0),)),
+        ("i2", (("a_label", 1.0),)),
     ]
     groups = [_group("q1", "i1", "i2")]
     aggregated = list(sequence_aggregate(predictions, groups, [], _ids(groups)))
-    assert aggregated[0].entries == (("a_label", 0.5), ("b_label", 0.5))
+    assert aggregated[0][1] == (("a_label", 0.5), ("b_label", 0.5))
 
 
 def test_group_without_predictions_is_skipped_and_reported():
@@ -585,11 +593,10 @@ def test_sequence_aggregation_matches_mean_and_sort_oracle():
         for index in range(rng.randint(1, 5)):
             chosen = rng.sample(labels, rng.randint(1, 5))
             scores = sorted((round(rng.uniform(0.01, 1.0), 4) for _ in chosen), reverse=True)
-            members.append(PredictionRecord(f"i{index}", tuple(zip(chosen, scores))))
-        group = _group("q", *[record.image_id for record in members])
+            members.append((f"i{index}", tuple(zip(chosen, scores))))
+        group = _group("q", *[image_id for image_id, _ in members])
         aggregated = list(sequence_aggregate(members, [group], [], _ids([group])))
-        assert aggregated == [PredictionRecord(*fused)
-                              for fused in sequence_fusion(members, _pairs([group]))]
+        assert aggregated == sequence_fusion(members, _pairs([group]))
 
 
 @pytest.mark.parametrize("members", [
@@ -601,7 +608,7 @@ def test_sequence_aggregation_matches_mean_and_sort_oracle():
 def test_fused_record_with_a_non_finite_mean_is_dropped_as_an_issue(members):
     issues = []
     records = list(iter_predictions(io.StringIO("\n".join(members)), issues))
-    group = _group("q1", *(record.image_id for record in records))
+    group = _group("q1", *(image_id for image_id, _ in records))
     assert issues == []  # every input score is finite
     groups = [group, _group("q2", "i9")]
     assert list(sequence_aggregate(records, groups, issues, _ids(groups))) == []
@@ -629,8 +636,7 @@ def _fusion_case(draw):
     # duplicate labels within a record are drawn on purpose
     entries = st.lists(st.tuples(st.sampled_from("abcd"), _FUSION_SCORES), min_size=1, max_size=5)
     records = draw(st.lists(
-        st.builds(PredictionRecord, st.sampled_from([*_FUSION_MEMBERS, "x0", "x1"]),
-                  entries.map(tuple)),
+        st.tuples(st.sampled_from([*_FUSION_MEMBERS, "x0", "x1"]), entries.map(tuple)),
         max_size=24,
     ))
     return records, groups
@@ -645,16 +651,16 @@ def _fused_bytes(records):
 @settings(max_examples=400, deadline=None)
 @given(_fusion_case())
 @example(([  # i1's first record wins, so it blocks the next one; i3's top is -0.0
-    PredictionRecord("i1", (("b", 0.5),)),
-    PredictionRecord("i1", (("a", 1.0),)),
-    PredictionRecord("i2", (("a", 0.5), ("b", 0.25), ("a", 0.1))),
-    PredictionRecord("i2", (("c", 1.0),)),
-    PredictionRecord("x0", (("d", 1.0),)),
-    PredictionRecord("i3", (("b", -0.0), ("a", -0.0))),
+    ("i1", (("b", 0.5),)),
+    ("i1", (("a", 1.0),)),
+    ("i2", (("a", 0.5), ("b", 0.25), ("a", 0.1))),
+    ("i2", (("c", 1.0),)),
+    ("x0", (("d", 1.0),)),
+    ("i3", (("b", -0.0), ("a", -0.0))),
 ], [_group("q0", "i1", "i2", "i3")]))
 @example(([  # a subnormal first score: dividing by it overflows
-    PredictionRecord("i1", (("a", 5e-324), ("b", -2.0))),
-    PredictionRecord("i2", (("a", 1.0),)),
+    ("i1", (("a", 5e-324), ("b", -2.0))),
+    ("i2", (("a", 1.0),)),
 ], [_group("q0", "i1"), _group("q1", "i2")]))
 def test_sequence_aggregate_writes_the_bytes_of_the_hold_every_record_oracle(case):
     # bytes, not tuples: 0.0 == -0.0, but the two are written differently
@@ -664,7 +670,7 @@ def test_sequence_aggregate_writes_the_bytes_of_the_hold_every_record_oracle(cas
     finite = [record for record in fused if all(math.isfinite(score) for _, score in record[1])]
     issues = []
     assert _fused_bytes(sequence_aggregate(iter(records), groups, issues, _ids(groups))) == \
-        _fused_bytes(PredictionRecord(*record) for record in finite)
+        _fused_bytes(finite)
     assert [issue.key for issue in issues] == [record[0] for record in fused if record not in finite]
 
 
@@ -680,8 +686,8 @@ def test_sequence_aggregate_needs_one_id_per_group(n_ids):
 def _member_records(count, entries):
     # fresh label strings per record, as the prediction parser makes them
     for n in range(count):
-        yield PredictionRecord(f"m{n}", tuple(
-            (f"sp{(n * 7 + rank * 13) % 300}", 0.9 - rank * 0.04) for rank in range(entries)))
+        yield f"m{n}", tuple(
+            (f"sp{(n * 7 + rank * 13) % 300}", 0.9 - rank * 0.04) for rank in range(entries))
 
 
 @pytest.mark.parametrize("entries, group_size, bound", [
