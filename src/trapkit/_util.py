@@ -27,27 +27,36 @@ def id_rejected(field_name: str, key: str, row_number: int, records: dict,
                 issues: list[Issue]) -> bool:
     """Whether a row with id ``key`` is dropped; if so, its issue is appended.
 
-    It is when the id is not one ``str.split()`` token (manifests hold one id
-    per line and prediction lines split on whitespace) or is already in ``records``.
+    It is when the id is not one ``token`` (manifests hold one id per line and
+    prediction lines split on whitespace) or is already in ``records``.
     Every character ``str.split()`` splits on but ``" "`` is non-printable, so
     ``ingest.parse_images`` skips the call unless ``key in records or " " in key
     or not key.isprintable()``.
     """
-    if key.split() != [key]:
+    try:
+        token(field_name, key)
+    except ValueError:
         issues.append(record_issue(IssueKind.MISSING_FIELD, key, row_number,
                                    f"{field_name} contains whitespace"))
-    elif key in records:
+        return True
+    if key in records:
         issues.append(record_issue(IssueKind.DUPLICATE_ID, key, row_number,
                                    f"duplicate {field_name}, first occurrence kept"))
-    else:
-        return False
-    return True
+        return True
+    return False
 
 
 def positive(name: str, value):
     """Return ``value`` if a finite number > 0; compared, as math.isfinite overflows on huge ints."""
     if not 0 < value <= sys.float_info.max:
         raise ValueError(f"{name} must be a finite number > 0, got {value}")
+    return value
+
+
+def token(name: str, value: str) -> str:
+    """Return ``value`` if it is exactly one ``str.split()`` token: nonempty, with no whitespace."""
+    if value.split() != [value]:
+        raise ValueError(f"{name} must be one token without whitespace, got {value!r}")
     return value
 
 

@@ -32,7 +32,7 @@ import shutil
 import sys
 from pathlib import Path
 
-from ._util import positive
+from ._util import positive, token
 from .errors import TrapkitError
 from .geosplit import (
     EVAL,
@@ -91,6 +91,7 @@ def build_parser() -> argparse.ArgumentParser:
                              "by order)")
     shared.add_argument("--taxonomy", required=True, metavar="CSV", help="taxonomy file")
     shared.add_argument("--source-name", action="append", default=None, metavar="NAME",
+                        type=_checked(str, token, "source_name"),
                         help="provenance name per source (default source0, source1, ...)")
     shared.add_argument("-o", "--output-dir", required=True, metavar="DIR")
     shared.add_argument("--overwrite", action="store_true",
@@ -320,7 +321,8 @@ def _cmd_stats(args, dataset, issues):
         f"images                  {len(dataset.images)}",
         f"distinct labels         {len(histogram)}"
         + (f" (rolled to {args.level.name.lower()})" if args.level else ""),
-        f"top-{args.top_n} coverage        {skew.coverage_fraction:.4f}",
+        f"top-{args.top_n} coverage        "
+        + ("undefined" if skew.coverage_fraction is None else f"{skew.coverage_fraction:.4f}"),
         f"blank rate              {rate:.4f}",
         f"labeling effort         {effort:.1f} h at {args.images_per_hour:g} images/hour",
     ]

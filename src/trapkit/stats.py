@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import sys
+from collections import Counter
 from itertools import chain
 from operator import attrgetter
 from typing import IO, NamedTuple
@@ -29,9 +30,12 @@ SEQUENCE_COLUMNS = [
     "image_ids",
 ]
 
+_LABEL_ID = attrgetter("label_id")
+_SOURCE_ID = attrgetter("source_id")
+
 
 class SkewReport(NamedTuple):
-    coverage_fraction: float
+    coverage_fraction: float | None  # None, undefined, when no image is counted
     # (rank, label key, count, cumulative fraction), sorted by descending count
     curve: tuple[tuple[int, str, int, float], ...]
 
@@ -48,20 +52,15 @@ def class_distribution(
     the taxonomic name at that level (special labels keep their id and
     coarse-only labels keep their finest populated name). With
     ``include_special=False`` blank and unknown images are not counted.
+    Images are counted per distinct label first, so each label is resolved
+    and rolled up once.
     """
     table = dataset.taxonomy
-    keys = {  # label id -> histogram key, for every label that is counted
-        label_id: label_id if level is None else rollup(label_id, level, table).name
-        for label_id, record in table.records.items()
-        if record.special_kind is None or include_special
-    }
     counts: dict[str, int] = {}
-    for image in dataset.images.values():
-        key = keys.get(image.label_id)
-        if key is not None:
-            counts[key] = counts.get(key, 0) + 1
-        else:  # a special label left out, or one the table lacks, which raises
-            table.resolve(image.label_id)
+    for label_id, count in Counter(map(_LABEL_ID, dataset.images.values())).items():
+        if table.resolve(label_id).special_kind is None or include_special:
+            key = label_id if level is None else rollup(label_id, level, table).name
+            counts[key] = counts.get(key, 0) + count
     return counts
 
 
@@ -70,12 +69,13 @@ def skew_report(counts: dict[str, int], n_top: int) -> SkewReport:
 
     The curve is sorted by descending count (ties broken by label key) and
     its last point is exactly 1.0. ``coverage_fraction`` is the cumulative
-    fraction at rank ``n_top``, or 1.0 when fewer labels exist.
+    fraction at rank ``n_top``, or 1.0 when fewer labels exist. A histogram
+    that counts no image has no curve and an undefined (None) coverage.
     """
     positive("n_top", n_top)
     total = sum(counts.values())
     if total == 0:
-        raise ValueError("cannot compute skew of an empty histogram")
+        return SkewReport(None, ())
     ordered = sorted(counts.items(), key=lambda item: (-item[1], item[0]))
     curve = []
     running = 0
@@ -91,21 +91,19 @@ def blank_rate(dataset: UnifiedDataset) -> tuple[float, dict[str, float]]:
 
     Field-observed blank rates vary widely between partners, so the
     per-source rates (keyed by source_id, in sorted order) come with
-    the overall one.
+    the overall one. Images are counted per distinct (source_id, label)
+    pair first, so each label's blank kind is looked up once per source.
     """
     if not dataset.images:
         raise ValueError("cannot compute blank rate of an empty dataset")
-    records = dataset.taxonomy.records
-    is_blank = {label_id: record.special_kind == BLANK for label_id, record in records.items()}
+    images = dataset.images.values()
     totals: dict[str, int] = {}
     blanks: dict[str, int] = {}
-    for image in dataset.images.values():
-        totals[image.source_id] = totals.get(image.source_id, 0) + 1
-        blank = is_blank.get(image.label_id)
-        if blank is None:  # a label the table lacks: it raises
-            dataset.taxonomy.resolve(image.label_id)
-        if blank:
-            blanks[image.source_id] = blanks.get(image.source_id, 0) + 1
+    for (source, label_id), count in Counter(zip(map(_SOURCE_ID, images),
+                                                 map(_LABEL_ID, images))).items():
+        totals[source] = totals.get(source, 0) + count
+        if dataset.taxonomy.resolve(label_id).special_kind == BLANK:
+            blanks[source] = blanks.get(source, 0) + count
     per_source = {
         source: blanks.get(source, 0) / total
         for source, total in sorted(totals.items())

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import trapkit
-from trapkit import cli, report, stats
+from trapkit import _util, cli, report, stats
 from trapkit.cli import main
 from trapkit.geosplit import SplitConfig
 from trapkit.scoring import evaluate, iter_predictions
@@ -197,6 +197,7 @@ LIBRARY_RULES = {
     "--k": ("eval", int, lambda k: evaluate([], {}, None, ks=[k])),
     "--cap": ("weights", float, lambda cap: stats.class_weights({"a": 1}, cap)),
     "--max-gap-seconds": ("sequences", float, lambda gap: stats.group_bursts(None, gap)),
+    "--source-name": ("ingest", str, lambda name: _util.token("source_name", name)),
 }
 
 
@@ -213,12 +214,13 @@ def _rule_message(flag, text):
 
 
 @pytest.mark.parametrize("flag, value", [
-    pytest.param(flag, value, id=f"{flag}-{'1e400' if value == HUGE else value}")
+    pytest.param(flag, value, id=f"{flag}-{'1e400' if value == HUGE else repr(value)[1:-1]}")
     for flag, values in [
         *((flag, ("nan", "inf", "0", HUGE)) for flag in (
             "--top-n", "--images-per-hour", "--cell-size-m", "--cap", "--max-gap-seconds")),
         ("--k", ("0", "-2", "nan", HUGE)),
         ("--train-fraction", ("0", "1", "1.5", "nan", "inf")),
+        ("--source-name", ("", "two words", "two\nlines")),
     ]
     for value in values
 ])
@@ -653,6 +655,24 @@ def test_stats_summary_reports_blank_rate(tmp_path, fixture_dir, capsys):
     stdout = capsys.readouterr().out
     assert "blank rate              0.3250" in stdout
     assert (out / "skew.csv").exists()
+
+
+def test_stats_on_an_all_blank_dataset_reports_undefined_coverage(tmp_path, fixture_dir,
+                                                                   capsys):
+    # without --include-blank no image is counted, so the top-N coverage is 0/0
+    rows = _csv_rows(fixture_dir / "images.csv")
+    images = tmp_path / "images.csv"
+    with open(images, "w", encoding="utf-8", newline="") as handle:
+        csv.writer(handle).writerows(
+            [rows[0], *([*row[:3], "blank", *row[4:]] for row in rows[1:] if len(row) == 6)])
+    out = tmp_path / "out"
+    argv = ["stats", *_dataset_flags(fixture_dir, out)]
+    argv[argv.index("--images") + 1] = str(images)
+    assert main(argv) == 0
+    stdout = capsys.readouterr().out
+    assert "top-20 coverage        undefined" in stdout
+    assert "blank rate              1.0000" in stdout
+    assert _csv_rows(out / "skew.csv") == [stats.SKEW_COLUMNS]
 
 
 def _counts(path):

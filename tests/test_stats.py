@@ -7,6 +7,7 @@ from datetime import datetime, timedelta, timezone
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from trapkit import stats
 from trapkit.errors import LabelNotFoundError
 from trapkit.ingest import Deployment, ImageRecord, UnifiedDataset
 from trapkit.stats import (
@@ -96,6 +97,27 @@ def test_label_missing_from_the_table_raises(tally):
         tally(_dataset(["a", "blank", "z", "b"]))
 
 
+def test_each_distinct_label_is_looked_up_once(monkeypatch):
+    resolved, rolled = [], []
+    resolve, rollup = TaxonomyTable.resolve, stats.rollup
+
+    def counting_resolve(self, label_id):
+        resolved.append(label_id)
+        return resolve(self, label_id)
+
+    def counting_rollup(label, level, table):
+        rolled.append(label)
+        return rollup(label, level, table)
+
+    monkeypatch.setattr(TaxonomyTable, "resolve", counting_resolve)
+    monkeypatch.setattr(stats, "rollup", counting_rollup)
+    dataset = _dataset(["a"] * 5 + ["blank"] * 5)
+    assert class_distribution(dataset, include_special=False) == {"a": 5}
+    assert set(resolved) <= {"a", "blank"} and len(resolved) == len(set(resolved))
+    assert class_distribution(dataset, level=Level.GENUS) == {"Panthera": 5, "blank": 5}
+    assert set(rolled) <= {"a", "blank"}  # never a taxonomy row no image carries
+
+
 # ----------------------------------------------------------------------- skew
 
 
@@ -108,7 +130,8 @@ def test_skew_rejects_bad_inputs():
     with pytest.raises(ValueError):
         skew_report({"a": 1}, 0)
     with pytest.raises(ValueError):
-        skew_report({}, 5)
+        skew_report({}, 0)  # n_top is checked before the histogram
+    assert skew_report({}, 5) == (None, ())  # no image counted: coverage undefined
 
 
 def test_skew_ntop_beyond_label_count_is_full_coverage():
