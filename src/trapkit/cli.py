@@ -13,8 +13,12 @@ every writer is done. Every artifact is streamed into a hidden
 ``.NAME.partial`` file; only when all of a command's partial files are
 whole are they renamed into place, so its artifacts are all there or none.
 
-Every command runs in one process. ``--jobs N`` is accepted and has no
-effect, and neither has ``$TRAPKIT_JOBS``.
+``geofilter`` filters a predictions file of at least ``_FORK_BYTES`` (2 MiB)
+in two processes, one per half, when it may run on two or more CPUs (see
+``_halves``); its artifacts, output and exit status are those of one
+process. Every other command, and ``geofilter`` on a smaller file or pinned
+to one CPU (``taskset -c 0``), runs in one process. ``--jobs N`` is accepted
+and has no effect, and neither has ``$TRAPKIT_JOBS``.
 
 Exit status: 0 on success; 1 on runtime errors, including input that is
 not UTF-8 and running out of memory, or (with --strict) on error-severity
@@ -27,9 +31,11 @@ from __future__ import annotations
 
 import argparse
 import gc
+import io
 import os
 import shutil
 import sys
+from itertools import islice
 from pathlib import Path
 
 from ._util import positive, token
@@ -69,6 +75,8 @@ from .stats import (
 )
 from .taxonomy import Level, parse_taxonomy
 
+_FORK_BYTES = 2 << 20  # a predictions file this large is filtered in two processes (``_halves``)
+
 
 def _checked(kind, rule, *args):
     """An argparse type: ``rule(*args, kind(text))``, whose ``ValueError`` is the usage error."""
@@ -99,8 +107,10 @@ def build_parser() -> argparse.ArgumentParser:
     shared.add_argument("--strict", action="store_true",
                         help="exit 1 when any error-severity validation issue is found")
     shared.add_argument("--jobs", type=int, default=1, metavar="N",
-                        help="accepted and ignored: every command runs in one process; "
-                             "$TRAPKIT_JOBS has no effect either")
+                        help="accepted and ignored: geofilter works a predictions file of "
+                             "2 MiB or more in two processes when it may run on two CPUs, and "
+                             "every other command runs in one; $TRAPKIT_JOBS has no effect "
+                             "either")
     shared.add_argument("--format", choices=["csv", "summary"], default="summary",
                         help="what to print on stdout: human summary or the primary csv artifact")
     shared.add_argument("-v", "--verbose", action="store_true",
@@ -176,18 +186,116 @@ def _require_inputs(args):
         raise TrapkitError(f"input file(s) not found: {', '.join(missing)}")
 
 
-def _read(path, parse):
-    """Return ``parse(handle)`` on one input; bytes that are not UTF-8 are fatal.
+def _read(path, parse, start=0):
+    """Return ``parse(handle)`` on one input, from byte ``start``; bytes not UTF-8 are fatal.
 
-    A leading UTF-8 byte order mark is dropped here, for every input. Line
+    A leading UTF-8 byte order mark is dropped here, for every input, but only
+    at the file's first byte: read from a later ``start``, a mark is text. Line
     endings reach ``parse`` untranslated, so csv keeps a ``\r\n`` inside a
     quoted field; line-based parsers strip the ``\r`` with the other whitespace.
     """
-    with open(path, encoding="utf-8-sig", newline="") as handle:
+    with open(path, "rb") as raw:
+        raw.seek(start)
+        handle = io.TextIOWrapper(raw, encoding="utf-8" if start else "utf-8-sig", newline="")
         try:
             return parse(handle)
         except UnicodeDecodeError as exc:
             raise TrapkitError(f"{path} is not UTF-8 text ({exc.reason})") from None
+
+
+def _halves(path, work, out, issues: list) -> tuple:
+    """Return the counts ``work`` makes of ``path``'s lines; a large file's second half is forked.
+
+    ``work(lines, first, out, found)`` works ``lines``, numbering them from
+    ``first``, writes its text to ``out``, appends its issues to ``found`` and
+    returns a tuple of counts. A file of at least ``_FORK_BYTES`` bytes, where
+    ``os.fork`` exists and this process may run on two or more CPUs, is cut
+    after the first ``\n`` at or after its middle byte, if a line follows it.
+    A forked child works the lines after the cut into an unnamed spill file
+    beside ``out`` and pipes back its counts and issues, or its exception,
+    which is raised here. This process works the lines before the cut, then
+    appends the child's text, issues and counts to its own, so all three end
+    as one call over the whole file leaves them. The child leaves only through
+    ``os._exit``, so it flushes nothing it inherited. It is reaped before this
+    returns or raises, and killed first if its result was never read.
+    """
+    def whole():
+        return _read(path, lambda lines: work(lines, 1, out, issues))
+
+    size = os.path.getsize(path)
+    if (size < _FORK_BYTES or not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity")
+            or len(os.sched_getaffinity(0)) < 2):
+        return whole()
+    with open(path, "rb") as raw:
+        cut = size // 2
+        raw.seek(cut)
+        while (chunk := raw.read(1 << 16)) and (end := chunk.find(b"\n")) < 0:
+            cut += len(chunk)
+        if not chunk or cut + end + 1 == size:  # no line starts after the middle byte
+            return whole()
+        cut += end + 1
+        # the lines before the cut, ended as a text file ends them: at each
+        # \n, lone \r and \r\n; a \r that ends a chunk waits for the next one
+        raw.seek(0)
+        count = 0
+        carry = b""
+        for start in range(0, cut, 1 << 16):
+            chunk = carry + raw.read(min(cut - start, 1 << 16))
+            carry = b"\r" if chunk.endswith(b"\r") else b""
+            count += chunk.count(b"\n") + chunk.count(b"\r") - chunk.count(b"\r\n") - len(carry)
+
+    # imported here, so the runs that never fork do not pay for them
+    import pickle
+    import signal
+    import tempfile
+
+    span = f"lines {count + 1}- of {path}"
+    with tempfile.TemporaryFile(dir=os.path.dirname(out.name)) as spill:
+        reader, writer = os.pipe()
+        with open(reader, "rb") as pipe, open(writer, "wb") as sink:
+            try:
+                pid = os.fork()
+            except OSError:  # no process to spare
+                return whole()
+            if pid == 0:
+                status = 1
+                try:
+                    found = []
+                    try:
+                        with open(spill.fileno(), "w", encoding="utf-8", newline="",
+                                  closefd=False) as text:
+                            message = _read(path, lambda rest: work(rest, count + 1, text, found),
+                                            cut), found
+                    except Exception as exc:  # the parent raises it again
+                        import traceback
+                        exc.add_note(f"raised in the child process for {span}:\n"
+                                     f"{traceback.format_exc()}")
+                        message = exc
+                    sink.write(pickle.dumps(message))
+                    sink.flush()
+                    status = 0
+                finally:
+                    os._exit(status)
+            sink.close()  # only the child writes to the pipe
+            try:
+                mine = _read(path, lambda first: work(islice(first, count), 1, out, issues))
+                message = pipe.read()
+                pipe.close()
+            finally:
+                if not pipe.closed:  # its result was never read: it may still be working
+                    os.kill(pid, signal.SIGKILL)
+                status = os.waitpid(pid, 0)[1]
+        if status or not message:  # it ended before its whole result was written
+            raise TrapkitError(f"the process for {span} ended with no result")
+        message = pickle.loads(message)
+        if isinstance(message, BaseException):
+            raise message
+        theirs, found = message
+        out.flush()
+        spill.seek(0)
+        shutil.copyfileobj(spill, out.buffer)
+    issues.extend(found)
+    return tuple(map(sum, zip(mine, theirs)))
 
 
 def _load_dataset(args):
@@ -200,6 +308,9 @@ def _load_dataset(args):
     names = args.source_name or [f"source{i}" for i in range(len(args.images))]
     if len(names) != len(args.images):
         raise TrapkitError("--source-name must be given once per source")
+    repeated = [name for i, name in enumerate(names) if name in names[:i]]
+    if repeated:
+        raise TrapkitError(f"--source-name {repeated[0]} is repeated; each source needs its own")
     _require_inputs(args)
 
     taxonomy, issues = _read(args.taxonomy, parse_taxonomy)
@@ -373,33 +484,37 @@ def _cmd_eval(args, dataset, issues):
 def _cmd_geofilter(args, dataset, issues):
     range_map, range_issues = _read(args.range_map, parse_range_map)
     issues.extend(range_issues)
-    written = changed = passthrough = 0
+    counts = [0, 0, 0]  # records written, changed and passed through unfiltered
 
-    def filtered(predictions):
-        nonlocal changed, passthrough
-        images, deployments = dataset.images, dataset.deployments
-        unknown_label_id = dataset.taxonomy.unknown_label_id
-        for image_id, entries in iter_predictions(predictions, issues):
-            image = images.get(image_id)
-            if image is None:
-                passthrough += 1
-                yield image_id, entries
-                continue
-            deployment = deployments[image.deployment_id]
-            kept = geofilter(entries, deployment.latitude, deployment.longitude,
-                             range_map, unknown_label_id)
-            changed += kept != entries
-            yield image_id, kept
+    def work(lines, first_line, out, found):
+        changed = passthrough = 0
+
+        def filtered():
+            nonlocal changed, passthrough
+            images, deployments = dataset.images, dataset.deployments
+            unknown_label_id = dataset.taxonomy.unknown_label_id
+            for image_id, entries in iter_predictions(lines, found, first_line):
+                image = images.get(image_id)
+                if image is None:
+                    passthrough += 1
+                    yield image_id, entries
+                    continue
+                deployment = deployments[image.deployment_id]
+                kept = geofilter(entries, deployment.latitude, deployment.longitude,
+                                 range_map, unknown_label_id)
+                changed += kept != entries
+                yield image_id, kept
+
+        written = write_predictions(filtered(), out)
+        return written, changed, passthrough
 
     def write(handle):
-        nonlocal written
-        written = _read(args.predictions,
-                        lambda predictions: write_predictions(filtered(predictions), handle))
+        counts[:] = _halves(args.predictions, work, handle, issues)
 
     return {"predictions_filtered.txt": write}, lambda: [
-        f"records                 {written}",
-        f"records changed         {changed}",
-        f"unknown image ids       {passthrough} (passed through unfiltered)",
+        f"records                 {counts[0]}",
+        f"records changed         {counts[1]}",
+        f"unknown image ids       {counts[2]} (passed through unfiltered)",
     ]
 
 

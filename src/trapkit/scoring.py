@@ -55,16 +55,18 @@ class MetricsReport(NamedTuple):
     unmatched_predictions: int = 0
 
 
-def iter_predictions(stream: IO[str], issues: list[Issue]) -> Iterable[Prediction]:
+def iter_predictions(
+    stream: IO[str], issues: list[Issue], first_line: int = 1
+) -> Iterable[Prediction]:
     """Stream `image_id label:score ...` lines as ``(image_id, entries)`` pairs.
 
     Malformed lines, such as an id with no entry or a score that is not a finite number, are
     appended to ``issues`` with their line number and dropped, so each record ranks at least one
     label. Records whose scores are not nonincreasing are re-sorted (stable) and flagged; duplicate
     labels within a record keep the highest-ranked occurrence and are flagged. Lines are numbered
-    from 1.
+    from ``first_line``.
     """
-    for line_number, line in enumerate(stream, start=1):
+    for line_number, line in enumerate(stream, start=first_line):
         parts = line.split()
         if not parts:
             continue

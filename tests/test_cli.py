@@ -412,6 +412,8 @@ def test_eval_scores_the_first_of_two_prediction_lines_for_an_image(
 @pytest.mark.parametrize("extra, message", [
     (["--images", "more.csv"], "1 --deployments but 2 --images; sources are paired by order"),
     (["--source-name", "a", "--source-name", "b"], "--source-name must be given once per source"),
+    (["--deployments", "more.csv", "--images", "more.csv", "--source-name", "a",
+      "--source-name", "a"], "--source-name a is repeated; each source needs its own"),
 ])
 def test_unpaired_sources_are_refused_before_any_input_is_looked_at(tmp_path, capsys,
                                                                      extra, message):

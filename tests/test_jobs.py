@@ -1,13 +1,20 @@
 """`--jobs N` has no effect: any value gives the bytes, issues and exit status of ``--jobs 1``.
 
-Every command runs in one process, so no value starts a worker. The inputs
-here are the ones a split of the work would be most likely to get wrong:
-odd line endings, byte order marks, faults on the last line, and records
-whose issues come from the start and the end of a file.
+No value starts a worker. Only a large predictions file does: ``geofilter``
+filters the second half of one of at least ``cli._FORK_BYTES`` in a forked
+child, and the tests at the end force that split on small files to show it
+gives the bytes, issues and exit status of one process. The inputs here are
+the ones a split of the work would be most likely to get wrong: odd line
+endings, byte order marks, faults on the last line, and records whose issues
+come from the start and the end of a file.
 """
 
 import csv
+import errno
+import itertools
+import os
 import re
+import signal
 import tempfile
 from pathlib import Path
 
@@ -17,6 +24,7 @@ from hypothesis import strategies as st
 
 from trapkit import cli
 from trapkit.cli import main
+from trapkit.errors import TrapkitError
 from trapkit.report import ValidationReport
 
 REPO = Path(__file__).resolve().parent.parent
@@ -221,3 +229,168 @@ def test_lines_are_read_as_a_text_file_ends_them(tmp_path, pieces, mark):
     # only \n, \r and \r\n end a line, each kept untranslated; the mark is dropped
     expected = [line.decode() for line in re.findall(rb"[^\r\n]*(?:\r\n|\r|\n)|[^\r\n]+\Z", text)]
     assert cli._read(path, list) == expected
+
+
+# The split: geofilter cuts a large predictions file after the first \n at or
+# after its middle byte, works the lines before the cut and forks a child for
+# the lines after it. The tests below force it on files of any size.
+
+
+def _force_split(monkeypatch):
+    monkeypatch.setattr(cli, "_FORK_BYTES", 0)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
+
+def _assert_reaped(pids):
+    for pid in pids:
+        with pytest.raises(ChildProcessError):  # not a child of this process any more
+            os.waitpid(pid, os.WNOHANG)
+
+
+def _lone_cr_but(end):
+    """The fixture's lines ended by lone CRs, but for ``end`` where the cut falls."""
+    def make(text):
+        text = text.replace(b"\n", b"\r") + b"i_am1_001 sp_canis_lupus\r"
+        at = text.index(b"\r", len(text) // 2 + len(end))
+        return text[:at] + end + text[at + 1:]
+    return make
+
+
+def _chunk_ends(text):
+    """Fixture lines past 320 KiB, then a malformed line; the lines before the cut
+    are counted in 64 KiB chunks, the first of which ends inside a CRLF and the
+    second in a lone CR. Each run of ``x`` is a malformed line that names its line."""
+    lines = itertools.cycle(text.splitlines(keepends=True))
+    body = bytearray()
+    for boundary, end in ((1 << 16, b"\r\n"), (2 << 16, b"\r")):
+        while len(body) < boundary - 1000:
+            body += next(lines)
+        body += b"x" * (boundary - 1 - len(body)) + end
+    while len(body) < 5 << 16:
+        body += next(lines)
+    return bytes(body) + b"i_am1_001 sp_canis_lupus\n"
+
+
+SPLIT = {
+    **CASES,
+    "cut right after a CRLF": _lone_cr_but(b"\r\n"),
+    "cut after a run of lone CRs": _lone_cr_but(b"\r\r\r\n"),
+    "mark right after the cut": _lone_cr_but(b"\n" + BOM),
+    "CRLF and lone CR across count chunks": _chunk_ends,
+    "only LF is the last byte": lambda text: text.replace(b"\n", b"\r")[:-1] + b"\n",
+}
+# no line starts after the first \n at or after the middle byte, so nothing forks
+UNCUT = {"lone CR", "one line", "no lines", "only LF is the last byte"}
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="the split forks")
+@pytest.mark.parametrize("case", SPLIT)
+def test_a_split_geofilter_is_byte_identical_to_one_process(tmp_path, fixture_dir, capsys,
+                                                            monkeypatch, forks, case):
+    predictions = tmp_path / "predictions.txt"
+    predictions.write_bytes(SPLIT[case]((fixture_dir / "predictions.txt").read_bytes()))
+    one = _run(fixture_dir, predictions, tmp_path / "one", 1, capsys)
+    assert forks == []
+    _force_split(monkeypatch)
+    assert _run(fixture_dir, predictions, tmp_path / "two", 1, capsys) == one
+    assert len(forks) == (case not in UNCUT)
+    _assert_reaped(forks)
+
+
+@pytest.mark.parametrize("fault", ["one CPU", "no process to spare"])
+def test_a_split_that_cannot_fork_works_the_whole_file_here(tmp_path, fixture_dir, capsys,
+                                                            monkeypatch, forks, fault):
+    predictions = fixture_dir / "predictions.txt"
+    one = _run(fixture_dir, predictions, tmp_path / "one", 1, capsys)
+    _force_split(monkeypatch)
+    if fault == "one CPU":  # as under ``taskset -c 0``
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    else:
+        def fork():
+            raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(os, "fork", fork)
+    assert _run(fixture_dir, predictions, tmp_path / "two", 1, capsys) == one
+    assert forks == []
+
+
+VICTIM = (("sp_victim", 0.5),)  # the entries of the one record a test's failure is for
+
+
+def _after_the_cut(fixture_dir, tmp_path):
+    """The fixture's predictions, then a last record ranking ``VICTIM``; and that line's number."""
+    text = (fixture_dir / "predictions.txt").read_bytes() + b"i_am1_001 sp_victim:0.5\n"
+    predictions = tmp_path / "predictions.txt"
+    predictions.write_bytes(text)
+    cut = text.index(b"\n", len(text) // 2) + 1
+    return predictions, text[:cut].count(b"\n") + 1
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="the split forks")
+@pytest.mark.parametrize("error", [TrapkitError, MemoryError, KeyError])
+def test_an_error_after_the_cut_is_raised_again_here(tmp_path, fixture_dir, capsys, monkeypatch,
+                                                    forks, error):
+    predictions, first = _after_the_cut(fixture_dir, tmp_path)
+    real, seen = cli.geofilter, []  # every ranking this process filters
+
+    def failing(entries, *where):
+        seen.append(entries)
+        if entries == VICTIM:
+            raise error("no range for sp_victim")
+        return real(entries, *where)
+
+    monkeypatch.setattr(cli, "geofilter", failing)
+    out = tmp_path / "two"
+    if error is KeyError:  # a fault in the program: it leaves main with the child's traceback
+        _force_split(monkeypatch)
+        with pytest.raises(KeyError, match="sp_victim") as raised:
+            main(_argv(fixture_dir, predictions, out, 1))
+        notes = raised.value.__notes__
+        assert notes[0].startswith(f"raised in the child process for lines {first}- of ")
+        assert "in failing" in notes[0]
+    else:
+        one = _run(fixture_dir, predictions, tmp_path / "one", 1, capsys)
+        assert one[0] == 1 and one[3] is None
+        seen.clear()
+        _force_split(monkeypatch)
+        assert _run(fixture_dir, predictions, out, 1, capsys) == one
+    assert VICTIM not in seen  # the child filtered it
+    assert len(forks) == 1 and _files(out) is None
+    _assert_reaped(forks)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="the split forks")
+def test_a_non_utf8_byte_after_the_cut_fails_as_in_one_process(tmp_path, fixture_dir, capsys,
+                                                              monkeypatch, forks):
+    # past the 8 KiB this process decodes beyond the cut, so only the child reads it
+    text = (fixture_dir / "predictions.txt").read_bytes() * 32 + b"i_am1_004 sp_\xff:1.0\n"
+    predictions = tmp_path / "predictions.txt"
+    predictions.write_bytes(text)
+    one = _run(fixture_dir, predictions, tmp_path / "one", 1, capsys)
+    assert one[:3] == (1, "", f"error: {predictions} is not UTF-8 text (invalid start byte)\n")
+    _force_split(monkeypatch)
+    assert _run(fixture_dir, predictions, tmp_path / "two", 1, capsys) == one
+    assert len(forks) == 1 and one[3] is None
+    _assert_reaped(forks)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="the split forks")
+@pytest.mark.parametrize("end", ["killed", "exit 0"])
+def test_a_child_that_ends_with_no_result_fails_the_command(tmp_path, fixture_dir, capsys,
+                                                            monkeypatch, forks, end):
+    predictions, first = _after_the_cut(fixture_dir, tmp_path)
+    real = cli.geofilter
+
+    def ending(entries, *where):
+        if entries == VICTIM:  # only the child filters it
+            os.kill(os.getpid(), signal.SIGKILL) if end == "killed" else os._exit(0)
+        return real(entries, *where)
+
+    monkeypatch.setattr(cli, "geofilter", ending)
+    _force_split(monkeypatch)
+    out = tmp_path / "out"
+    assert _run(fixture_dir, predictions, out, 1, capsys) == (
+        1, "", f"error: the process for lines {first}- of {predictions} ended with no result\n",
+        None)
+    assert len(forks) == 1
+    _assert_reaped(forks)
