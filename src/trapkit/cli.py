@@ -13,7 +13,7 @@ every writer is done. Every artifact is streamed into a hidden
 ``.NAME.partial`` file; only when all of a command's partial files are
 whole are they renamed into place, so its artifacts are all there or none.
 
-``geofilter`` filters a predictions file of at least ``_FORK_BYTES`` (2 MiB)
+``geofilter`` filters a predictions file of at least ``_FORK_BYTES`` (512 KiB)
 in two processes, one per half, when it may run on two or more CPUs (see
 ``_halves``); its artifacts, output and exit status are those of one
 process. Every other command, and ``geofilter`` on a smaller file or pinned
@@ -75,7 +75,7 @@ from .stats import (
 )
 from .taxonomy import Level, parse_taxonomy
 
-_FORK_BYTES = 2 << 20  # a predictions file this large is filtered in two processes (``_halves``)
+_FORK_BYTES = 512 << 10  # a predictions file this large is filtered in two processes (``_halves``)
 
 
 def _checked(kind, rule, *args):
@@ -108,7 +108,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="exit 1 when any error-severity validation issue is found")
     shared.add_argument("--jobs", type=int, default=1, metavar="N",
                         help="accepted and ignored: geofilter works a predictions file of "
-                             "2 MiB or more in two processes when it may run on two CPUs, and "
+                             "512 KiB or more in two processes when it may run on two CPUs, and "
                              "every other command runs in one; $TRAPKIT_JOBS has no effect "
                              "either")
     shared.add_argument("--format", choices=["csv", "summary"], default="summary",
@@ -250,6 +250,7 @@ def _halves(path, work, out, issues: list) -> tuple:
     import tempfile
 
     span = f"lines {count + 1}- of {path}"
+    out_of_memory = pickle.dumps(MemoryError())  # made here: the child may have no memory left
     with tempfile.TemporaryFile(dir=os.path.dirname(out.name)) as spill:
         reader, writer = os.pipe()
         with open(reader, "rb") as pipe, open(writer, "wb") as sink:
@@ -264,14 +265,17 @@ def _halves(path, work, out, issues: list) -> tuple:
                     try:
                         with open(spill.fileno(), "w", encoding="utf-8", newline="",
                                   closefd=False) as text:
-                            message = _read(path, lambda rest: work(rest, count + 1, text, found),
-                                            cut), found
+                            message = pickle.dumps((
+                                _read(path, lambda rest: work(rest, count + 1, text, found), cut),
+                                found))
+                    except MemoryError:
+                        message = out_of_memory
                     except Exception as exc:  # the parent raises it again
                         import traceback
                         exc.add_note(f"raised in the child process for {span}:\n"
                                      f"{traceback.format_exc()}")
-                        message = exc
-                    sink.write(pickle.dumps(message))
+                        message = pickle.dumps(exc)
+                    sink.write(message)
                     sink.flush()
                     status = 0
                 finally:

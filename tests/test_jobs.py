@@ -15,6 +15,8 @@ import itertools
 import os
 import re
 import signal
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -394,3 +396,53 @@ def test_a_child_that_ends_with_no_result_fails_the_command(tmp_path, fixture_di
         None)
     assert len(forks) == 1
     _assert_reaped(forks)
+
+
+# Run in a child interpreter, whose forked child may map only 8 MiB more than
+# it holds at the fork, then run the CLI with the split forced.
+CHILD_OUT_OF_MEMORY = """
+import os, resource, sys
+from trapkit import cli
+cli._FORK_BYTES = 0
+os.sched_getaffinity = lambda pid: {0, 1}
+real_fork, forks = os.fork, []
+
+def fork():
+    pid = real_fork()
+    if pid == 0:
+        with open("/proc/self/statm") as statm:
+            size = int(statm.read().split()[0]) * os.sysconf("SC_PAGE_SIZE")
+        resource.setrlimit(resource.RLIMIT_AS, (size + (8 << 20), resource.RLIM_INFINITY))
+    else:
+        forks.append(pid)
+    return pid
+
+os.fork = fork
+status = cli.main(sys.argv[1:])
+for pid in forks:
+    try:
+        os.waitpid(pid, os.WNOHANG)
+    except ChildProcessError:
+        pid = "reaped"
+    print(f"status {status}, child {pid}")
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/statm"), reason="sizes the child by statm")
+def test_a_child_out_of_memory_fails_as_one_process_does(tmp_path, fixture_dir):
+    # 2 MiB of the fixture's lines, so the cut comes before a last line of
+    # 256Ki entries, which str.split cannot hold in 8 MiB
+    lines = itertools.cycle((fixture_dir / "predictions.txt").read_bytes().splitlines(True))
+    text = bytearray()
+    while len(text) < 2 << 20:
+        text += next(lines)
+    predictions = tmp_path / "predictions.txt"
+    predictions.write_bytes(bytes(text) + b"i_huge " + b"a:0.1 " * (256 << 10) + b"\n")
+    out = tmp_path / "out"
+    env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+    result = subprocess.run([sys.executable, "-c", CHILD_OUT_OF_MEMORY,
+                             *_argv(fixture_dir, predictions, out, 1)],
+                            cwd=REPO, env=env, capture_output=True, text=True, timeout=120)
+    assert (result.returncode, result.stdout, result.stderr) == \
+        (0, "status 1, child reaped\n", "error: out of memory\n")
+    assert _files(out) is None
