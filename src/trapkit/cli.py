@@ -13,12 +13,14 @@ every writer is done. Every artifact is streamed into a hidden
 ``.NAME.partial`` file; only when all of a command's partial files are
 whole are they renamed into place, so its artifacts are all there or none.
 
-``geofilter`` filters a predictions file of at least ``_FORK_BYTES`` (512 KiB)
-in two processes, one per half, when it may run on two or more CPUs (see
-``_halves``); its artifacts, output and exit status are those of one
-process. Every other command, and ``geofilter`` on a smaller file or pinned
-to one CPU (``taskset -c 0``), runs in one process. ``--jobs N`` is accepted
-and has no effect, and neither has ``$TRAPKIT_JOBS``.
+``geofilter`` and ``sequences --predictions`` work a predictions file of at
+least ``_FORK_BYTES`` (512 KiB) in two processes, when they may run on two or
+more CPUs (see ``_cut`` and ``_fork``): the lines after the file's middle
+are filtered, or stored, in a forked child, and ``sequences`` then fuses the
+later half of its bursts in a second one. Their artifacts, output and exit
+status are those of one process. Every other command, and both on a smaller
+file or pinned to one CPU (``taskset -c 0``), run in one process. ``--jobs
+N`` is accepted and has no effect, and neither has ``$TRAPKIT_JOBS``.
 
 Exit status: 0 on success; 1 on runtime errors, including input that is
 not UTF-8 and running out of memory, or (with --strict) on error-severity
@@ -53,6 +55,7 @@ from .geosplit import (
 from .ingest import Source, parse_deployments, parse_images, unify, write_deployments, write_images
 from .report import ValidationReport
 from .scoring import (
+    HeldPredictions,
     evaluate,
     geofilter,
     iter_predictions,
@@ -63,6 +66,7 @@ from .scoring import (
     write_predictions,
 )
 from .stats import (
+    SequenceIds,
     blank_rate,
     class_distribution,
     class_weights,
@@ -75,7 +79,7 @@ from .stats import (
 )
 from .taxonomy import Level, parse_taxonomy
 
-_FORK_BYTES = 512 << 10  # a predictions file this large is filtered in two processes (``_halves``)
+_FORK_BYTES = 512 << 10  # a predictions file this large is worked in two processes (``_cut``)
 
 
 def _checked(kind, rule, *args):
@@ -107,10 +111,10 @@ def build_parser() -> argparse.ArgumentParser:
     shared.add_argument("--strict", action="store_true",
                         help="exit 1 when any error-severity validation issue is found")
     shared.add_argument("--jobs", type=int, default=1, metavar="N",
-                        help="accepted and ignored: geofilter works a predictions file of "
-                             "512 KiB or more in two processes when it may run on two CPUs, and "
-                             "every other command runs in one; $TRAPKIT_JOBS has no effect "
-                             "either")
+                        help="accepted and ignored: geofilter and sequences work a predictions "
+                             "file of 512 KiB or more in two processes when they may run on two "
+                             "CPUs, and every other command runs in one; $TRAPKIT_JOBS has no "
+                             "effect either")
     shared.add_argument("--format", choices=["csv", "summary"], default="summary",
                         help="what to print on stdout: human summary or the primary csv artifact")
     shared.add_argument("-v", "--verbose", action="store_true",
@@ -203,53 +207,60 @@ def _read(path, parse, start=0):
             raise TrapkitError(f"{path} is not UTF-8 text ({exc.reason})") from None
 
 
-def _halves(path, work, out, issues: list) -> tuple:
-    """Return the counts ``work`` makes of ``path``'s lines; a large file's second half is forked.
+def _cut(path):
+    """Where a predictions file is split in two: ``(byte offset, lines before it)``, or None.
 
-    ``work(lines, first, out, found)`` works ``lines``, numbering them from
-    ``first``, writes its text to ``out``, appends its issues to ``found`` and
-    returns a tuple of counts. A file of at least ``_FORK_BYTES`` bytes, where
-    ``os.fork`` exists and this process may run on two or more CPUs, is cut
-    after the first ``\n`` at or after its middle byte, if a line follows it.
-    A forked child works the lines after the cut into an unnamed spill file
-    beside ``out`` and pipes back its counts and issues, or its exception,
-    which is raised here. This process works the lines before the cut, then
-    appends the child's text, issues and counts to its own, so all three end
-    as one call over the whole file leaves them. The child leaves only through
-    ``os._exit``, so it flushes nothing it inherited. It is reaped before this
-    returns or raises, and killed first if its result was never read.
+    A file of at least ``_FORK_BYTES`` bytes is cut after the first ``\n`` at
+    or after its middle byte, if a line follows it. The lines before the cut
+    are counted as a text file ends them: at each ``\n``, lone ``\r`` and
+    ``\r\n``.
     """
-    def whole():
-        return _read(path, lambda lines: work(lines, 1, out, issues))
-
     size = os.path.getsize(path)
-    if (size < _FORK_BYTES or not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity")
-            or len(os.sched_getaffinity(0)) < 2):
-        return whole()
+    if size < _FORK_BYTES:
+        return None
     with open(path, "rb") as raw:
         cut = size // 2
         raw.seek(cut)
         while (chunk := raw.read(1 << 16)) and (end := chunk.find(b"\n")) < 0:
             cut += len(chunk)
         if not chunk or cut + end + 1 == size:  # no line starts after the middle byte
-            return whole()
+            return None
         cut += end + 1
-        # the lines before the cut, ended as a text file ends them: at each
-        # \n, lone \r and \r\n; a \r that ends a chunk waits for the next one
         raw.seek(0)
         count = 0
-        carry = b""
+        carry = b""  # a \r that ends a chunk waits for the next one
         for start in range(0, cut, 1 << 16):
             chunk = carry + raw.read(min(cut - start, 1 << 16))
             carry = b"\r" if chunk.endswith(b"\r") else b""
             count += chunk.count(b"\n") + chunk.count(b"\r") - chunk.count(b"\r\n") - len(carry)
+    return cut, count
+
+
+def _fork(here, there, out, span):
+    """Return ``here()`` and ``there(text)``, running ``there`` in a forked child where it can.
+
+    ``here`` writes its text to the text file ``out``; ``there`` writes its
+    text to ``text`` and returns a picklable result. Where ``os.fork`` exists
+    and this process may run on two or more CPUs, a forked child calls
+    ``there`` on an unnamed spill file beside ``out`` and pipes back its
+    result, or its exception, which is raised here; this process calls
+    ``here()``, then appends the spill's text to ``out``. Otherwise, or when
+    no process can be forked, ``there(out)`` is called here after ``here()``.
+    Either way ``out`` holds ``here``'s text, then ``there``'s. The child
+    leaves only through ``os._exit``, so it flushes nothing it inherited. It
+    is reaped before this returns or raises, and killed first if its result
+    was never read. ``span`` names the child's share of the work in the note
+    on its exception and in the error for a child that ends with no result.
+    """
+    if (not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity")
+            or len(os.sched_getaffinity(0)) < 2):
+        return here(), there(out)
 
     # imported here, so the runs that never fork do not pay for them
     import pickle
     import signal
     import tempfile
 
-    span = f"lines {count + 1}- of {path}"
     out_of_memory = pickle.dumps(MemoryError())  # made here: the child may have no memory left
     with tempfile.TemporaryFile(dir=os.path.dirname(out.name)) as spill:
         reader, writer = os.pipe()
@@ -257,17 +268,14 @@ def _halves(path, work, out, issues: list) -> tuple:
             try:
                 pid = os.fork()
             except OSError:  # no process to spare
-                return whole()
+                return here(), there(out)
             if pid == 0:
                 status = 1
                 try:
-                    found = []
                     try:
                         with open(spill.fileno(), "w", encoding="utf-8", newline="",
                                   closefd=False) as text:
-                            message = pickle.dumps((
-                                _read(path, lambda rest: work(rest, count + 1, text, found), cut),
-                                found))
+                            message = pickle.dumps((there(text),))
                     except MemoryError:
                         message = out_of_memory
                     except Exception as exc:  # the parent raises it again
@@ -281,25 +289,53 @@ def _halves(path, work, out, issues: list) -> tuple:
                 finally:
                     os._exit(status)
             sink.close()  # only the child writes to the pipe
+            result = None  # until its whole result is read
             try:
-                mine = _read(path, lambda first: work(islice(first, count), 1, out, issues))
-                message = pipe.read()
+                mine = here()
+                try:  # loaded as it is read, so the pickled bytes are never held whole
+                    result = pickle.load(pipe)
+                except (EOFError, pickle.UnpicklingError):
+                    pass
                 pipe.close()
             finally:
                 if not pipe.closed:  # its result was never read: it may still be working
                     os.kill(pid, signal.SIGKILL)
                 status = os.waitpid(pid, 0)[1]
-        if status or not message:  # it ended before its whole result was written
+        if status or result is None:  # it ended before its whole result was written
             raise TrapkitError(f"the process for {span} ended with no result")
-        message = pickle.loads(message)
-        if isinstance(message, BaseException):
-            raise message
-        theirs, found = message
+        if isinstance(result, BaseException):
+            raise result
         out.flush()
         spill.seek(0)
         shutil.copyfileobj(spill, out.buffer)
+    return mine, result[0]
+
+
+def _halves(path, work, out, issues):
+    """Return what ``work`` makes of the lines of ``path`` before and after its cut (``_cut``).
+
+    ``work(lines, first, out, found)`` works ``lines``, numbering them from
+    ``first``, writes its text to ``out``, appends its issues to ``found``
+    and returns its result. The lines after the cut are worked through
+    ``_fork``, and their issues appended to ``issues`` after those of the
+    lines before it, so text and issues end as one call over the whole file
+    leaves them. A file with no cut is worked in one call, whose result
+    comes first, with None second.
+    """
+    cut = _cut(path)
+    if cut is None:
+        return _read(path, lambda lines: work(lines, 1, out, issues)), None
+    start, count = cut
+
+    def after(text):
+        found = []
+        return _read(path, lambda rest: work(rest, count + 1, text, found), start), found
+
+    mine, (theirs, found) = _fork(
+        lambda: _read(path, lambda first: work(islice(first, count), 1, out, issues)),
+        after, out, f"lines {count + 1}- of {path}")
     issues.extend(found)
-    return tuple(map(sum, zip(mine, theirs)))
+    return mine, theirs
 
 
 def _load_dataset(args):
@@ -513,7 +549,8 @@ def _cmd_geofilter(args, dataset, issues):
         return written, changed, passthrough
 
     def write(handle):
-        counts[:] = _halves(args.predictions, work, handle, issues)
+        mine, theirs = _halves(args.predictions, work, handle, issues)
+        counts[:] = mine if theirs is None else map(sum, zip(mine, theirs))
 
     return {"predictions_filtered.txt": write}, lambda: [
         f"records                 {counts[0]}",
@@ -532,7 +569,7 @@ def _cmd_weights(args, dataset, issues):
 
 def _cmd_sequences(args, dataset, issues):
     groups = group_bursts(dataset, args.max_gap_seconds)
-    ids = [] if args.predictions else None  # each group's id, as sequences.csv holds it
+    ids = SequenceIds() if args.predictions else None  # as sequences.csv holds them
     artifacts = {"sequences.csv": lambda handle: write_sequences(groups, handle, ids)}
     lines = [f"sequences               {len(groups)} from {len(dataset.images)} images"]
     if not args.predictions:
@@ -543,9 +580,31 @@ def _cmd_sequences(args, dataset, issues):
 
     def write(handle):
         nonlocal aggregated
-        aggregated = _read(args.predictions, lambda predictions: write_predictions(
-            sequence_aggregate(iter_predictions(predictions, issues), groups, dropped, ids),
-            handle))
+        held = HeldPredictions.of(groups)
+
+        def store(lines, first_line, out, found):
+            # the lines after a cut go to a store of their own, which only their columns leave
+            part = held if first_line == 1 else HeldPredictions(held.ordinal, held.sizes)
+            part.read(iter_predictions(lines, found, first_line))
+            return part.columns() if part is not held else None
+
+        _, later = _halves(args.predictions, store, handle, issues)
+        if later is None:
+            aggregated = write_predictions(sequence_aggregate(held, ids, dropped), handle)
+        else:  # a file large enough to cut: fuse its bursts in two processes too
+            held.join(later)
+            middle = held.halfway()
+
+            def fuse_rest(text):
+                found = []
+                return write_predictions(sequence_aggregate(held, ids, found, middle), text), found
+
+            mine, (theirs, found) = _fork(
+                lambda: write_predictions(sequence_aggregate(held, ids, dropped, 0, middle),
+                                          handle),
+                fuse_rest, handle, f"bursts {middle + 1}-{len(groups)}")
+            aggregated = mine + theirs
+            dropped.extend(found)
         issues.extend(dropped)
 
     artifacts["sequence_predictions.txt"] = write

@@ -18,7 +18,9 @@ from __future__ import annotations
 
 import math
 from array import array
-from itertools import chain
+from bisect import bisect_right
+from itertools import accumulate, chain, compress, count, islice
+from operator import attrgetter, sub
 from typing import IO, Iterable, Mapping, NamedTuple, Sequence
 
 from ._util import positive, read_rows, record_issue, write_rows
@@ -286,64 +288,138 @@ def parse_range_map(
     return boxes, issues
 
 
-def sequence_aggregate(
-    predictions: Iterable[Prediction],
-    groups: Sequence[Sequence],
-    issues: list[Issue],
-    ids: Sequence[str],
-) -> Iterable[Prediction]:
-    """Yield one fused, ranked record per burst group, in group order.
+class HeldPredictions:
+    """The first prediction of each burst member, held as columns for ``sequence_aggregate``.
 
-    Each member record's scores are normalized by its own top score (0.0
-    each when that is not > 0), the normalized scores are averaged per
-    label across the group's predicted members (absent labels contribute
-    zero), and labels are re-ranked by descending mean with ties broken by
-    label id. A group with no predicted member yields nothing. Nor does a
-    group whose normalizing or summing overflows, leaving a mean that is
-    not finite: it is appended to ``issues`` as one ``malformed_prediction``
-    keyed by its sequence id and naming each such label. ``ids`` holds each
-    group's sequence id, one per group, as ``stats.write_sequences`` hands
-    them on; any other count raises ``ValueError``.
-
-    Every prediction is read before the first yield, but only the first
-    record of each group member is kept, and only as columns: its labels as
-    codes (numbered in first-seen order) in one ``array('I')``, its
-    normalized scores in one ``array('d')``, and where they start and stop
-    in two offset arrays indexed by the member's ordinal. A record for an
-    image in no group, or for a member already read, is dropped as soon as
-    it is read.
+    Members are numbered in group order: ``ordinal`` maps each member's image
+    id to its number, and ``sizes`` holds each group's member count. Neither
+    is ever changed, so a store for a later part of the predictions may share
+    them (see ``join``). Member ``m``'s labels are ``codes[starts[m]:stops[m]]``,
+    as codes into ``labels`` (numbered in first-seen order), and its scores,
+    each divided by its own top score (0.0 each when that is not > 0), are
+    ``scores[starts[m]:stops[m]]``. ``starts[m] == stops[m]`` for a member
+    with no record held. The offsets take 32 bits: 2**32 held entries would
+    take 51 GB.
     """
-    # image id -> member ordinal, until the member's first record is read
-    ordinal = {image.image_id: n for n, image in enumerate(chain.from_iterable(groups))}
-    starts = array("I", [0]) * len(ordinal)  # 32 bits: 2**32 held entries take 51 GB
-    stops = array("I", starts)  # start == stop: unpredicted
-    codes = array("I")
-    scores = array("d")
-    label_codes: dict[str, int] = {}
-    for image_id, entries in predictions:
-        member = ordinal.pop(image_id, None)
-        if member is None:
-            continue  # in no group or already read
-        top_score = entries[0][1]
-        starts[member] = len(codes)
-        codes.fromlist([label_codes.setdefault(label, len(label_codes)) for label, _ in entries])
-        scores.fromlist([score / top_score for _, score in entries] if top_score > 0
-                        else [0.0] * len(entries))
-        stops[member] = len(codes)
 
-    labels = list(label_codes)
-    bounds = zip(starts, stops)  # each member's slice of codes and scores, in member order
-    for group, key in zip(groups, ids, strict=True):
+    __slots__ = ("ordinal", "sizes", "starts", "stops", "codes", "scores", "labels")
+
+    def __init__(self, ordinal: Mapping[str, int], sizes: array):
+        self.ordinal = ordinal
+        self.sizes = sizes
+        self.starts = array("I", [0]) * sum(sizes)
+        self.stops = array("I", self.starts)
+        self.codes = array("I")
+        self.scores = array("d")
+        self.labels: dict[str, int] = {}
+
+    @classmethod
+    def of(cls, groups: Sequence[Sequence]) -> HeldPredictions:
+        """An empty store for the members of ``groups``, each a sequence of image records."""
+        image_ids = map(attrgetter("image_id"), chain.from_iterable(groups))
+        return cls(dict(zip(image_ids, count())), array("I", map(len, groups)))
+
+    def read(self, predictions: Iterable[Prediction]) -> None:
+        """Hold the first record of each member not held yet.
+
+        A record for an image in no group, or for a member already held, is
+        dropped as soon as it is read.
+        """
+        ordinal, starts, stops = self.ordinal, self.starts, self.stops
+        codes, scores, label_codes = self.codes, self.scores, self.labels
+        for image_id, entries in predictions:
+            member = ordinal.get(image_id)
+            if member is None or stops[member]:
+                continue  # in no group, or held already
+            top_score = entries[0][1]
+            starts[member] = len(codes)
+            codes.fromlist([label_codes.setdefault(label, len(label_codes))
+                            for label, _ in entries])
+            scores.fromlist([score / top_score for _, score in entries] if top_score > 0
+                            else [0.0] * len(entries))
+            stops[member] = len(codes)
+
+    def columns(self) -> tuple:
+        """The held members, their starts and stops, the codes, scores and labels; see ``join``."""
+        held = self.stops  # nonzero exactly for a held member
+        return (array("I", compress(range(len(held)), held)),
+                array("I", compress(self.starts, held)), array("I", compress(held, held)),
+                self.codes, self.scores, list(self.labels))
+
+    def join(self, columns: tuple) -> None:
+        """Hold what another store's ``columns`` hold for each member not held here.
+
+        The other store read later records of the same members, so a member
+        held here keeps its record. Its codes are renumbered into this
+        store's labels, and its codes and scores are appended once.
+        """
+        members, starts, stops, codes, scores, labels = columns
+        label_codes = self.labels
+        table = [label_codes.setdefault(label, len(label_codes)) for label in labels]
+        offset = len(self.codes)
+        self.codes.extend(map(table.__getitem__, codes))
+        self.scores.extend(scores)
+        mine_starts, mine_stops = self.starts, self.stops
+        for member, start, stop in zip(members, starts, stops):
+            if not mine_stops[member]:
+                mine_starts[member] = offset + start
+                mine_stops[member] = offset + stop
+
+    def halfway(self) -> int:
+        """The group that holds the middle held entry, number ``total // 2`` in member order.
+
+        Fusing the groups before it takes about as long as fusing the groups
+        from it on. 0 when no entry is held.
+        """
+        # the entries held by each member and all members before it
+        held = array("I", accumulate(map(sub, self.stops, self.starts)))
+        if not held or not held[-1]:
+            return 0
+        return bisect_right(array("I", accumulate(self.sizes)), bisect_right(held, held[-1] // 2))
+
+
+def sequence_aggregate(
+    held: HeldPredictions,
+    ids,
+    issues: list[Issue],
+    first: int = 0,
+    last: int | None = None,
+) -> Iterable[Prediction]:
+    """Yield one fused, ranked record per burst group from ``first`` up to ``last``, in order.
+
+    The normalized scores ``held`` holds for a group's members are averaged
+    per label across the group's predicted members (absent labels contribute
+    zero), in member order, and labels are re-ranked by descending mean with
+    ties broken by label id. A group with no predicted member yields
+    nothing. Nor does a group whose normalizing or summing overflows,
+    leaving a mean that is not finite: it is appended to ``issues`` as one
+    ``malformed_prediction`` keyed by its sequence id and naming each such
+    label. ``ids`` is the ``stats.SequenceIds`` of every group; another count
+    of ids than of groups raises ``ValueError``.
+
+    Groups are walked by their sizes and ids by their offsets, so fusing
+    touches no image record and no id string: a forked process that fuses
+    copies none of their pages.
+    """
+    sizes = held.sizes
+    if len(ids) != len(sizes):
+        raise ValueError(f"{len(ids)} sequence ids for {len(sizes)} groups")
+    labels = list(held.labels)
+    codes, scores = held.codes, held.scores
+    text, ends = ids.text, ids.ends
+    member = sum(sizes[:first])
+    bounds = zip(islice(held.starts, member, None), islice(held.stops, member, None))
+    for group, size in enumerate(sizes[first:last], first):
         sums: dict[int, float] = {}
         predicted = 0
-        # the group is zipped first, so its last member pulls no bounds of the next group
-        for _, (start, stop) in zip(group, bounds):
+        for start, stop in islice(bounds, size):
             if start != stop:
                 predicted += 1
                 for code, normalized in zip(codes[start:stop], scores[start:stop]):
                     sums[code] = sums.get(code, 0.0) + normalized
         if not predicted:
             continue
+        key = text[ends[group]:ends[group + 1]]
         if not all(map(math.isfinite, sums.values())):
             overflowed = sorted(labels[code] for code, value in sums.items()
                                 if not math.isfinite(value))

@@ -8,8 +8,10 @@ export class weights that counteract the imbalance.
 
 from __future__ import annotations
 
+import io
 import math
 import sys
+from array import array
 from collections import Counter
 from itertools import chain
 from operator import attrgetter
@@ -175,13 +177,32 @@ def write_weights(weights: dict[str, float], stream: IO[str]) -> None:
     write_rows(stream, chain([WEIGHTS_COLUMNS], sorted(weights.items())))
 
 
-def write_sequences(groups, stream: IO[str], ids: list[str] | None = None) -> None:
+class SequenceIds:
+    """Every burst's sequence id, in group order, as one text and where each id ends.
+
+    Group ``g``'s id is ``text[ends[g]:ends[g + 1]]``. Held so, an id costs its
+    characters and one 4-byte offset, not a string object of its own.
+    """
+
+    __slots__ = ("text", "ends")
+
+    def __init__(self):
+        self.text = ""
+        self.ends = array("I", [0])
+
+    def __len__(self) -> int:
+        return len(self.ends) - 1
+
+
+def write_sequences(groups, stream: IO[str], ids: SequenceIds | None = None) -> None:
     """Write one `sequences.csv` row per burst group.
 
     A group's id is `deployment_id:start_time`. Its start time is formatted
-    once, for both. When ``ids`` is a list, each group's id is appended to
-    it, so fused predictions reuse the text.
+    once, for both. When ``ids`` is given, every group's id is added to it,
+    so fused predictions reuse the text.
     """
+    keys = io.StringIO()
+
     def rows():
         yield SEQUENCE_COLUMNS
         for group in groups:
@@ -189,7 +210,7 @@ def write_sequences(groups, stream: IO[str], ids: list[str] | None = None) -> No
             start = format_timestamp(first.timestamp)
             key = f"{first.deployment_id}:{start}"
             if ids is not None:
-                ids.append(key)
+                ids.ends.append(ids.ends[-1] + keys.write(key))
             yield (
                 key,
                 first.deployment_id,
@@ -201,3 +222,5 @@ def write_sequences(groups, stream: IO[str], ids: list[str] | None = None) -> No
             )
 
     write_rows(stream, rows())
+    if ids is not None:
+        ids.text += keys.getvalue()

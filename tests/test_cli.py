@@ -811,7 +811,8 @@ def _package_functions():
     return names
 
 
-def test_every_package_function_is_reached_by_a_command(tmp_path, fixture_dir, capsys):
+def test_every_package_function_is_reached_by_a_command(tmp_path, fixture_dir, capsys,
+                                                       monkeypatch):
     # functions only: a branch no test reaches is for `python tests/line_audit.py` to print
     def flags(name):
         return _dataset_flags(fixture_dir, tmp_path / name)
@@ -842,10 +843,16 @@ def test_every_package_function_is_reached_by_a_command(tmp_path, fixture_dir, c
     sys.setprofile(profile)
     try:
         statuses = [main(argv) for argv in runs]
+        # the split of a predictions file, on one CPU, so both halves run in this process
+        monkeypatch.setattr(cli, "_FORK_BYTES", 0)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        statuses += [main([*argv, "-o", str(tmp_path / "split" / argv[0])])
+                     for argv in runs[5:8:2]]  # geofilter and sequences
     finally:
         sys.setprofile(previous)
     capsys.readouterr()
-    assert statuses == [0] * 9 + [1, 0, 0, 0]  # the fixture's defect rows fail --strict
+    # the fixture's defect rows fail --strict
+    assert statuses == [0] * 9 + [1, 0, 0, 0] + [0, 0]
     missed = sorted(name for code, name in names.items() if code not in called)
     assert missed == sorted(UNREACHED)
 

@@ -2,8 +2,10 @@
 
 No value starts a worker. Only a large predictions file does: ``geofilter``
 filters the second half of one of at least ``cli._FORK_BYTES`` in a forked
-child, and the tests at the end force that split on small files to show it
-gives the bytes, issues and exit status of one process. The inputs here are
+child, and ``sequences`` stores that half in one child and fuses the later
+half of its bursts in another. The tests at the end force those splits on
+small files to show they give the bytes, issues and exit status of one
+process. The inputs here are
 the ones a split of the work would be most likely to get wrong: odd line
 endings, byte order marks, faults on the last line, and records whose issues
 come from the start and the end of a file.
@@ -140,20 +142,45 @@ _malformed = st.builds("{}{}".format, _member,
                        st.sampled_from(["", " sp_a", " sp_a:nan", " :0.5", " sp_a:1e999"]))
 
 
-@given(records=st.lists(st.one_of(_record, _malformed, st.just("")), max_size=30),
-       mark=st.booleans(), crlf=st.booleans(),
-       tail=st.sampled_from([b"", b"i_in_no_burst sp_\xff:1.0\n"]))
+_SEQUENCE_INPUTS = given(
+    records=st.lists(st.one_of(_record, _malformed, st.just("")), max_size=30),
+    mark=st.booleans(), crlf=st.booleans(),
+    tail=st.sampled_from([b"", b"i_in_no_burst sp_\xff:1.0\n"]))
+
+
+def _predictions(path, lines, mark, crlf, tail):
+    text = "".join(f"{line}\r\n" if crlf else f"{line}\n" for line in lines)
+    path.write_bytes(BOM * mark + text.encode() + tail)
+    return path
+
+
+def _record_issues(monkeypatch):
+    """The issues each run leaves, in the order the command left them, which the report's sort
+    hides."""
+    issues = []
+    monkeypatch.setattr(ValidationReport, "from_issues",
+                        lambda found: issues.append(list(found)) or FROM_ISSUES(found))
+    return issues
+
+
+def _assert_fused(result, predictions, tail):
+    status, _, err, files = result
+    if tail:
+        assert (status, err, files) == \
+            (1, f"error: {predictions} is not UTF-8 text (invalid start byte)\n", None)
+    else:
+        assert status == 0 and set(files) == {"sequences.csv", "sequence_predictions.txt"}
+        assert err.count("is not finite, fused record dropped") >= 3
+
+
+@_SEQUENCE_INPUTS
 @settings(max_examples=80, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 def test_sequences_is_byte_identical_for_any_jobs(tmp_path, fixture_dir, capsys, monkeypatch,
                                                   forks, records, mark, crlf, tail):
     lines = [*OVERFLOWS, *REPEATS, EMPTY, *records, VALID, *REPEATED]
-    text = "".join(f"{line}\r\n" if crlf else f"{line}\n" for line in lines)
-    predictions = tmp_path / "predictions.txt"
-    predictions.write_bytes(BOM * mark + text.encode() + tail)
-    issues = []  # in the order the command left them, which the report's sort hides
-    monkeypatch.setattr(ValidationReport, "from_issues",
-                        lambda found: issues.append(list(found)) or FROM_ISSUES(found))
+    predictions = _predictions(tmp_path / "predictions.txt", lines, mark, crlf, tail)
+    issues = _record_issues(monkeypatch)
 
     def run(out, jobs):
         issues.clear()
@@ -164,13 +191,7 @@ def test_sequences_is_byte_identical_for_any_jobs(tmp_path, fixture_dir, capsys,
         for jobs in (2, 8):
             assert run(Path(root, str(jobs)), jobs) == one
     assert forks == []
-    (status, _, err, files), _ = one
-    if tail:
-        assert (status, err, files) == \
-            (1, f"error: {predictions} is not UTF-8 text (invalid start byte)\n", None)
-    else:
-        assert status == 0 and set(files) == {"sequences.csv", "sequence_predictions.txt"}
-        assert err.count("is not finite, fused record dropped") >= 3
+    _assert_fused(one[0], predictions, tail)
 
 
 # The artifact each command streams from its predictions
@@ -233,9 +254,11 @@ def test_lines_are_read_as_a_text_file_ends_them(tmp_path, pieces, mark):
     assert cli._read(path, list) == expected
 
 
-# The split: geofilter cuts a large predictions file after the first \n at or
-# after its middle byte, works the lines before the cut and forks a child for
-# the lines after it. The tests below force it on files of any size.
+# The split: a large predictions file is cut after the first \n at or after
+# its middle byte. geofilter works the lines before the cut and forks a child
+# for the lines after it; sequences stores them so, then forks a second child
+# to fuse the bursts from the one that holds the middle stored entry on. The
+# tests below force the split on files of any size.
 
 
 def _force_split(monkeypatch):
@@ -247,6 +270,39 @@ def _assert_reaped(pids):
     for pid in pids:
         with pytest.raises(ChildProcessError):  # not a child of this process any more
             os.waitpid(pid, os.WNOHANG)
+
+
+@_SEQUENCE_INPUTS
+@settings(max_examples=60, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_a_split_sequences_is_byte_identical_to_one_process(tmp_path, fixture_dir, capsys,
+                                                            monkeypatch, forks, records, mark,
+                                                            crlf, tail):
+    # overflowing means in bursts 0, 15 and 31, from the start, middle and end of
+    # the file; the members of REPEATS are predicted again after the cut
+    middle = len(records) // 2
+    lines = [OVERFLOWS[0], *REPEATS, EMPTY, *records[:middle], OVERFLOWS[1], *records[middle:],
+             VALID, OVERFLOWS[2], *REPEATED]
+    predictions = _predictions(tmp_path / "predictions.txt", lines, mark, crlf, tail)
+    text = predictions.read_bytes()
+    issues = _record_issues(monkeypatch)
+    forks.clear()
+
+    def run(out):
+        issues.clear()
+        return _run(fixture_dir, predictions, out, 1, capsys, "sequences"), issues[:]
+
+    with tempfile.TemporaryDirectory(dir=tmp_path) as root:
+        one = run(Path(root, "one"))
+        assert forks == []
+        with monkeypatch.context() as patch:
+            _force_split(patch)
+            start, _ = cli._cut(predictions)
+            assert text.index(REPEATS[-1].encode()) < start < text.index(REPEATED[0].encode())
+            assert run(Path(root, "two")) == one
+    assert len(forks) == (1 if tail else 2)
+    _assert_reaped(forks)
+    _assert_fused(one[0], predictions, tail)
 
 
 def _lone_cr_but(end):
@@ -287,35 +343,26 @@ UNCUT = {"lone CR", "one line", "no lines", "only LF is the last byte"}
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="the split forks")
 @pytest.mark.parametrize("case", SPLIT)
-def test_a_split_geofilter_is_byte_identical_to_one_process(tmp_path, fixture_dir, capsys,
-                                                            monkeypatch, forks, case):
+@pytest.mark.parametrize("command", STREAMED)
+def test_a_split_is_byte_identical_to_one_process(tmp_path, fixture_dir, capsys, monkeypatch,
+                                                  forks, command, case):
     predictions = tmp_path / "predictions.txt"
     predictions.write_bytes(SPLIT[case]((fixture_dir / "predictions.txt").read_bytes()))
-    one = _run(fixture_dir, predictions, tmp_path / "one", 1, capsys)
+    issues = _record_issues(monkeypatch)
+    one = _run(fixture_dir, predictions, tmp_path / "one", 1, capsys, command), issues[:]
     assert forks == []
+    issues.clear()
     _force_split(monkeypatch)
-    assert _run(fixture_dir, predictions, tmp_path / "two", 1, capsys) == one
-    assert len(forks) == (case not in UNCUT)
+    assert (_run(fixture_dir, predictions, tmp_path / "two", 1, capsys, command), issues[:]) == one
+    # sequences forks again to fuse, once the child has stored the lines after the cut
+    stored = command == "geofilter" or case == "non-UTF-8 byte"
+    assert len(forks) == (0 if case in UNCUT else 1 if stored else 2)
     _assert_reaped(forks)
 
 
-@pytest.mark.parametrize("fault", ["one CPU", "no process to spare"])
-def test_a_split_that_cannot_fork_works_the_whole_file_here(tmp_path, fixture_dir, capsys,
-                                                            monkeypatch, forks, fault):
-    predictions = fixture_dir / "predictions.txt"
-    one = _run(fixture_dir, predictions, tmp_path / "one", 1, capsys)
-    _force_split(monkeypatch)
-    if fault == "one CPU":  # as under ``taskset -c 0``
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-    else:
-        def fork():
-            raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
-
-        monkeypatch.setattr(os, "fork", fork)
-    assert _run(fixture_dir, predictions, tmp_path / "two", 1, capsys) == one
-    assert forks == []
-
-
+# Each fork a test makes fail: geofilter's, and the two of sequences --predictions
+FORKS = {"geofilter": "geofilter", "sequences store": "sequences", "sequences fuse": "sequences"}
+LAST_BURST = (GOLDEN / "sequences" / STREAMED["sequences"]).read_text().split()[-3]
 VICTIM = (("sp_victim", 0.5),)  # the entries of the one record a test's failure is for
 
 
@@ -328,78 +375,140 @@ def _after_the_cut(fixture_dir, tmp_path):
     return predictions, text[:cut].count(b"\n") + 1
 
 
+def _in_the_child(monkeypatch, fork, act):
+    """Call ``act()`` on what only ``fork``'s child works: the record that ranks ``VICTIM``, on
+    the last line, or the last burst's fused record. Returns what this process worked."""
+    seen = []
+    if fork == "sequences fuse":
+        real_write = cli.write_predictions
+
+        def write(records, stream):
+            def failing():
+                for record in records:
+                    seen.append(record[0])
+                    if record[0] == LAST_BURST:
+                        act()
+                    yield record
+            return real_write(failing(), stream)
+
+        monkeypatch.setattr(cli, "write_predictions", write)
+        return seen
+    real_read = cli.iter_predictions
+
+    def failing(lines, found, first_line=1):
+        for record in real_read(lines, found, first_line):
+            seen.append(record[1])
+            if record[1] == VICTIM:
+                act()
+            yield record
+
+    monkeypatch.setattr(cli, "iter_predictions", failing)
+    return seen
+
+
+def _span(fork, predictions, first):
+    """A pattern for the share of the work ``fork``'s child is named by."""
+    if fork == "sequences fuse":
+        return r"bursts \d+-32"
+    return re.escape(f"lines {first}- of {predictions}")
+
+
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="the split forks")
 @pytest.mark.parametrize("error", [TrapkitError, MemoryError, KeyError])
+@pytest.mark.parametrize("fork", FORKS)
 def test_an_error_after_the_cut_is_raised_again_here(tmp_path, fixture_dir, capsys, monkeypatch,
-                                                    forks, error):
+                                                    forks, fork, error):
     predictions, first = _after_the_cut(fixture_dir, tmp_path)
-    real, seen = cli.geofilter, []  # every ranking this process filters
+    command = FORKS[fork]
 
-    def failing(entries, *where):
-        seen.append(entries)
-        if entries == VICTIM:
-            raise error("no range for sp_victim")
-        return real(entries, *where)
+    def fail():
+        raise error("no range for sp_victim")
 
-    monkeypatch.setattr(cli, "geofilter", failing)
+    seen = _in_the_child(monkeypatch, fork, fail)
     out = tmp_path / "two"
     if error is KeyError:  # a fault in the program: it leaves main with the child's traceback
         _force_split(monkeypatch)
         with pytest.raises(KeyError, match="sp_victim") as raised:
-            main(_argv(fixture_dir, predictions, out, 1))
+            main(_argv(fixture_dir, predictions, out, 1, command))
         notes = raised.value.__notes__
-        assert notes[0].startswith(f"raised in the child process for lines {first}- of ")
+        assert re.match(f"raised in the child process for {_span(fork, predictions, first)}:\n",
+                        notes[0])
         assert "in failing" in notes[0]
+        capsys.readouterr()
     else:
-        one = _run(fixture_dir, predictions, tmp_path / "one", 1, capsys)
+        one = _run(fixture_dir, predictions, tmp_path / "one", 1, capsys, command)
         assert one[0] == 1 and one[3] is None
         seen.clear()
         _force_split(monkeypatch)
-        assert _run(fixture_dir, predictions, out, 1, capsys) == one
-    assert VICTIM not in seen  # the child filtered it
-    assert len(forks) == 1 and _files(out) is None
+        assert _run(fixture_dir, predictions, out, 1, capsys, command) == one
+    assert VICTIM not in seen and LAST_BURST not in seen  # the child worked it
+    assert len(forks) == (2 if fork == "sequences fuse" else 1) and _files(out) is None
     _assert_reaped(forks)
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="the split forks")
+@pytest.mark.parametrize("command", STREAMED)
 def test_a_non_utf8_byte_after_the_cut_fails_as_in_one_process(tmp_path, fixture_dir, capsys,
-                                                              monkeypatch, forks):
+                                                              monkeypatch, forks, command):
     # past the 8 KiB this process decodes beyond the cut, so only the child reads it
     text = (fixture_dir / "predictions.txt").read_bytes() * 32 + b"i_am1_004 sp_\xff:1.0\n"
     predictions = tmp_path / "predictions.txt"
     predictions.write_bytes(text)
-    one = _run(fixture_dir, predictions, tmp_path / "one", 1, capsys)
+    one = _run(fixture_dir, predictions, tmp_path / "one", 1, capsys, command)
     assert one[:3] == (1, "", f"error: {predictions} is not UTF-8 text (invalid start byte)\n")
     _force_split(monkeypatch)
-    assert _run(fixture_dir, predictions, tmp_path / "two", 1, capsys) == one
-    assert len(forks) == 1 and one[3] is None
+    assert _run(fixture_dir, predictions, tmp_path / "two", 1, capsys, command) == one
+    assert len(forks) == 1 and one[3] is None  # sequences fails before it fuses
     _assert_reaped(forks)
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="the split forks")
 @pytest.mark.parametrize("end", ["killed", "exit 0"])
+@pytest.mark.parametrize("fork", FORKS)
 def test_a_child_that_ends_with_no_result_fails_the_command(tmp_path, fixture_dir, capsys,
-                                                            monkeypatch, forks, end):
+                                                            monkeypatch, forks, fork, end):
     predictions, first = _after_the_cut(fixture_dir, tmp_path)
-    real = cli.geofilter
-
-    def ending(entries, *where):
-        if entries == VICTIM:  # only the child filters it
-            os.kill(os.getpid(), signal.SIGKILL) if end == "killed" else os._exit(0)
-        return real(entries, *where)
-
-    monkeypatch.setattr(cli, "geofilter", ending)
+    _in_the_child(monkeypatch, fork, lambda: os.kill(os.getpid(), signal.SIGKILL)
+                  if end == "killed" else os._exit(0))
     _force_split(monkeypatch)
     out = tmp_path / "out"
-    assert _run(fixture_dir, predictions, out, 1, capsys) == (
-        1, "", f"error: the process for lines {first}- of {predictions} ended with no result\n",
-        None)
-    assert len(forks) == 1
+    status, stdout, err, files = _run(fixture_dir, predictions, out, 1, capsys, FORKS[fork])
+    assert (status, stdout, files) == (1, "", None)
+    assert re.fullmatch(f"error: the process for {_span(fork, predictions, first)} "
+                        "ended with no result\n", err)
+    assert len(forks) == (2 if fork == "sequences fuse" else 1)
     _assert_reaped(forks)
 
 
-# Run in a child interpreter, whose forked child may map only 8 MiB more than
-# it holds at the fork, then run the CLI with the split forced.
+@pytest.mark.parametrize("fault", ["one CPU", "no process to spare"])
+@pytest.mark.parametrize("fork", FORKS)
+def test_a_split_that_cannot_fork_works_both_halves_here(tmp_path, fixture_dir, capsys,
+                                                         monkeypatch, forks, fork, fault):
+    predictions = fixture_dir / "predictions.txt"
+    command = FORKS[fork]
+    one = _run(fixture_dir, predictions, tmp_path / "one", 1, capsys, command)
+    _force_split(monkeypatch)
+    failing = 1 if fork == "sequences fuse" else 0  # the fork that cannot start
+    calls = itertools.count()
+    if fault == "one CPU":  # as under ``taskset -c 0``
+        monkeypatch.setattr(os, "sched_getaffinity",
+                            lambda pid: {0} if next(calls) == failing else {0, 1}, raising=False)
+    else:
+        fork_here = os.fork
+
+        def fork_or_fail():
+            if next(calls) == failing:
+                raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+            return fork_here()
+
+        monkeypatch.setattr(os, "fork", fork_or_fail)
+    assert _run(fixture_dir, predictions, tmp_path / "two", 1, capsys, command) == one
+    assert len(forks) == (command == "sequences")  # the other fork of sequences still starts
+    _assert_reaped(forks)
+
+
+# Run in a child interpreter, whose forked children may each map only 8 MiB
+# more than it holds at the fork, then run the CLI with the split forced.
 CHILD_OUT_OF_MEMORY = """
 import os, resource, sys
 from trapkit import cli
@@ -429,20 +538,29 @@ for pid in forks:
 
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/statm"), reason="sizes the child by statm")
-def test_a_child_out_of_memory_fails_as_one_process_does(tmp_path, fixture_dir):
-    # 2 MiB of the fixture's lines, so the cut comes before a last line of
-    # 256Ki entries, which str.split cannot hold in 8 MiB
+@pytest.mark.parametrize("fork", FORKS)
+def test_a_child_out_of_memory_fails_as_one_process_does(tmp_path, fixture_dir, fork):
+    # 2 MiB of the fixture's lines and a line of 256Ki entries, which neither
+    # str.split nor a fusion's sums can hold in 8 MiB. Last, it is read after
+    # the cut. First, for a burst member, this process reads it and the fuse
+    # child sums it: its burst holds the middle stored entry.
     lines = itertools.cycle((fixture_dir / "predictions.txt").read_bytes().splitlines(True))
     text = bytearray()
     while len(text) < 2 << 20:
         text += next(lines)
+    if fork == "sequences fuse":
+        huge = f"{BURSTS[20][0]} ".encode() + b"".join(b"a%d:0.1 " % n for n in range(256 << 10))
+        text[:0] = huge + b"\n"
+    else:
+        text += b"i_huge " + b"a:0.1 " * (256 << 10) + b"\n"
     predictions = tmp_path / "predictions.txt"
-    predictions.write_bytes(bytes(text) + b"i_huge " + b"a:0.1 " * (256 << 10) + b"\n")
+    predictions.write_bytes(bytes(text))
     out = tmp_path / "out"
     env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
     result = subprocess.run([sys.executable, "-c", CHILD_OUT_OF_MEMORY,
-                             *_argv(fixture_dir, predictions, out, 1)],
+                             *_argv(fixture_dir, predictions, out, 1, FORKS[fork])],
                             cwd=REPO, env=env, capture_output=True, text=True, timeout=120)
+    children = 2 if fork == "sequences fuse" else 1
     assert (result.returncode, result.stdout, result.stderr) == \
-        (0, "status 1, child reaped\n", "error: out of memory\n")
+        (0, "status 1, child reaped\n" * children, "error: out of memory\n")
     assert _files(out) is None

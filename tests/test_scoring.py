@@ -12,6 +12,7 @@ from trapkit.errors import LabelNotFoundError
 from trapkit.ingest import ImageRecord
 from trapkit.report import Issue, IssueKind, Severity
 from trapkit.scoring import (
+    HeldPredictions,
     evaluate,
     geofilter,
     iter_predictions,
@@ -21,6 +22,7 @@ from trapkit.scoring import (
     write_metrics,
     write_predictions,
 )
+from trapkit.stats import SequenceIds, write_sequences
 from trapkit.taxonomy import Level, TaxonRecord, TaxonomyTable
 
 from generators import random_predictions, random_taxonomy, random_truth
@@ -542,7 +544,22 @@ def _pairs(groups):
 
 def _ids(groups):
     """Each group's sequence id, as `write_sequences` hands them on."""
-    return [sequence_id for sequence_id, _ in _pairs(groups)]
+    ids = SequenceIds()
+    write_sequences(groups, io.StringIO(), ids)
+    return ids
+
+
+def _held(records, groups):
+    """The store of the first record of each member of ``groups`` among ``records``."""
+    held = HeldPredictions.of(groups)
+    held.read(records)
+    return held
+
+
+def _fuse(records, groups, issues=None):
+    """The fused records of ``groups``, stored from ``records`` in one store."""
+    return list(sequence_aggregate(_held(records, groups), _ids(groups),
+                                   [] if issues is None else issues))
 
 
 def test_prediction_records_are_exact_tuples(fixture_dir):
@@ -551,7 +568,7 @@ def test_prediction_records_are_exact_tuples(fixture_dir):
     assert records
     assert all(type(record) is tuple for record in records)
     groups = [_group("q1", *(image_id for image_id, _ in records[:3]))]
-    fused = list(sequence_aggregate(records, groups, [], _ids(groups)))
+    fused = _fuse(records, groups)
     assert len(fused) == 1 and type(fused[0]) is tuple
     assert type(geofilter(records[0][1], 0.0, 0.0, {}, "unknown")) is tuple
 
@@ -562,7 +579,7 @@ def test_identical_member_predictions_keep_their_ranking():
         _record("i2", "sp_a", "sp_b", start=0.6, step=0.2),
     ]
     groups = [_group("q1", "i1", "i2")]
-    aggregated = list(sequence_aggregate(predictions, groups, [], _ids(groups)))
+    aggregated = _fuse(predictions, groups)
     assert len(aggregated) == 1  # no group skipped: one record per group
     assert [label for label, _ in aggregated[0][1]] == ["sp_a", "sp_b"]
     assert aggregated[0][0] == "q1:2016-01-01T00:00:00Z"
@@ -574,13 +591,13 @@ def test_tie_between_disjoint_top_labels_breaks_lexicographically():
         ("i2", (("a_label", 1.0),)),
     ]
     groups = [_group("q1", "i1", "i2")]
-    aggregated = list(sequence_aggregate(predictions, groups, [], _ids(groups)))
+    aggregated = _fuse(predictions, groups)
     assert aggregated[0][1] == (("a_label", 0.5), ("b_label", 0.5))
 
 
 def test_group_without_predictions_is_skipped_and_reported():
     groups = [_group("q1", "i1")]
-    aggregated = list(sequence_aggregate([], groups, [], _ids(groups)))
+    aggregated = _fuse([], groups)
     assert aggregated == []
     assert len(groups) - len(aggregated) == 1  # the skipped count `sequences` reports
 
@@ -595,7 +612,7 @@ def test_sequence_aggregation_matches_mean_and_sort_oracle():
             scores = sorted((round(rng.uniform(0.01, 1.0), 4) for _ in chosen), reverse=True)
             members.append((f"i{index}", tuple(zip(chosen, scores))))
         group = _group("q", *[image_id for image_id, _ in members])
-        aggregated = list(sequence_aggregate(members, [group], [], _ids([group])))
+        aggregated = _fuse(members, [group])
         assert aggregated == sequence_fusion(members, _pairs([group]))
 
 
@@ -611,7 +628,7 @@ def test_fused_record_with_a_non_finite_mean_is_dropped_as_an_issue(members):
     group = _group("q1", *(image_id for image_id, _ in records))
     assert issues == []  # every input score is finite
     groups = [group, _group("q2", "i9")]
-    assert list(sequence_aggregate(records, groups, issues, _ids(groups))) == []
+    assert _fuse(records, groups, issues) == []
     assert issues == [Issue(IssueKind.MALFORMED_PREDICTION, "q1:2016-01-01T00:00:00Z",
                             "mean score of 'b' is not finite, fused record dropped")]
 
@@ -669,9 +686,47 @@ def test_sequence_aggregate_writes_the_bytes_of_the_hold_every_record_oracle(cas
     fused = sequence_fusion(records, _pairs(groups))
     finite = [record for record in fused if all(math.isfinite(score) for _, score in record[1])]
     issues = []
-    assert _fused_bytes(sequence_aggregate(iter(records), groups, issues, _ids(groups))) == \
-        _fused_bytes(finite)
+    assert _fused_bytes(_fuse(iter(records), groups, issues)) == _fused_bytes(finite)
     assert [issue.key for issue in issues] == [record[0] for record in fused if record not in finite]
+
+
+@settings(max_examples=400, deadline=None)
+@given(_fusion_case(), st.integers(0, 24), st.integers(0, 8))
+@example(([  # the halves see a, b and b, c, a first: their codes differ; i1 is in both halves
+    ("i1", (("a", 0.5), ("b", 0.25))),
+    ("i3", (("b", 1.0), ("c", 0.5), ("a", 0.1))),
+    ("i1", (("c", 1.0),)),
+    ("i2", (("a", 1e-300), ("c", -1e308))),
+], [_group("q0", "i1", "i2"), _group("q1", "i3")]), 1, 1)
+def test_held_halves_joined_fuse_to_the_bytes_of_the_hold_every_record_oracle(case, cut, middle):
+    # the store and fuse of a predictions file cut in two, each half in its own store
+    records, groups = case
+    cut, middle = min(cut, len(records)), min(middle, len(groups))
+    held = _held(records[:cut], groups)
+    later = HeldPredictions(held.ordinal, held.sizes)
+    later.read(records[cut:])
+    held.join(later.columns())
+    ids, issues = _ids(groups), []
+    text = _fused_bytes([*sequence_aggregate(held, ids, issues, 0, middle),
+                         *sequence_aggregate(held, ids, issues, middle)])
+    fused = sequence_fusion(records, _pairs(groups))
+    finite = [record for record in fused if all(math.isfinite(score) for _, score in record[1])]
+    assert text == _fused_bytes(finite)
+    dropped = [record[0] for record in fused if record not in finite]
+    assert [issue.key for issue in issues] == dropped
+
+
+@pytest.mark.parametrize("entries, middle", [
+    ([1, 1, 10, 1], 2),  # the group that holds the middle entry is the second half's first
+    ([4, 0, 0, 4], 3),
+    ([3], 0),
+    ([0, 0], 0),  # nothing held
+])
+def test_halfway_is_the_group_that_holds_the_middle_entry(entries, middle):
+    groups = [_group(f"q{n}", f"i{n}") for n in range(len(entries))]
+    records = [(f"i{n}", tuple((f"sp{k}", 1.0) for k in range(count)))
+               for n, count in enumerate(entries) if count]
+    assert _held(records, groups).halfway() == middle
 
 
 @pytest.mark.parametrize("n_ids", [1, 3], ids=["one_id_fewer", "one_id_more"])
@@ -680,7 +735,7 @@ def test_sequence_aggregate_needs_one_id_per_group(n_ids):
     predictions = [_record(f"i{n}", "sp_a") for n in range(3)]
     # every group is predicted, so a miscount would otherwise pass unseen
     with pytest.raises(ValueError):
-        list(sequence_aggregate(predictions, groups[:2], [], _ids(groups[:n_ids])))
+        list(sequence_aggregate(_held(predictions, groups[:2]), _ids(groups[:n_ids]), []))
 
 
 def _member_records(count, entries):
@@ -702,8 +757,8 @@ def test_sequence_aggregate_holds_under_a_kilobyte_per_member(entries, group_siz
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        fused = sum(1 for _ in sequence_aggregate(_member_records(count, entries), groups, [],
-                                                  ids))
+        fused = sum(1 for _ in sequence_aggregate(_held(_member_records(count, entries), groups),
+                                                  ids, []))
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()

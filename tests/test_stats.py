@@ -1,5 +1,6 @@
 import csv
 import io
+import itertools
 import random
 import tracemalloc
 from datetime import datetime, timedelta, timezone
@@ -11,6 +12,7 @@ from trapkit import stats
 from trapkit.errors import LabelNotFoundError
 from trapkit.ingest import Deployment, ImageRecord, UnifiedDataset
 from trapkit.stats import (
+    SequenceIds,
     blank_rate,
     class_distribution,
     class_weights,
@@ -297,12 +299,14 @@ def _burst_case(draw):
 def test_write_sequences_writes_the_bytes_of_the_per_deployment_oracle(case):
     dataset, gap = case
     out = io.StringIO()
-    ids = []
+    ids = SequenceIds()
     write_sequences(group_bursts(dataset, gap), out, ids)
     expected = burst_rows(dataset.images.values(), gap)
     assert out.getvalue() == expected
     # the ids handed on to the fusion are the texts of the first column
-    assert ids == [row[0] for row in csv.reader(io.StringIO(expected))][1:]
+    assert [ids.text[start:stop] for start, stop in itertools.pairwise(ids.ends)] == \
+        [row[0] for row in csv.reader(io.StringIO(expected))][1:]
+    assert len(ids) == len(group_bursts(dataset, gap))
 
 
 def test_group_bursts_holds_under_a_hundred_bytes_per_group():
