@@ -340,11 +340,15 @@ class HeldPredictions:
             stops[member] = len(codes)
 
     def columns(self) -> tuple:
-        """The held members, their starts and stops, the codes, scores and labels; see ``join``."""
+        """The held members, their starts and stops, the codes, scores and labels; see ``join``.
+
+        The codes and scores come as their arrays' bytes: an array pickles
+        through one more copy of its bytes.
+        """
         held = self.stops  # nonzero exactly for a held member
         return (array("I", compress(range(len(held)), held)),
                 array("I", compress(self.starts, held)), array("I", compress(held, held)),
-                self.codes, self.scores, list(self.labels))
+                self.codes.tobytes(), self.scores.tobytes(), list(self.labels))
 
     def join(self, columns: tuple) -> None:
         """Hold what another store's ``columns`` hold for each member not held here.
@@ -357,8 +361,8 @@ class HeldPredictions:
         label_codes = self.labels
         table = [label_codes.setdefault(label, len(label_codes)) for label in labels]
         offset = len(self.codes)
-        self.codes.extend(map(table.__getitem__, codes))
-        self.scores.extend(scores)
+        self.codes.extend(map(table.__getitem__, memoryview(codes).cast("I")))
+        self.scores.frombytes(scores)
         mine_starts, mine_stops = self.starts, self.stops
         for member, start, stop in zip(members, starts, stops):
             if not mine_stops[member]:
